@@ -80,10 +80,6 @@ class SparseOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def hermiticity_defect(self) -> float:
-        d = self.matrix - self.matrix.getH()
-        return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())
-
 
 @dataclass(frozen=True)
 class EigenDecomposition:
@@ -285,6 +281,9 @@ def eigensolve(
             vals, w = spla.eigsh(B, k=m_max, sigma=sigma, which="LM", v0=v0, tol=0)
         except (spla.ArpackNoConvergence, RuntimeError) as exc:
             if dim <= 4000:
+                import logging
+                logging.getLogger("hcbloch").warning(
+                    "ARPACK failed at dim %d (%s); falling back to dense eigh", dim, exc)
                 vals, w = eigh(B.toarray(), subset_by_index=(0, m_max - 1))
             else:
                 raise ConvergenceError(f"eigensolver failed: {exc}") from exc

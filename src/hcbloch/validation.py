@@ -1,17 +1,18 @@
-"""Direct solves of the high-contrast problem at finite cell size and
-numerical verification of quasi-periodic two-scale convergence.
+"""Finite-cell-size solves of the high-contrast problem and numerical
+verification of quasi-periodic two-scale convergence.
 
 The macroscopic domain is the torus (0,1)^3 tiled by K^3 copies of the
 unit cell, each resolved by p nodes per axis, so samples of x/eps land
 exactly on cell grid nodes and the two-scale pairings carry no
-interpolation error.  The resolvent problem
-
-    <a_eps grad u, grad phi> + <u, phi> = <f_eps, phi>
-
-is solved directly on the fine grid; its solution is paired against
-oscillating test fields phi(x) psi(x/eps) and compared with the
-homogenized two-scale limit u(x,y) = exp(i k.x) w(y), where w solves the
-coupled fiber/soft-phase cell system.
+interpolation error.  A one-cell shift multiplies the forcing of the
+resolvent problem  <a_eps grad u, grad phi> + <u, phi> = <f_eps, phi>
+by exp(i Theta_d), Theta = 2 pi z / K, and commutes with A_eps, so the
+discrete solution on that (K p)^3 grid is exactly the Bloch wave
+u(c, y) = exp(i Theta.c) U(y) with U from one p^3 quasi-periodic cell
+solve (the tests keep the direct fine-grid solve as an oracle).  It is
+paired, per axis, against test fields phi(x) psi(x/eps) and compared with
+the homogenized two-scale limit u(x,y) = exp(i k.x) w(y), where w solves
+the coupled fiber/soft-phase cell system.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .bloch import assemble_bloch, bloch_eigs
 from .cell import solve_cell_problem
 from .errors import BudgetError
 from .geometry import MATRIX, CellGeometry, Grid, classify_nodes
-from .operators import as_quasi_momentum, edge_weights, full_stiffness, linear_solve
+from .operators import QuasiMomentum, as_quasi_momentum, full_stiffness, linear_solve
 
 __all__ = [
     "EpsProblem",
@@ -36,6 +37,7 @@ __all__ = [
     "solve_eps",
     "solve_homogenized",
     "two_scale_pairing",
+    "separable_pairing",
     "convergence_report",
     "composite_spectrum",
     "spectral_distance",
@@ -80,6 +82,11 @@ class EpsProblem:
     def n_fine(self) -> int:
         return self.K * self.p
 
+    @property
+    def theta(self) -> QuasiMomentum:
+        """Theta = 2 pi z / K mod 2 pi; z = K/2 mod K gives exactly pi (a real operator)."""
+        return QuasiMomentum(tuple(2.0 * np.pi * ((int(z) % self.K) / self.K) for z in self.k_index))
+
     def cell_grid(self) -> Grid:
         return classify_nodes(self.geom, self.p)
 
@@ -88,103 +95,111 @@ def _tile(cell_values: np.ndarray, K: int) -> np.ndarray:
     return np.tile(cell_values, (K, K, K))
 
 
-def _fine_coords(n_fine: int):
-    v = np.arange(n_fine) / n_fine
-    return np.meshgrid(v, v, v, indexing="ij")
+def _axis_waves(k_index, n: int, m: int | None = None) -> list[np.ndarray]:
+    """exp(2 pi i z_d x_d) at x_d = j / n for j < m (default n), one factor per axis."""
+    x = np.arange(n if m is None else m) / n
+    return [np.exp(2j * np.pi * z * x) for z in k_index]
 
 
-def eps_coefficient(prob: EpsProblem, grid_cell: Grid) -> np.ndarray:
-    """a_eps on the fine grid: a1(x/eps) on stiff nodes, eps^2 a0(x/eps) on soft."""
+def _outer(f1: np.ndarray, f2: np.ndarray, f3: np.ndarray) -> np.ndarray:
+    return f1[:, None, None] * f2[None, :, None] * f3[None, None, :]
+
+
+def _cell_coefficient(prob: EpsProblem, grid_cell: Grid) -> np.ndarray:
+    """a_eps on one cell: a1 on stiff nodes, eps^2 a0 on soft (a0 with contrast off)."""
     y1, y2, y3 = grid_cell.coords()
     a0 = prob.geom.a0_values(y1, y2, y3)
     a1 = prob.geom.a1_values(y1, y2, y3)
     scale = prob.eps**2 if prob.contrast == "double_porosity" else 1.0
-    cell = np.where(grid_cell.node_class == MATRIX, scale * a0, a1)
-    return _tile(cell, prob.K)
+    return np.where(grid_cell.node_class == MATRIX, scale * a0, a1)
 
 
-def forcing(prob: EpsProblem) -> np.ndarray:
-    """f_eps sampled on the fine grid."""
-    grid_cell = prob.cell_grid()
-    g = prob.g_cell if prob.g_cell is not None else np.ones(grid_cell.shape)
-    g_fine = _tile(np.asarray(g).reshape(grid_cell.shape), prob.K)
-    k = 2.0 * np.pi * np.asarray(prob.k_index, dtype=float)
-    if np.all(k == 0.0):
-        return g_fine.astype(np.result_type(g_fine.dtype, float))
-    x1, x2, x3 = _fine_coords(prob.n_fine)
-    return np.exp(1j * (k[0] * x1 + k[1] * x2 + k[2] * x3)) * g_fine
+def eps_coefficient(prob: EpsProblem, grid_cell: Grid) -> np.ndarray:
+    """a_eps on the fine grid: a1(x/eps) on stiff nodes, eps^2 a0(x/eps) on soft."""
+    return _tile(_cell_coefficient(prob, grid_cell), prob.K)
+
+
+def forcing(prob: EpsProblem, cells: int | None = None) -> np.ndarray:
+    """f_eps on the first ``cells`` cells per axis (default all K; 1 gives cell 0)."""
+    p = prob.p
+    m = prob.K if cells is None else cells
+    g = np.ones((p, p, p)) if prob.g_cell is None else np.asarray(prob.g_cell).reshape((p, p, p))
+    return _outer(*_axis_waves(prob.k_index, prob.n_fine, m * p)) * _tile(g, m)
 
 
 @dataclass(frozen=True)
 class EpsSolution:
+    """Discrete solution u(c, y) = exp(i Theta.c) U(y) over cells c and cell nodes y.
+
+    U = ``u_cell`` is u on cell 0; torus integrals are K^3 times cell sums.
+    """
+
     problem: EpsProblem
-    u: np.ndarray  # flat (Kp)^3
-    f: np.ndarray = field(repr=False)
-    stiffness: sp.csr_matrix = field(repr=False)  # form-scaled, periodic
+    u_cell: np.ndarray = field(repr=False)  # (p, p, p)
+    theta: QuasiMomentum
+    f_cell: np.ndarray = field(repr=False)  # f_eps on cell 0, (p, p, p)
+    stiffness: sp.csr_matrix = field(repr=False)  # cell form of a_eps at Theta
     residual: float
 
     @property
-    def h(self) -> float:
-        return 1.0 / self.problem.n_fine
+    def u(self) -> np.ndarray:
+        """u on the whole (K p)^3 fine grid, flat; built on each access."""
+        return quasi_periodic_extension(self.u_cell, self.theta, self.problem.K).ravel()
 
     def l2_norm(self, values: np.ndarray | None = None) -> float:
-        v = self.u if values is None else values
-        return float(np.sqrt(self.h**3 * np.sum(np.abs(v) ** 2)))
+        """Torus L2 norm of the Bloch wave with cell-0 values ``values`` (default U)."""
+        v = self.u_cell if values is None else values
+        return float(np.sqrt(np.sum(np.abs(v) ** 2) / self.problem.p**3))
 
-    def energy(self, coeff: np.ndarray | None = None) -> float:
-        """Discrete Dirichlet energy integral c |grad u|^2 (periodic edges)."""
-        n = self.problem.n_fine
-        u = self.u.reshape((n, n, n))
-        c = np.ones((n, n, n)) if coeff is None else coeff
-        total = 0.0
-        for d in range(3):
-            w = edge_weights(c, d)
-            du = np.roll(u, -1, axis=d) - u
-            total += float(np.sum(w * np.abs(du) ** 2)) / self.h**2 * self.h**3
-        return total
+    def _form(self, A: sp.spmatrix) -> float:
+        u = self.u_cell.ravel()
+        return float(np.real(np.vdot(u, A @ u)))
+
+    def energy(self, coeff_cell: np.ndarray | None = None) -> float:
+        """Discrete Dirichlet energy integral c |grad u|^2 over the torus, c on one cell
+        (default 1): per cell, the fine form of a Bloch wave is the cell form at Theta / K."""
+        p = self.problem.p
+        c = np.ones((p, p, p)) if coeff_cell is None else coeff_cell
+        # a semidefinite form; rounding can take it below zero when u is constant
+        return self.problem.K**2 * max(self._form(full_stiffness(p, c, self.theta)), 0.0)
 
     def apriori_norms(self) -> dict[str, float]:
         """The three uniform a priori norms and the forcing norm."""
         prob = self.problem
         grid_cell = prob.cell_grid()
-        y1, y2, y3 = grid_cell.coords()
-        a1_cell = np.where(
-            grid_cell.node_class != MATRIX,
-            prob.geom.a1_values(y1, y2, y3),
-            0.0,
-        )
-        a1_fine = _tile(a1_cell, prob.K)
+        a1_cell = np.where(grid_cell.stiff_mask, prob.geom.a1_values(*grid_cell.coords()), 0.0)
         return {
-            "stiff_energy": float(np.sqrt(self.energy(a1_fine))),
+            "stiff_energy": float(np.sqrt(self.energy(a1_cell))),
             "eps_gradient": float(prob.eps * np.sqrt(self.energy())),
             "l2": self.l2_norm(),
-            "f_l2": self.l2_norm(self.f.ravel()),
+            "f_l2": self.l2_norm(self.f_cell),
         }
 
     def energy_identity_defect(self) -> float:
         """Relative defect of <a_eps grad u, grad u> + ||u||^2 = Re<f, u>."""
-        h3 = self.h**3
-        lhs = float(np.real(np.vdot(self.u, self.stiffness @ self.u))) + h3 * float(
-            np.sum(np.abs(self.u) ** 2)
-        )
-        rhs = float(np.real(h3 * np.vdot(self.u, self.f.ravel())))
+        lhs = self.problem.K**2 * self._form(self.stiffness) + self.l2_norm() ** 2
+        rhs = float(np.real(np.vdot(self.u_cell, self.f_cell))) / self.problem.p**3
         return abs(lhs - rhs) / max(abs(rhs), 1e-300)
 
 
 def solve_eps(prob: EpsProblem, tol: float = 1e-10) -> EpsSolution:
-    """Solve (A_eps + I) u = f_eps on the fine torus grid."""
+    """Solve (A_eps + I) u = f_eps on the fine torus grid through one cell.
+
+    On Bloch waves the fine form is K^3 copies of the cell form at Theta
+    scaled by the edge-length ratio 1/K, so U solves the p^3 system
+    (A(a_eps, Theta) / K + h^3 I) U = h^3 F, h = 1/(K p), F = f_eps on cell 0.
+    """
     grid_cell = prob.cell_grid()
-    a_fine = eps_coefficient(prob, grid_cell)
-    n = prob.n_fine
-    A = full_stiffness(n, a_fine, None, bc="quasi_periodic")
-    h3 = (1.0 / n) ** 3
-    system = (A + h3 * sp.identity(n**3, format="csr")).tocsr()
-    f = forcing(prob)
-    rhs = h3 * f.ravel()
+    qm = prob.theta
+    A = full_stiffness(prob.p, _cell_coefficient(prob, grid_cell), qm)
+    h3 = (1.0 / prob.n_fine) ** 3
+    system = (A / prob.K + h3 * sp.identity(prob.p**3, format="csr")).tocsr()
+    f_cell = forcing(prob, 1)
+    rhs = h3 * f_cell.ravel()
     u = linear_solve(system, rhs, tol=tol)
     rhs_norm = float(np.linalg.norm(rhs))
     residual = 0.0 if rhs_norm == 0.0 else float(np.linalg.norm(system @ u - rhs) / rhs_norm)
-    return EpsSolution(problem=prob, u=u, f=f, stiffness=A, residual=residual)
+    return EpsSolution(prob, u.reshape(grid_cell.shape), qm, f_cell, A, residual)
 
 
 def quasi_periodic_extension(psi_cell: np.ndarray, theta, K: int) -> np.ndarray:
@@ -195,8 +210,7 @@ def quasi_periodic_extension(psi_cell: np.ndarray, theta, K: int) -> np.ndarray:
     if qm.is_zero:
         return fine
     cell_idx = np.arange(K * p) // p
-    ph = [np.exp(1j * qm.theta[d] * cell_idx) for d in range(3)]
-    return fine * ph[0][:, None, None] * ph[1][None, :, None] * ph[2][None, None, :]
+    return fine * _outer(*(np.exp(1j * t * cell_idx) for t in qm.theta))
 
 
 def two_scale_pairing(u_fine: np.ndarray, phi_fine: np.ndarray, psi_cell: np.ndarray, theta, K: int) -> complex:
@@ -212,6 +226,22 @@ def two_scale_pairing(u_fine: np.ndarray, phi_fine: np.ndarray, psi_cell: np.nda
     psi_fine = quasi_periodic_extension(psi_cell, theta, K)
     test = np.asarray(phi_fine).reshape((n, n, n)) * psi_fine
     return complex(h3 * np.vdot(test, np.asarray(u_fine).reshape((n, n, n))))
+
+
+def separable_pairing(sol: EpsSolution, phi_axes, psi_cell: np.ndarray, theta) -> complex:
+    """``two_scale_pairing(sol.u, phi, psi_cell, theta, K)`` for phi = prod_d phi_axes[d](x_d).
+
+    The sum over cells then factorizes per axis into
+    G_d(y_d) = sum_c conj(phi_d(c p + y_d)) exp(i (Theta_d - theta_d) c).
+    """
+    K, p = sol.problem.K, sol.problem.p
+    c = np.arange(K)
+    G = [
+        np.exp(1j * (T - t) * c) @ np.conjugate(np.asarray(f).reshape(K, p))
+        for f, T, t in zip(phi_axes, sol.theta.theta, as_quasi_momentum(theta).theta)
+    ]
+    cell = np.conjugate(np.asarray(psi_cell).reshape((p, p, p))) * sol.u_cell
+    return complex(np.einsum("ijk,i,j,k->", cell, *G) / (K * p) ** 3)
 
 
 @dataclass(frozen=True)
@@ -231,18 +261,11 @@ class HomogenizedSolution:
     grid_n: int
     residual: float
 
-    def macro_factor(self, n_fine: int) -> np.ndarray:
-        k = 2.0 * np.pi * np.asarray(self.k_index, dtype=float)
-        x1, x2, x3 = _fine_coords(n_fine)
-        return np.exp(1j * (k[0] * x1 + k[1] * x2 + k[2] * x3))
-
-    def limit_pairing(self, phi_fine: np.ndarray, psi_cell: np.ndarray, n_fine: int) -> complex:
-        """<u, phi x psi> over Omega x Q (factorized quadrature)."""
-        n = n_fine
-        h3_macro = (1.0 / n) ** 3
-        macro = h3_macro * np.sum(self.macro_factor(n) * np.conjugate(np.asarray(phi_fine).reshape((n, n, n))))
-        h3_cell = (1.0 / self.grid_n) ** 3
-        cell = h3_cell * np.vdot(np.asarray(psi_cell).ravel(), self.w_full)
+    def limit_pairing(self, phi_axes, psi_cell: np.ndarray) -> complex:
+        """<u, phi x psi> over Omega x Q for phi = prod_d phi_axes[d](x_d) (factorized quadrature)."""
+        waves = _axis_waves(self.k_index, len(phi_axes[0]))
+        macro = np.prod([np.mean(w * np.conjugate(f)) for w, f in zip(waves, phi_axes)])
+        cell = np.vdot(np.asarray(psi_cell).ravel(), self.w_full) / self.grid_n**3
         return complex(macro * cell)
 
 
@@ -407,14 +430,11 @@ def convergence_report(
         hom = solve_homogenized(geom, grid_cell, qm, k_index=k_index, g_cell=g, tol=tol)
 
     solutions: dict[int, EpsSolution] = {}
-    apriori: dict[int, dict[str, float]] = {}
-    energy_defect: dict[int, float] = {}
     for K in eps_K:
         prob = EpsProblem(geom=geom, p=p, K=K, k_index=tuple(k_index), g_cell=g, contrast=contrast)
-        sol = solve_eps(prob, tol=tol)
-        solutions[K] = sol
-        apriori[K] = sol.apriori_norms()
-        energy_defect[K] = sol.energy_identity_defect()
+        solutions[K] = solve_eps(prob, tol=tol)
+    apriori = {K: sol.apriori_norms() for K, sol in solutions.items()}
+    energy_defect = {K: sol.energy_identity_defect() for K, sol in solutions.items()}
 
     bound_c = _theory_bound_constant(geom, grid_cell)
     for K, norms in apriori.items():
@@ -426,35 +446,19 @@ def convergence_report(
                 )
 
     cases: list[PairingCase] = []
-    h_cell = 1.0 / p
+    f_norm = apriori[eps_K[-1]]["f_l2"]
     for phi_name, phi_builder in _phi_battery(k_index):
+        phi_ref = phi_builder(eps_K[-1] * p)
+        phi_norm = float(np.sqrt(np.prod([np.mean(np.abs(f) ** 2) for f in phi_ref])))
         for psi_name, psi in psi_battery:
-            pairings = []
-            for K in eps_K:
-                sol = solutions[K]
-                n = sol.problem.n_fine
-                phi = phi_builder(n)
-                pairings.append(two_scale_pairing(sol.u, phi, psi, qm, K))
-            n_ref = eps_K[-1] * p
-            phi_ref = phi_builder(n_ref)
-            if hom is not None:
-                limit = hom.limit_pairing(phi_ref, psi, n_ref)
-            else:
-                limit = 0.0 + 0.0j  # quasi-periodic probes of the classical control decay to zero
+            pairings = [separable_pairing(solutions[K], phi_builder(K * p), psi, qm) for K in eps_K]
+            # quasi-periodic probes of the classical control decay to zero
+            limit = 0.0 + 0.0j if hom is None else hom.limit_pairing(phi_ref, psi)
             res = [abs(z - limit) for z in pairings]
-            phi_norm = float(np.sqrt(np.mean(np.abs(phi_ref) ** 2)))
-            psi_norm = float(np.sqrt(h_cell**3 * np.sum(np.abs(psi) ** 2)))
-            f_norm = apriori[eps_K[-1]]["f_l2"]
+            psi_norm = float(np.sqrt(np.sum(np.abs(psi) ** 2) / p**3))
             scale = f_norm * phi_norm * psi_norm
-            cases.append(
-                PairingCase(
-                    name=f"phi={phi_name}, psi={psi_name}",
-                    pairings=pairings,
-                    limit=complex(limit),
-                    residuals=res,
-                    scale=scale,
-                )
-            )
+            name = f"phi={phi_name}, psi={psi_name}"
+            cases.append(PairingCase(name, pairings, complex(limit), res, scale))
 
     for case in cases:
         for j in range(len(case.residuals) - 1):
@@ -483,17 +487,14 @@ def convergence_report(
 
 
 def _phi_battery(k_index):
-    k = 2.0 * np.pi * np.asarray(k_index, dtype=float)
-
-    def matched(n):
-        x1, x2, x3 = _fine_coords(n)
-        return np.exp(1j * (k[0] * x1 + k[1] * x2 + k[2] * x3))
+    """Macro test fields as per-axis factors: phi(x) = prod_d phi_d(x_d)."""
 
     def poly(n):
-        x1, x2, x3 = _fine_coords(n)
-        return (1.0 + x1 * (1.0 - x1)) * matched(n)
+        x = np.arange(n) / n
+        waves = _axis_waves(k_index, n)
+        return [(1.0 + x * (1.0 - x)) * waves[0], *waves[1:]]
 
-    return [("mode", matched), ("mode*poly", poly)]
+    return [("mode", lambda n: _axis_waves(k_index, n)), ("mode*poly", poly)]
 
 
 def _psi_battery(geom: CellGeometry, grid_cell: Grid, qm):
@@ -509,13 +510,15 @@ def _psi_battery(geom: CellGeometry, grid_cell: Grid, qm):
     return battery
 
 
-def composite_spectrum(geom: CellGeometry, p: int, K: int, window: float | None = None) -> np.ndarray:
+def composite_spectrum(geom: CellGeometry, p: int, K: int) -> np.ndarray:
     """Full spectrum of the discrete eps-operator A_eps (no +I shift).
 
     A_eps commutes with shifts by one cell, so it block-diagonalizes
     exactly over the K^3 discrete quasi-momenta Theta = 2 pi z / K into
     cell operators with coefficients (a1/eps^2 on the stiff phase, a0 on
-    the soft phase).  Each block is solved densely.
+    the soft phase).  Blocks z and -z mod K are complex conjugates with the
+    same eigenvalues, so one block of each pair is solved densely and
+    counted twice.
     """
     from scipy.linalg import eigvalsh
 
@@ -527,16 +530,14 @@ def composite_spectrum(geom: CellGeometry, p: int, K: int, window: float | None 
     h3 = grid_cell.h**3
     vals = []
     step = 2.0 * np.pi / K
-    for z1 in range(K):
-        for z2 in range(K):
-            for z3 in range(K):
-                A = full_stiffness(p, coeff, (z1 * step, z2 * step, z3 * step))
-                ev = eigvalsh(A.toarray() / h3)
-                vals.append(ev)
-    out = np.sort(np.concatenate(vals))
-    if window is not None:
-        out = out[out <= window]
-    return out
+    for z in np.ndindex(K, K, K):
+        z_conj = tuple(-v % K for v in z)
+        if z_conj < z:
+            continue
+        A = full_stiffness(p, coeff, tuple(v * step for v in z))
+        ev = eigvalsh(A.toarray() / h3)
+        vals.extend([ev] if z_conj == z else [ev, ev])
+    return np.sort(np.concatenate(vals))
 
 
 def spectral_distance(lam: float, spectrum: np.ndarray) -> float:

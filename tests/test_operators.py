@@ -1,6 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.linalg import eigh as dense_eigh
 
 from conftest import dirichlet_chain_lowest
@@ -223,3 +226,22 @@ def test_cg_path_matches_direct():
     x_cg = _cg_solve(A, rhs, 1e-11, 20000)
     x_lu = linear_solve(A, rhs, tol=1e-11)
     assert np.linalg.norm(x_cg - x_lu) < 1e-7 * np.linalg.norm(x_lu)
+
+
+def test_eigensolve_arpack_fallback_is_logged(single_fiber, monkeypatch, caplog):
+    grid = classify_nodes(single_fiber, 8)
+    op = assemble_stiffness(grid, grid.a0_field(), (0.3, 1.1, 2.2), grid.matrix_mask,
+                            bc="dirichlet_on_complement")
+    M = mass_operator(grid.h, op.dim)
+
+    def failing_eigsh(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(spla, "eigsh", failing_eigsh)
+    with caplog.at_level(logging.WARNING, logger="hcbloch"):
+        dec = eigensolve(op, M, m_max=4, method="sparse")
+    [record] = [r for r in caplog.records if r.name == "hcbloch"]
+    assert record.levelno == logging.WARNING
+    assert str(op.dim) in record.getMessage() and "no convergence" in record.getMessage()
+    dense = eigensolve(op, M, m_max=4, method="dense")
+    assert np.array_equal(dec.eigenvalues, dense.eigenvalues)

@@ -5,7 +5,7 @@ from scipy.linalg import eigvalsh
 
 from hcbloch.errors import BudgetError
 from hcbloch.geometry import build_geometry, classify_nodes
-from hcbloch.operators import full_stiffness
+from hcbloch.operators import full_stiffness, linear_solve
 from hcbloch.validation import (
     EpsProblem,
     composite_spectrum,
@@ -13,6 +13,7 @@ from hcbloch.validation import (
     eps_coefficient,
     forcing,
     quasi_periodic_extension,
+    separable_pairing,
     solve_eps,
     solve_homogenized,
     spectral_distance,
@@ -237,3 +238,88 @@ def test_inclusion_homogenized_theta_independent(inclusion):
     h0 = solve_homogenized(inclusion, grid, (0.0, 0.0, 0.0), g_cell=g)
     h1 = solve_homogenized(inclusion, grid, (1.1, 2.2, 0.7), g_cell=g)
     assert np.abs(h0.w_full - h1.w_full).max() < 1e-12
+
+
+def direct_solve_eps(prob):
+    """Oracle: the eps-problem assembled and solved on the whole (K p)^3 torus grid."""
+    a_fine = eps_coefficient(prob, prob.cell_grid())
+    n = prob.n_fine
+    h3 = (1.0 / n) ** 3
+    system = full_stiffness(n, a_fine, None) + h3 * sp.identity(n**3, format="csr")
+    return linear_solve(system.tocsr(), h3 * forcing(prob).ravel())
+
+
+def _outer(f1, f2, f3):
+    return f1[:, None, None] * f2[None, :, None] * f3[None, None, :]
+
+
+@pytest.mark.parametrize(
+    "geom_name, p, K, k_index, complex_g, contrast",
+    [
+        ("fat_fiber", 4, 2, (0, 1, 0), False, "off"),
+        ("single_fiber", 8, 4, (1, 0, 0), False, "double_porosity"),
+        ("single_fiber", 8, 4, (1, 2, 0), True, "double_porosity"),
+        ("single_fiber", 8, 2, (3, 0, 0), False, "double_porosity"),
+    ],
+)
+def test_bloch_reduction_matches_direct_solve(request, geom_name, p, K, k_index, complex_g, contrast):
+    """One quasi-periodic cell solve gives the fine-grid solution, and its
+    cell energy is the fine-grid stiffness form."""
+    g = None
+    if complex_g:
+        rng = np.random.default_rng(5)
+        g = rng.standard_normal((p, p, p)) + 1j * rng.standard_normal((p, p, p))
+    geom = request.getfixturevalue(geom_name)
+    prob = EpsProblem(geom=geom, p=p, K=K, k_index=k_index, g_cell=g, contrast=contrast)
+    u_ref = direct_solve_eps(prob)
+    sol = solve_eps(prob)
+    assert np.linalg.norm(sol.u - u_ref) <= 1e-9 * np.linalg.norm(u_ref)
+    n = prob.n_fine
+    fine_energy = np.real(np.vdot(u_ref, full_stiffness(n, np.ones((n, n, n)), None) @ u_ref))
+    assert abs(sol.energy() - fine_energy) <= 1e-9 * fine_energy
+    assert sol.energy_identity_defect() < 1e-9
+
+
+def test_bloch_quasi_momentum_wraps_onto_real_pi(single_fiber):
+    sol = solve_eps(EpsProblem(geom=single_fiber, p=8, K=2, k_index=(3, 0, 0)))
+    assert sol.theta.theta == (np.pi, 0.0, 0.0)
+    assert not np.iscomplexobj(sol.stiffness.data)
+
+
+def test_separable_pairings_match_fine_grid(single_fiber):
+    p, K, k_index = 8, 4, (1, 2, 0)
+    n = K * p
+    rng = np.random.default_rng(7)
+    g = rng.standard_normal((p, p, p)) + 1j * rng.standard_normal((p, p, p))
+    psi = rng.standard_normal((p, p, p)) + 1j * rng.standard_normal((p, p, p))
+    phi_axes = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(3)]
+    phi = _outer(*phi_axes)
+    sol = solve_eps(EpsProblem(geom=single_fiber, p=p, K=K, k_index=k_index, g_cell=g))
+    u = sol.u
+    for theta in [(0.0, 0.0, 0.0), (np.pi / 2, np.pi, 0.0), (1.0, 2.0, 3.0)]:
+        fine = two_scale_pairing(u, phi, psi, theta, K)
+        assert abs(separable_pairing(sol, phi_axes, psi, theta) - fine) <= 1e-12 * max(1.0, abs(fine))
+
+    grid = classify_nodes(single_fiber, p)
+    hom = solve_homogenized(single_fiber, grid, (0.0, 0.0, 0.0), k_index=k_index, g_cell=g)
+    x1, x2, x3 = np.meshgrid(*(np.arange(n) / n,) * 3, indexing="ij")
+    macro = np.mean(np.exp(2j * np.pi * (x1 + 2 * x2)) * np.conjugate(phi))
+    limit = macro * (1.0 / p) ** 3 * np.vdot(psi.ravel(), hom.w_full)
+    assert abs(hom.limit_pairing(phi_axes, psi) - limit) <= 1e-12 * max(1.0, abs(limit))
+
+
+def test_composite_spectrum_conjugate_blocks(fat_fiber):
+    """Blocks z and -z mod K share their eigenvalues: compare against all
+    K^3 blocks solved (K = 4 has conjugate pairs; K = 2 has none)."""
+    p, K = 4, 4
+    grid = classify_nodes(fat_fiber, p)
+    coeff = np.where(grid.node_class == 0, grid.a0_field(), K**2 * grid.a1_field())
+    step = 2.0 * np.pi / K
+    blocks = [
+        eigvalsh(full_stiffness(p, coeff, tuple(v * step for v in z)).toarray() / grid.h**3)
+        for z in np.ndindex(K, K, K)
+    ]
+    every = np.sort(np.concatenate(blocks))
+    spec = composite_spectrum(fat_fiber, p, K)
+    assert spec.shape == every.shape
+    assert np.abs(spec - every).max() <= 1e-10 * np.abs(every).max()
