@@ -45,15 +45,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import CellGeometry, FiberSpec, Grid, build_geometry, classify_nodes
-from .operators import (
-    EigenDecomposition,
-    QuasiMomentum,
-    SparseOperator,
-    assemble_stiffness,
-    eigensolve,
-    linear_solve,
-    mass_operator,
-)
+from .operators import QuasiMomentum, eigensolve, linear_solve
 from .validation import (
     EpsProblem,
     TwoScaleReport,

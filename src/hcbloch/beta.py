@@ -232,12 +232,11 @@ def beta_eval(
     bloch: BlochDecomposition,
     lam=None,
     pole_guard: float = 1e-6,
-    mode: str = "spectral",
+    mode: str = "resummed",
 ):
     """Build the BetaMatrix from lifts + Bloch data; evaluate if lam given.
 
-    The default mode is the literal truncated series; root finding uses
-    mode="resummed" (see BetaMatrix).
+    mode="spectral" gives the literal truncated series (see BetaMatrix).
     """
     coeffs = np.vstack([lifts.coeffs[axis] for axis in lifts.active])
     measures = np.array([lifts.measures[axis] for axis in lifts.active])
@@ -472,7 +471,7 @@ def spatial_points(
     if not qm.active_set(geom.active_axes):
         return []
     lifts = solve_lifts(geom, grid, qm, bloch, tol=lift_tol, assembly=assembly)
-    beta = beta_eval(lifts, bloch, mode="resummed")
+    beta = beta_eval(lifts, bloch)
     return spatial_spectrum(
         beta, a_hom, qm, k_modes, window, L=L, pole_guard=pole_guard
     )

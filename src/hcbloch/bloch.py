@@ -17,15 +17,7 @@ import scipy.sparse as sp
 
 from .errors import ConvergenceError
 from .geometry import CellGeometry, Grid
-from .operators import (
-    QuasiMomentum,
-    SparseOperator,
-    as_quasi_momentum,
-    eigensolve,
-    full_stiffness,
-    mass_operator,
-    restrict_to,
-)
+from .operators import QuasiMomentum, as_quasi_momentum, eigensolve, full_stiffness, restrict_to
 
 __all__ = [
     "BlochAssembly",
@@ -49,7 +41,6 @@ class BlochAssembly:
 
     grid: Grid = field(repr=False)
     theta: QuasiMomentum
-    a0: np.ndarray = field(repr=False)
     full: sp.csr_matrix = field(repr=False)
     interior: sp.csr_matrix = field(repr=False)
     dofs: np.ndarray = field(repr=False)
@@ -62,9 +53,6 @@ class BlochAssembly:
     def dim(self) -> int:
         return self.interior.shape[0]
 
-    def operator(self) -> SparseOperator:
-        return SparseOperator(matrix=self.interior, h=self.h, dofs=self.dofs, full=self.full)
-
     def embed(self, values: np.ndarray) -> np.ndarray:
         """Extend a DOF vector by zero to the full node grid (flat)."""
         out = np.zeros(self.grid.n**3, dtype=np.result_type(values.dtype, self.full.dtype))
@@ -74,10 +62,9 @@ class BlochAssembly:
 
 def assemble_bloch(geom: CellGeometry, grid: Grid, theta) -> BlochAssembly:
     qm = as_quasi_momentum(theta)
-    a0 = grid.a0_field()
-    full = full_stiffness(grid.n, a0, qm, bc="quasi_periodic")
+    full = full_stiffness(grid.n, grid.a0_field(), qm, bc="quasi_periodic")
     interior, dofs = restrict_to(full, grid.matrix_mask)
-    return BlochAssembly(grid=grid, theta=qm, a0=a0, full=full, interior=interior, dofs=dofs)
+    return BlochAssembly(grid=grid, theta=qm, full=full, interior=interior, dofs=dofs)
 
 
 @dataclass(frozen=True)
@@ -114,21 +101,16 @@ def bloch_eigs(
 ) -> BlochDecomposition:
     """Lowest m_max eigenpairs of the Bloch operator at theta."""
     asm = assembly if assembly is not None else assemble_bloch(geom, grid, theta)
-    dec = eigensolve(
-        asm.operator(),
-        mass_operator(asm.h, asm.dim),
-        m_max=m_max,
-        tol=tol,
-        seed=seed,
-        method=method,
+    vals, vectors, res = eigensolve(
+        asm.interior, asm.h**3, m_max=m_max, tol=tol, seed=seed, method=method
     )
     return BlochDecomposition(
         theta=asm.theta,
-        eigenvalues=dec.eigenvalues,
-        vectors=dec.vectors,
+        eigenvalues=vals,
+        vectors=vectors,
         dofs=asm.dofs,
         grid_n=grid.n,
-        residuals=dec.residuals,
+        residuals=res,
     )
 
 
@@ -147,23 +129,15 @@ def dirichlet_baseline(
     cut.  These dominate every Bloch branch: lambda_n(theta) <= mu_n.
     """
     n = grid.n
-    a0 = grid.a0_field()
-    full = full_stiffness(n, a0, None, bc="dirichlet_box")
+    full = full_stiffness(n, grid.a0_field(), None, bc="dirichlet_box")
     inner = np.ones((n, n, n), dtype=bool)
     for ax in range(3):
         sl = [slice(None)] * 3
         sl[ax] = 0
         inner[tuple(sl)] = False
-    interior, dofs = restrict_to(full, grid.matrix_mask & inner)
-    dec = eigensolve(
-        SparseOperator(matrix=interior, h=grid.h, dofs=dofs, full=full),
-        mass_operator(grid.h, dofs.size),
-        m_max=m_max,
-        tol=tol,
-        seed=seed,
-        method=method,
-    )
-    return dec.eigenvalues
+    interior, _ = restrict_to(full, grid.matrix_mask & inner)
+    vals, _, _ = eigensolve(interior, grid.h**3, m_max=m_max, tol=tol, seed=seed, method=method)
+    return vals
 
 
 @dataclass(frozen=True)

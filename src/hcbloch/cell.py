@@ -16,11 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ResolutionError
 from .geometry import CellGeometry, Grid
-from .operators import edge_weights, linear_solve
+from .operators import edge_weights, full_stiffness, linear_solve, restrict_to
 
 __all__ = ["CellSolution", "solve_cell_problem", "effective_tensor"]
 
@@ -45,70 +44,43 @@ def _fiber_edges(mask: np.ndarray, direction: int) -> np.ndarray:
     return mask & np.roll(mask, -1, axis=direction)
 
 
+def _flux(grid: Grid, axis: int, corrector: np.ndarray, direction: int) -> float:
+    """h^3 sum over the fiber edges along ``direction`` of a_e (dN/h + delta_ij)."""
+    d = direction - 1
+    keep = _fiber_edges(grid.fiber_mask(axis), d)
+    w = edge_weights(grid.a1_field(), d)[keep]
+    dN = np.roll(corrector, -1, axis=d)[keep] - corrector[keep]
+    unit = 1.0 if direction == axis else 0.0
+    return float(grid.h**3 * np.sum(w * (dN / grid.h + unit)))
+
+
 def solve_cell_problem(geom: CellGeometry, grid: Grid, axis: int, tol: float = 1e-10) -> CellSolution:
     """Solve the corrector problem on fiber ``axis`` and form a_hom."""
     mask = grid.fiber_mask(axis)
-    n_fiber = int(np.count_nonzero(mask))
-    if n_fiber == 0:
+    if not np.any(mask):
         raise ResolutionError(f"fiber axis {axis} has no nodes on this grid")
     n, h = grid.n, grid.h
-    a1 = grid.a1_field()
-    d_ax = axis - 1
-
-    local = -np.ones(n**3, dtype=np.int64)
-    flat_fiber = np.flatnonzero(mask.ravel())
-    local[flat_fiber] = np.arange(n_fiber)
-
-    rows, cols, data = [], [], []
-    diag = np.zeros(n_fiber)
-    rhs = np.zeros(n_fiber)
-    idx = np.arange(n**3, dtype=np.int64).reshape(n, n, n)
-    for d in range(3):
-        keep = _fiber_edges(mask, d)
-        if not np.any(keep):
-            continue
-        w = (h * edge_weights(a1, d))[keep]
-        p = local[idx[keep]]
-        q = local[np.roll(idx, -1, axis=d)[keep]]
-        np.add.at(diag, p, w)
-        np.add.at(diag, q, w)
-        rows.extend((p, q))
-        cols.extend((q, p))
-        data.extend((-w, -w))
-        if d == d_ax:
-            # source from the unit axial gradient e_i
-            np.add.at(rhs, q, h * w)
-            np.add.at(rhs, p, -h * w)
-
-    loc = np.arange(n_fiber, dtype=np.int64)
-    rows.append(loc)
-    cols.append(loc)
-    data.append(diag)
-    A = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_fiber, n_fiber),
-    ).tocsr()
+    a1 = grid.a1_field() * mask
+    # harmonic_mean(a, 0) = 0 drops every edge that leaves the fiber, so the
+    # restricted form is the Neumann operator of the fiber
+    A, dofs = restrict_to(full_stiffness(n, a1), mask)
+    # source from the unit axial gradient e_i: h^2 a_e on each axial edge,
+    # entering at its head and leaving at its tail
+    src = h * (h * edge_weights(a1, axis - 1))
+    rhs = (np.roll(src, 1, axis=axis - 1) - src).ravel()[dofs]
 
     if np.linalg.norm(rhs) == 0.0:
-        corrector_vals = np.zeros(n_fiber)
+        corrector_vals = np.zeros(dofs.size)
         residual = 0.0
     else:
         corrector_vals = linear_solve(A, -rhs, tol=tol, gauge="mean_zero")
         residual = float(np.linalg.norm(A @ corrector_vals + rhs) / np.linalg.norm(rhs))
-    corrector_vals = corrector_vals - corrector_vals.mean()
-
-    # a_hom = h^3 sum over axial fiber edges of a_e ((N_q - N_p)/h + 1)
-    keep = _fiber_edges(mask, d_ax)
-    w_ax = edge_weights(a1, d_ax)[keep]
-    dN = corrector_vals[local[np.roll(idx, -1, axis=d_ax)[keep]]] - corrector_vals[local[idx[keep]]]
-    a_hom = float(h**3 * np.sum(w_ax * (dN / h + 1.0)))
-
     corrector = np.zeros((n, n, n))
-    corrector.ravel()[flat_fiber] = corrector_vals
+    corrector.ravel()[dofs] = corrector_vals - corrector_vals.mean()
     return CellSolution(
         axis=axis,
         corrector=corrector,
-        a_hom=a_hom,
+        a_hom=_flux(grid, axis, corrector, axis),
         discrete_measure=grid.fiber_measure(axis),
         residual=residual,
     )
@@ -120,15 +92,7 @@ def axial_flux(geom: CellGeometry, grid: Grid, solution: CellSolution, direction
     Vanishes (to solver tolerance) for every direction transverse to the
     fiber axis; along the axis it equals a_hom.
     """
-    mask = grid.fiber_mask(solution.axis)
-    a1 = grid.a1_field()
-    d = direction - 1
-    keep = _fiber_edges(mask, d)
-    w = edge_weights(a1, d)[keep]
-    N = solution.corrector
-    dN = np.roll(N, -1, axis=d)[keep] - N[keep]
-    unit = 1.0 if direction == solution.axis else 0.0
-    return float(grid.h**3 * np.sum(w * (dN / grid.h + unit)))
+    return _flux(grid, solution.axis, solution.corrector, direction)
 
 
 def effective_tensor(solutions) -> np.ndarray:

@@ -150,7 +150,7 @@ def cmd_beta(cfg: RunConfig, out_dir: Path, theta_override=None) -> int:
     qm = as_quasi_momentum(theta_override if theta_override is not None else (0.0, 0.0, 0.0))
     dec = bloch_eigs(geom, grid, qm, m_max=cfg.m_max, tol=cfg.tol_eigen, seed=cfg.seed)
     lifts = solve_lifts(geom, grid, qm, dec, tol=cfg.tol_linear)
-    beta = beta_eval(lifts, dec, mode="resummed")
+    beta = beta_eval(lifts, dec)
     lam_hi = cfg.lambda_max if cfg.lambda_max is not None else 0.999 * float(dec.eigenvalues[-1])
     guard = beta.pole_guard_width(cfg.pole_guard)
     samples = np.linspace(0.0, lam_hi, 400)

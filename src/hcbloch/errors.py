@@ -34,14 +34,13 @@ class EmptyActiveSetError(HcBlochError):
 
 
 class ConvergenceError(HcBlochError):
-    """An iterative solver failed to reach its residual target.
+    """An eigensolver failed to reach its residual target.
 
-    Carries optional diagnostics (iterations, achieved residual).
+    Carries the achieved residual when one is known.
     """
 
-    def __init__(self, message, iterations=None, residual=None):
+    def __init__(self, message, residual=None):
         super().__init__(message)
-        self.iterations = iterations
         self.residual = residual
 
 

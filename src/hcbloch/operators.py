@@ -7,9 +7,12 @@ quasi-periodic phase factor exp(+/- i theta_d).
 
 Scaling convention: the assembled stiffness A satisfies
 ``v.conj() @ (A @ u) ~= integral a grad(u) . conj(grad(v))`` and the
-lumped mass matrix is h^3 times the identity, so the discrete
-eigenproblem A v = mu M v approximates -div(a grad v) = mu v and the
+lumped mass is the scalar h^3 (times the identity), so the discrete
+eigenproblem A v = mu h^3 v approximates -div(a grad v) = mu v and the
 inner product <u, v> = h^3 sum(u * conj(v)) approximates L^2.
+
+Every operator of the package is one assembled form restricted to a
+node set: ``restrict_to(full_stiffness(n, coeff, theta), mask)``.
 """
 
 from __future__ import annotations
@@ -22,10 +25,8 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
 from .errors import ConvergenceError, EmptyDomainError, SingularSystemError
-from .geometry import Grid
 
 DENSE_EIGEN_CUTOFF = 2048
-DIRECT_SOLVE_CUTOFF = 20_000  # 3D LU fill-in dominates beyond this; CG takes over
 
 
 @dataclass(frozen=True)
@@ -59,35 +60,6 @@ def as_quasi_momentum(theta) -> QuasiMomentum:
     if isinstance(theta, QuasiMomentum):
         return theta
     return QuasiMomentum(tuple(theta))
-
-
-@dataclass(frozen=True)
-class SparseOperator:
-    """A Hermitian operator restricted to a DOF subset of the node grid.
-
-    ``dofs`` are flat node indices (C order over the (n,n,n) grid);
-    ``full`` retains the unrestricted n^3 operator so that boundary
-    couplings (Dirichlet data, surface fluxes) stay available.
-    """
-
-    matrix: sp.csr_matrix
-    h: float
-    dofs: np.ndarray | None = None
-    full: sp.csr_matrix | None = None
-    hermitian: bool = True
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Lowest eigenpairs, ascending, M-orthonormal eigenvectors as columns."""
-
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
-    residuals: np.ndarray
 
 
 def harmonic_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -193,36 +165,6 @@ def restrict_to(full: sp.csr_matrix, domain_mask: np.ndarray):
     return sub, dofs
 
 
-def assemble_stiffness(
-    grid: Grid,
-    coeff: np.ndarray,
-    theta=None,
-    domain: np.ndarray | None = None,
-    bc: str = "quasi_periodic",
-) -> SparseOperator:
-    """Assemble -div(a grad .) on the grid, optionally DOF-restricted.
-
-    ``domain`` is a boolean node mask; with bc="dirichlet_on_complement"
-    the complement nodes carry zero trace.  bc="dirichlet_box" puts zero
-    trace on the cell faces as well (used by the Dirichlet baseline).
-    """
-    if bc == "dirichlet_on_complement":
-        full = full_stiffness(grid.n, coeff, theta, bc="quasi_periodic")
-        if domain is None:
-            raise EmptyDomainError("dirichlet_on_complement requires a domain mask")
-    else:
-        full = full_stiffness(grid.n, coeff, theta, bc=bc)
-    if domain is None:
-        return SparseOperator(matrix=full, h=grid.h, dofs=None, full=full)
-    sub, dofs = restrict_to(full, domain)
-    return SparseOperator(matrix=sub, h=grid.h, dofs=dofs, full=full)
-
-
-def mass_operator(h: float, dim: int) -> SparseOperator:
-    """Lumped mass matrix h^3 * identity."""
-    return SparseOperator(matrix=sp.identity(dim, format="csr") * h**3, h=h)
-
-
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-modulus entry is real positive."""
     out = vectors.copy()
@@ -239,31 +181,30 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
 
 
 def eigensolve(
-    A: SparseOperator,
-    M: SparseOperator,
+    A: sp.spmatrix,
+    mass: float,
     m_max: int,
     tol: float = 1e-8,
     seed: int = 0,
     method: str = "auto",
-) -> EigenDecomposition:
-    """Lowest m_max eigenpairs of A v = mu M v, M diagonal positive.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lowest m_max eigenpairs of A v = mu mass v for a scalar mass > 0.
 
-    Deterministic: a fixed seed picks the iterative starting vector, and
-    each eigenvector phase is fixed by making its largest-modulus entry
-    real positive.
+    Returns (eigenvalues ascending, mass-orthonormal eigenvectors as
+    columns, residual norms).  Deterministic: a fixed seed picks the
+    iterative starting vector, and each eigenvector phase is fixed by
+    making its largest-modulus entry real positive.
     """
-    dim = A.dim
+    dim = A.shape[0]
     m_max = int(m_max)
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     if m_max > dim:
         raise ValueError(f"m_max={m_max} exceeds operator dimension {dim}")
-    d = np.asarray(M.matrix.diagonal())
-    if np.any(d <= 0.0):
-        raise ValueError("mass matrix must be positive definite diagonal")
-    s = 1.0 / np.sqrt(d)
-    B = sp.diags(s) @ A.matrix @ sp.diags(s)
-    B = B.tocsc()
+    if not mass > 0.0:
+        raise ValueError("mass must be positive")
+    s = 1.0 / np.sqrt(mass)
+    B = ((A * s) * s).tocsc()
 
     if method == "auto":
         method = "dense" if (dim <= DENSE_EIGEN_CUTOFF or m_max >= dim - 1) else "sparse"
@@ -290,21 +231,18 @@ def eigensolve(
 
     order = np.argsort(vals)
     vals = np.real(vals[order])
-    w = w[:, order]
-    vectors = s[:, None] * w  # M-orthonormal
-    vectors = _fix_phases(vectors)
+    vectors = _fix_phases(s * w[:, order])  # mass-orthonormal
 
     res = np.empty(m_max)
-    Mdiag = d
     for j in range(m_max):
-        r = A.matrix @ vectors[:, j] - vals[j] * (Mdiag * vectors[:, j])
+        r = A @ vectors[:, j] - vals[j] * (mass * vectors[:, j])
         res[j] = np.linalg.norm(r)
         if res[j] > tol * np.linalg.norm(vectors[:, j]):
             raise ConvergenceError(
                 f"eigenpair {j} residual {res[j]:.3e} above tolerance",
                 residual=float(res[j]),
             )
-    return EigenDecomposition(eigenvalues=vals, vectors=vectors, residuals=res)
+    return vals, vectors, res
 
 
 def _split_complex_solve(solve_real, rhs):
@@ -314,22 +252,20 @@ def _split_complex_solve(solve_real, rhs):
 
 
 def linear_solve(
-    A: SparseOperator | sp.spmatrix,
+    A: sp.spmatrix,
     rhs: np.ndarray,
     tol: float = 1e-10,
     gauge: str | None = None,
-    maxiter: int = 20_000,
 ) -> np.ndarray:
-    """Solve A x = rhs for Hermitian A.
+    """Solve A x = rhs for Hermitian A by sparse LU.
 
     gauge="mean_zero" handles the positive-semidefinite case with the
     constant vector in the kernel (rhs must be mean-compatible): one node
     is pinned, the system solved, and the result recentered to discrete
-    mean zero.  Without a gauge a singular factorization raises
-    SingularSystemError.
+    mean zero.  A singular factorization, or a residual above
+    tol * ||rhs||, raises SingularSystemError.
     """
-    mat = A.matrix if isinstance(A, SparseOperator) else A
-    mat = mat.tocsc()
+    mat = A.tocsc()
     rhs = np.asarray(rhs)
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
@@ -343,40 +279,18 @@ def linear_solve(
         x[1:] = _split_complex_solve(lu.solve, rhs[1:].astype(x.dtype))
         x -= x.mean()
     elif gauge is None:
-        if mat.shape[0] <= DIRECT_SOLVE_CUTOFF:
-            try:
-                lu = spla.splu(mat)
-            except RuntimeError as exc:
-                raise SingularSystemError(str(exc)) from exc
-            x = _split_complex_solve(lu.solve, rhs)
-        else:
-            x = _cg_solve(mat, rhs, tol, maxiter)
+        try:
+            lu = spla.splu(mat)
+        except RuntimeError as exc:
+            raise SingularSystemError(str(exc)) from exc
+        x = _split_complex_solve(lu.solve, rhs)
     else:
         raise ValueError(f"unknown gauge {gauge!r}")
 
     residual = float(np.linalg.norm(mat @ x - rhs))
     if residual > tol * rhs_norm:
-        if gauge is None and mat.shape[0] <= DIRECT_SOLVE_CUTOFF:
-            raise SingularSystemError(
-                f"direct solve residual {residual:.3e} exceeds {tol:.1e} * ||rhs||; "
-                "system is singular or needs a gauge"
-            )
-        raise ConvergenceError(
-            f"linear solve residual {residual:.3e} exceeds {tol:.1e} * ||rhs||",
-            residual=residual,
+        raise SingularSystemError(
+            f"direct solve residual {residual:.3e} exceeds {tol:.1e} * ||rhs||; "
+            "system is singular, ill-conditioned or needs a gauge"
         )
     return x
-
-
-def _cg_solve(mat: sp.spmatrix, rhs: np.ndarray, tol: float, maxiter: int) -> np.ndarray:
-    precond = sp.diags(1.0 / mat.diagonal())
-
-    def run(b):
-        x, info = spla.cg(mat, b, rtol=0.1 * tol, atol=0.0, M=precond, maxiter=maxiter)
-        if info != 0:
-            raise ConvergenceError(f"CG failed to converge (info={info})", iterations=maxiter)
-        return x
-
-    if np.iscomplexobj(rhs) and not np.iscomplexobj(mat.data):
-        return run(rhs.real) + 1j * run(rhs.imag)
-    return run(rhs)

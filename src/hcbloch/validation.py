@@ -124,6 +124,8 @@ def forcing(prob: EpsProblem, cells: int | None = None) -> np.ndarray:
     p = prob.p
     m = prob.K if cells is None else cells
     g = np.ones((p, p, p)) if prob.g_cell is None else np.asarray(prob.g_cell).reshape((p, p, p))
+    if not any(prob.k_index):  # k = 0: no wave factor, and real g stays real
+        return _tile(g, m)
     return _outer(*_axis_waves(prob.k_index, prob.n_fine, m * p)) * _tile(g, m)
 
 

@@ -4,6 +4,7 @@ import pytest
 from hcbloch.cell import axial_flux, effective_tensor, solve_cell_problem
 from hcbloch.errors import ResolutionError
 from hcbloch.geometry import CellGeometry, FiberSpec, classify_nodes
+from hcbloch.operators import full_stiffness, restrict_to
 
 # rectangle whose closed-node count at n = 32 reproduces the continuum
 # cross-section area exactly (endpoints between grid nodes)
@@ -48,7 +49,10 @@ def periodic_1d_corrector_a_hom(a_nodes: np.ndarray, h: float) -> float:
 
 
 def brute_force_fiber_solve(geom, grid, axis):
-    """Dense loop-based assembly of the fiber Neumann problem (oracle)."""
+    """Dense loop-based assembly of the fiber Neumann problem (oracle).
+
+    Returns a_hom and the dense fiber matrix, rows in C order of the
+    fiber nodes."""
     n, h = grid.n, grid.h
     mask = grid.fiber_mask(axis)
     a1 = grid.a1_field()
@@ -86,7 +90,7 @@ def brute_force_fiber_solve(geom, grid, axis):
         ap, aq = a1[p_tuple], a1[tuple(q_tuple)]
         w = 2.0 * ap * aq / (ap + aq)
         a_hom += h**3 * w * ((N[j] - N[i]) / h + 1.0)
-    return a_hom
+    return a_hom, A
 
 
 def test_constant_coefficient_exact():
@@ -128,8 +132,24 @@ def test_brute_force_3d_oracle_n16():
     )
     grid = classify_nodes(geom, 16)
     sol = solve_cell_problem(geom, grid, 2)
-    oracle = brute_force_fiber_solve(geom, grid, 2)
+    oracle, _ = brute_force_fiber_solve(geom, grid, 2)
     assert abs(sol.a_hom - oracle) < 1e-9
+
+
+def test_restricted_stiffness_is_fiber_neumann_operator(two_fiber):
+    """Zeroing a1 off the fiber drops every edge that leaves it (into the
+    soft phase or the other fiber), so the restricted quasi-periodic form
+    is the Neumann fiber operator that solve_cell_problem relies on."""
+    geom = CellGeometry(
+        fibers=two_fiber.fibers,
+        a1=lambda y1, y2, y3: 1.0 + 0.5 * np.sin(2 * np.pi * y2) + 0.25 * y2,
+    )
+    grid = classify_nodes(geom, 16)
+    mask = grid.fiber_mask(3)
+    A = restrict_to(full_stiffness(grid.n, grid.a1_field() * mask), mask)[0].toarray()
+    _, oracle = brute_force_fiber_solve(geom, grid, 3)
+    assert A.shape == oracle.shape
+    assert np.abs(A - oracle).max() <= 1e-15 * np.abs(oracle).max()
 
 
 def test_positivity_and_voigt_bound():

@@ -38,6 +38,7 @@ def test_uniform_unit_solution(fat_fiber):
     """Contrast off, a0 = a1 = 1, f = 1: constants solve (-Lap + 1) u = 1."""
     prob = EpsProblem(geom=fat_fiber, p=4, K=2, contrast="off")
     sol = solve_eps(prob)
+    assert not np.iscomplexobj(sol.u_cell)  # k = 0 with real g: one real solve
     assert np.abs(sol.u - 1.0).max() < 1e-11
 
 
