@@ -88,15 +88,19 @@ def solve_lifts(
     coeffs: dict[int, np.ndarray] = {}
     residuals: dict[int, float] = {}
     measures: dict[int, float] = {}
-    for axis in active:
-        boundary = np.zeros(grid.n**3, dtype=asm.full.dtype)
-        boundary[grid.fiber_mask(axis).ravel()] = 1.0
-        rhs = -(asm.full @ boundary)[asm.dofs]
-        values = linear_solve(asm.interior, rhs, tol=tol)
+    boundaries = np.zeros((grid.n**3, len(active)), dtype=asm.full.dtype)
+    for jj, axis in enumerate(active):
+        boundaries[grid.fiber_mask(axis).ravel(), jj] = 1.0
+    rhs_all = -(asm.full @ boundaries)[asm.dofs]
+    solutions = linear_solve(asm.interior, rhs_all, tol=tol)  # one LU for every axis
+    for jj, axis in enumerate(active):
+        # contiguous columns: the per-axis arithmetic below is that of a vector
+        rhs = np.ascontiguousarray(rhs_all[:, jj])
+        values = np.ascontiguousarray(solutions[:, jj])
         residuals[axis] = float(
             np.linalg.norm(asm.interior @ values - rhs) / max(np.linalg.norm(rhs), 1e-300)
         )
-        lift = boundary.astype(np.result_type(values.dtype, boundary.dtype))
+        lift = boundaries[:, jj].astype(values.dtype)
         lift[asm.dofs] = values
         fields[axis] = lift
         coeffs[axis] = h3 * (bloch.vectors.conj().T @ values)
@@ -194,21 +198,32 @@ class BetaMatrix:
     def pole_guard_width(self, pole_guard: float) -> float:
         return pole_guard * float(self.poles[0])
 
-    def _check_guard(self, lam: float, pole_guard: float) -> None:
+    def _check_guard(self, lam, pole_guard: float) -> None:
         guard = self.pole_guard_width(pole_guard)
-        if np.any(np.abs(self.poles - lam) < guard):
-            raise PoleProximityError(f"lambda={lam} within {guard:.3e} of a pole")
+        lam = np.asarray(lam)
+        near = np.any(np.abs(self.poles - lam[..., None]) < guard, axis=-1)
+        if np.any(near):
+            raise PoleProximityError(f"lambda={lam[near]} within {guard:.3e} of a pole")
 
-    def __call__(self, lam: float, pole_guard: float = 1e-6) -> np.ndarray:
-        """Hermitian coupling matrix at spectral parameter lam."""
+    def __call__(self, lam, pole_guard: float = 1e-6) -> np.ndarray:
+        """Hermitian coupling matrix at spectral parameter lam.
+
+        A scalar lam gives one (n_active, n_active) matrix; a 1-D array of
+        S values gives the (S, n_active, n_active) stack, entry for entry
+        the same numbers as S scalar calls.  The pole guard is checked on
+        every value.
+        """
         self._check_guard(lam, pole_guard)
+        lam = np.asarray(lam, dtype=float)
+        col = lam[..., None]  # broadcasts against the poles
         if self.mode == "spectral":
-            weights = np.abs(self.poles) ** 2 / (self.poles - lam)
-            out = (self.coeffs.conj() * weights) @ self.coeffs.T
-            return out + lam * np.diag(self.measures)
-        weights = lam**2 / (self.poles - lam)
-        out = (self.coeffs.conj() * weights) @ self.coeffs.T
-        out = out - self.flux_gram + lam * self.mass_gram
+            weights = np.abs(self.poles) ** 2 / (self.poles - col)
+        else:
+            weights = col**2 / (self.poles - col)
+        out = (self.coeffs.conj() * weights[..., None, :]) @ self.coeffs.T
+        lam = lam[..., None, None]  # broadcasts against the (n_active, n_active) terms
+        if self.mode == "resummed":
+            out = out - self.flux_gram + lam * self.mass_gram
         return out + lam * np.diag(self.measures)
 
     def diagonal_derivative(self, lam: float, pole_guard: float = 1e-6) -> np.ndarray:
@@ -387,6 +402,11 @@ def spatial_spectrum(
     by the guard) and each change is certified by bisection down to a
     bracket of width bracket_width_rel * mu_1.
 
+    The scan is batched: beta is evaluated once per subinterval grid, as
+    one array call, and that stack is shared by every k mode; only the
+    determinant depends on k.  Bisection and the reported residual use
+    scalar calls.
+
     Returns [] when the active set is empty (zero-map rule).
     """
     if not beta.active:
@@ -410,6 +430,13 @@ def spatial_spectrum(
         if b > a:
             intervals.append((a, b))
 
+    # beta does not depend on k: one batched evaluation per scan grid,
+    # shared by every Fourier mode.
+    scans = []
+    for a, b in intervals:
+        xs = np.linspace(a, b, scan_points)
+        scans.append((xs, beta(xs, pole_guard=pole_guard)))
+
     roots: list[SpatialRoot] = []
     theta_t = tuple(beta.theta)
     for z in k_modes:
@@ -421,18 +448,18 @@ def spatial_spectrum(
             mat = shift - beta(lam, pole_guard=pole_guard)
             return float(np.real(np.linalg.det(mat)))
 
-        for a, b in intervals:
-            xs = np.linspace(a, b, scan_points)
-            fs = np.array([F(x) for x in xs])
+        for xs, stack in scans:
+            fs = np.real(np.linalg.det(shift - stack))
             signs = np.sign(fs)
-            for j in range(len(xs) - 1):
-                if signs[j] == 0.0:
+            zero = signs[:-1] == 0.0
+            change = signs[:-1] * signs[1:] < 0.0
+            for j in np.flatnonzero(zero | change):
+                if zero[j]:
                     roots.append(
                         SpatialRoot(theta=theta_t, k_index=z, lam=float(xs[j]),
                                     residual=0.0, bracket=(float(xs[j]), float(xs[j])))
                     )
-                    continue
-                if signs[j] * signs[j + 1] < 0.0:
+                else:
                     lo, hi, exact = _bisect(F, xs[j], xs[j + 1], fs[j], fs[j + 1], width)
                     lam = 0.5 * (lo + hi) if exact is None else exact
                     roots.append(

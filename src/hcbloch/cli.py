@@ -154,15 +154,13 @@ def cmd_beta(cfg: RunConfig, out_dir: Path, theta_override=None) -> int:
     lam_hi = cfg.lambda_max if cfg.lambda_max is not None else 0.999 * float(dec.eigenvalues[-1])
     guard = beta.pole_guard_width(cfg.pole_guard)
     samples = np.linspace(0.0, lam_hi, 400)
+    samples = samples[np.all(np.abs(beta.poles - samples[:, None]) >= guard, axis=1)]
     header = ["lambda"]
     for i in beta.active:
         for j in beta.active:
             header += [f"re_beta_{i}{j}", f"im_beta_{i}{j}"]
     rows = []
-    for lam in samples:
-        if np.any(np.abs(beta.poles - lam) < guard):
-            continue
-        mat = beta(float(lam), pole_guard=cfg.pole_guard)
+    for lam, mat in zip(samples, beta(samples, pole_guard=cfg.pole_guard)):
         row = [float(lam)]
         for a in range(len(beta.active)):
             for b in range(len(beta.active)):

@@ -259,25 +259,27 @@ def linear_solve(
 ) -> np.ndarray:
     """Solve A x = rhs for Hermitian A by sparse LU.
 
-    gauge="mean_zero" handles the positive-semidefinite case with the
-    constant vector in the kernel (rhs must be mean-compatible): one node
-    is pinned, the system solved, and the result recentered to discrete
-    mean zero.  A singular factorization, or a residual above
-    tol * ||rhs||, raises SingularSystemError.
+    rhs is a vector or a (dim, r) block of r right-hand sides, all solved
+    with one factorization.  gauge="mean_zero" handles the
+    positive-semidefinite case with the constant vector in the kernel (rhs
+    must be mean-compatible): one node is pinned, the system solved, and
+    the result recentered to discrete mean zero.  A singular
+    factorization, or a residual above tol * ||rhs|| in any column, raises
+    SingularSystemError.
     """
     mat = A.tocsc()
     rhs = np.asarray(rhs)
-    rhs_norm = float(np.linalg.norm(rhs))
-    if rhs_norm == 0.0:
+    rhs_norm = np.linalg.norm(rhs, axis=0)  # per column
+    if not np.any(rhs_norm):
         return np.zeros_like(rhs)
 
     if gauge == "mean_zero":
         keep = np.arange(1, mat.shape[0])
         sub = mat[keep][:, keep]
         lu = spla.splu(sub)
-        x = np.zeros(mat.shape[0], dtype=np.promote_types(mat.dtype, rhs.dtype))
+        x = np.zeros(rhs.shape, dtype=np.promote_types(mat.dtype, rhs.dtype))
         x[1:] = _split_complex_solve(lu.solve, rhs[1:].astype(x.dtype))
-        x -= x.mean()
+        x -= x.mean(axis=0)
     elif gauge is None:
         try:
             lu = spla.splu(mat)
@@ -287,10 +289,11 @@ def linear_solve(
     else:
         raise ValueError(f"unknown gauge {gauge!r}")
 
-    residual = float(np.linalg.norm(mat @ x - rhs))
-    if residual > tol * rhs_norm:
+    residual = np.linalg.norm(mat @ x - rhs, axis=0)
+    bad = residual > tol * rhs_norm
+    if np.any(bad):
         raise SingularSystemError(
-            f"direct solve residual {residual:.3e} exceeds {tol:.1e} * ||rhs||; "
+            f"direct solve residual {np.max(residual[bad]):.3e} exceeds {tol:.1e} * ||rhs||; "
             "system is singular, ill-conditioned or needs a gauge"
         )
     return x

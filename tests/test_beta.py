@@ -4,6 +4,8 @@ import scipy.sparse as sp
 from scipy.linalg import eigh as dense_eigh
 
 from hcbloch.beta import (
+    SpatialRoot,
+    _bisect,
     beta_eval,
     flux,
     pure_bloch_bands,
@@ -289,3 +291,105 @@ def test_spectral_mode_no_root_below_first_pole(lift_setup):
     xs = np.linspace(guard, float(beta.poles[0]) - guard, 2000)
     vals = np.array([beta(x)[0, 0].real for x in xs])
     assert np.all(vals > 0.0)  # F = -beta never changes sign before mu_1
+
+
+def scalar_scan_spatial_spectrum(beta, a_hom, theta, k_modes, window, L=1.0,
+                                 pole_guard=1e-6, scan_points=600, bracket_width_rel=1e-10):
+    """Oracle: the per-point secular scan, one scalar beta call and one det
+    per scan point and per k mode, as spatial_spectrum did before the scan
+    was batched."""
+    a_diag = np.array([a_hom[i - 1, i - 1] for i in beta.active])
+    guard = beta.pole_guard_width(pole_guard)
+    width = bracket_width_rel * float(beta.poles[0])
+    lo_w, hi_w = window
+    margin = guard * (1.0 + 1e-6) + 1e-300
+    cuts = [lo_w]
+    for p in np.sort(beta.poles):
+        cuts.extend((p - margin, p + margin))
+    cuts.append(hi_w)
+    intervals = []
+    for a, b in zip(cuts[::2], cuts[1::2]):
+        a, b = max(a, lo_w), min(b, hi_w)
+        if b > a:
+            intervals.append((a, b))
+
+    roots = []
+    theta_t = tuple(beta.theta)
+    for z in k_modes:
+        z = tuple(int(v) for v in z)
+        k = 2.0 * np.pi * np.asarray(z, dtype=float) / L
+        shift = np.diag(a_diag * np.array([k[i - 1] ** 2 for i in beta.active]))
+
+        def F(lam):
+            return float(np.real(np.linalg.det(shift - beta(lam, pole_guard=pole_guard))))
+
+        for a, b in intervals:
+            xs = np.linspace(a, b, scan_points)
+            fs = np.array([F(x) for x in xs])
+            signs = np.sign(fs)
+            for j in range(len(xs) - 1):
+                if signs[j] == 0.0:
+                    roots.append(SpatialRoot(theta=theta_t, k_index=z, lam=float(xs[j]),
+                                             residual=0.0, bracket=(float(xs[j]), float(xs[j]))))
+                    continue
+                if signs[j] * signs[j + 1] < 0.0:
+                    lo, hi, exact = _bisect(F, xs[j], xs[j + 1], fs[j], fs[j + 1], width)
+                    lam = 0.5 * (lo + hi) if exact is None else exact
+                    roots.append(SpatialRoot(theta=theta_t, k_index=z, lam=float(lam),
+                                             residual=abs(F(lam)), bracket=(float(lo), float(hi))))
+    roots.sort(key=lambda r: (r.k_index, r.lam))
+    return roots
+
+
+@pytest.fixture(scope="module")
+def two_fiber_setup(two_fiber):
+    grid = classify_nodes(two_fiber, 10)
+    theta = (0.0, np.pi / 2, 0.0)  # both fiber axes active
+    asm = assemble_bloch(two_fiber, grid, theta)
+    dec = bloch_eigs(two_fiber, grid, theta, m_max=8, assembly=asm, method="dense")
+    lifts = solve_lifts(two_fiber, grid, theta, dec, assembly=asm)
+    a_hom = effective_tensor([solve_cell_problem(two_fiber, grid, axis) for axis in (1, 3)])
+    return theta, dec, lifts, a_hom
+
+
+def scan_grid(beta, hi):
+    """Points spread over [0, hi], those within twice the guard of a pole dropped."""
+    xs = np.linspace(0.0, hi, 157)
+    return xs[np.all(np.abs(beta.poles - xs[:, None]) >= 2 * beta.pole_guard_width(1e-6), axis=1)]
+
+
+@pytest.mark.parametrize("mode", ["spectral", "resummed"])
+def test_beta_array_call_equals_scalar_calls(lift_setup, two_fiber_setup, mode):
+    cases = [(lift_setup[5], lift_setup[4]), (two_fiber_setup[2], two_fiber_setup[1])]
+    for lifts, dec in cases:
+        beta = beta_eval(lifts, dec, mode=mode)
+        xs = scan_grid(beta, 1.2 * dec.eigenvalues[-1])
+        stack = beta(xs)
+        assert stack.shape == (xs.size, len(lifts.active), len(lifts.active))
+        scalar = np.stack([beta(float(x)) for x in xs])
+        assert np.abs(stack - scalar).max() <= 1e-13 * np.abs(scalar).max()
+    assert {len(lifts.active) for lifts, _ in cases} == {1, 2}
+
+
+def test_beta_array_pole_guard(lift_setup):
+    geom, grid, theta, asm, dec, lifts = lift_setup
+    beta = beta_eval(lifts, dec)
+    xs = scan_grid(beta, 0.9 * dec.eigenvalues[-1])
+    beta(xs)  # every point legal
+    xs[len(xs) // 2] = dec.eigenvalues[2] + 0.5 * beta.pole_guard_width(1e-6)
+    with pytest.raises(PoleProximityError):
+        beta(xs)
+
+
+def test_batched_scan_matches_scalar_oracle(lift_setup, two_fiber_setup):
+    k_modes = [(0, 0, 0), (1, 0, 0), (0, 0, 1)]
+    geom, grid, theta1, asm, dec1, lifts1 = lift_setup
+    a_hom1 = effective_tensor([solve_cell_problem(geom, grid, 1)])
+    theta2, dec2, lifts2, a_hom2 = two_fiber_setup
+    for theta, dec, lifts, a_hom in ((theta1, dec1, lifts1, a_hom1),
+                                     (theta2, dec2, lifts2, a_hom2)):
+        beta = beta_eval(lifts, dec)
+        window = (0.0, 0.98 * float(dec.eigenvalues[-1]))
+        roots = spatial_spectrum(beta, a_hom, theta, k_modes, window)
+        assert roots
+        assert roots == scalar_scan_spatial_spectrum(beta, a_hom, theta, k_modes, window)

@@ -179,6 +179,9 @@ def test_linear_solve_mean_zero_gauge():
     x = linear_solve(A, rhs, tol=1e-10, gauge="mean_zero")
     assert abs(x.mean()) < 1e-12
     assert np.linalg.norm(A @ x - rhs) < 1e-10 * np.linalg.norm(rhs)
+    block = linear_solve(A, np.stack([rhs, 3.0 * rhs], axis=1), tol=1e-10, gauge="mean_zero")
+    assert np.abs(block.mean(axis=0)).max() < 1e-12
+    assert np.linalg.norm(block[:, 1] - 3.0 * x) < 1e-10 * np.linalg.norm(x)
 
 
 def test_linear_solve_singular_without_gauge():
@@ -199,6 +202,31 @@ def test_linear_solve_matches_dense_oracle():
     rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     x = linear_solve(sp.csr_matrix(A), rhs, tol=1e-12)
     assert np.linalg.norm(x - np.linalg.solve(A, rhs)) < 1e-10
+
+
+def test_linear_solve_two_columns_match_dense_oracle():
+    rng = np.random.default_rng(321)
+    n = 100
+    B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    A = B + B.conj().T
+    A += np.diag(np.abs(A).sum(axis=1) + 1.0)  # Hermitian diagonally dominant
+    rhs = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    rhs[:, 1] *= 1e-6  # columns of very different size
+    x = linear_solve(sp.csr_matrix(A), rhs, tol=1e-12)
+    assert x.shape == (n, 2)
+    oracle = np.linalg.solve(A, rhs)
+    for j in range(2):
+        assert np.linalg.norm(x[:, j] - oracle[:, j]) < 1e-10 * np.linalg.norm(oracle[:, j])
+
+
+def test_linear_solve_two_columns_singular():
+    n = 8
+    A = full_stiffness(n, np.ones((n, n, n)), None)
+    rhs = np.zeros((n**3, 2))
+    rhs[0, 0], rhs[1, 0] = 1.0, -1.0  # compatible with the constant kernel
+    rhs[0, 1] = 1.0  # not
+    with pytest.raises(SingularSystemError):
+        linear_solve(A, rhs, tol=1e-10)
 
 
 def test_eigensolve_arpack_fallback_is_logged(single_fiber, monkeypatch, caplog):
