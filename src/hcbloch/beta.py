@@ -92,7 +92,8 @@ def solve_lifts(
     for jj, axis in enumerate(active):
         boundaries[grid.fiber_mask(axis).ravel(), jj] = 1.0
     rhs_all = -(asm.full @ boundaries)[asm.dofs]
-    solutions = linear_solve(asm.interior, rhs_all, tol=tol)  # one LU for every axis
+    # every axis with the interior factor the eigensolve used
+    solutions = linear_solve(asm.interior, rhs_all, tol=tol, factor=asm.factor)
     for jj, axis in enumerate(active):
         # contiguous columns: the per-axis arithmetic below is that of a vector
         rhs = np.ascontiguousarray(rhs_all[:, jj])
@@ -407,6 +408,14 @@ def spatial_spectrum(
     determinant depends on k.  Bisection and the reported residual use
     scalar calls.
 
+    lambda = 0 is an exact root at theta = 0 for every mode that vanishes
+    on the active axes, when the window starts at 0 and beta is resummed:
+    the lifts then sum to the constant 1 (every stiff node lies on an
+    active fiber) and the full form annihilates constants, so
+    flux_gram 1 = 0 and beta(0) 1 = 0.  It is reported as lam = 0.0 with
+    bracket (0, 0), and the sign of F(0), which is rounding, does not
+    enter the scan.
+
     Returns [] when the active set is empty (zero-map rule).
     """
     if not beta.active:
@@ -439,6 +448,7 @@ def spatial_spectrum(
 
     roots: list[SpatialRoot] = []
     theta_t = tuple(beta.theta)
+    zero_root = beta.mode == "resummed" and not any(theta_t) and lo_w == 0.0
     for z in k_modes:
         z = tuple(int(v) for v in z)
         k = 2.0 * np.pi * np.asarray(z, dtype=float) / L
@@ -448,8 +458,14 @@ def spatial_spectrum(
             mat = shift - beta(lam, pole_guard=pole_guard)
             return float(np.real(np.linalg.det(mat)))
 
+        exact_zero = zero_root and not np.any(shift)
+        if exact_zero:
+            roots.append(SpatialRoot(theta=theta_t, k_index=z, lam=0.0,
+                                     residual=abs(F(0.0)), bracket=(0.0, 0.0)))
         for xs, stack in scans:
             fs = np.real(np.linalg.det(shift - stack))
+            if exact_zero and xs[0] == 0.0:
+                xs, fs = xs[1:], fs[1:]
             signs = np.sign(fs)
             zero = signs[:-1] == 0.0
             change = signs[:-1] * signs[1:] < 0.0
@@ -492,12 +508,15 @@ def spatial_points(
 
     Wraps lift solve + resummed secular root finding, applying the
     zero-map rule: quasi-momenta with every component nonzero carry no
-    spatial spectrum.
+    spatial spectrum.  The lifts attached to ``bloch`` are used when
+    present; otherwise they are solved here.
     """
     qm = as_quasi_momentum(theta)
     if not qm.active_set(geom.active_axes):
         return []
-    lifts = solve_lifts(geom, grid, qm, bloch, tol=lift_tol, assembly=assembly)
+    lifts = bloch.lifts
+    if lifts is None:
+        lifts = solve_lifts(geom, grid, qm, bloch, tol=lift_tol, assembly=assembly)
     beta = beta_eval(lifts, bloch)
     return spatial_spectrum(
         beta, a_hom, qm, k_modes, window, L=L, pole_guard=pole_guard

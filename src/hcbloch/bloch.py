@@ -10,14 +10,28 @@ the min-max principle.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError
 from .geometry import CellGeometry, Grid
-from .operators import QuasiMomentum, as_quasi_momentum, eigensolve, full_stiffness, restrict_to
+from .operators import (
+    QuasiMomentum,
+    as_quasi_momentum,
+    eigen_method,
+    eigensolve,
+    factorize,
+    full_stiffness,
+    restrict_to,
+)
+
+if TYPE_CHECKING:
+    from .beta import LiftSet
 
 __all__ = [
     "BlochAssembly",
@@ -36,7 +50,9 @@ class BlochAssembly:
 
     ``full`` is the unrestricted cell stiffness (all n^3 nodes) and
     ``interior`` its restriction to the soft-phase DOFs; both are needed
-    again for harmonic lifts and surface fluxes.
+    again for harmonic lifts and surface fluxes.  ``factor``, the sparse
+    LU of ``interior``, is computed on first use and shared by the
+    eigensolve and the lift solve.
     """
 
     grid: Grid = field(repr=False)
@@ -52,6 +68,10 @@ class BlochAssembly:
     @property
     def dim(self) -> int:
         return self.interior.shape[0]
+
+    @cached_property
+    def factor(self) -> spla.SuperLU:
+        return factorize(self.interior)
 
     def embed(self, values: np.ndarray) -> np.ndarray:
         """Extend a DOF vector by zero to the full node grid (flat)."""
@@ -69,7 +89,12 @@ def assemble_bloch(geom: CellGeometry, grid: Grid, theta) -> BlochAssembly:
 
 @dataclass(frozen=True)
 class BlochDecomposition:
-    """Lowest Bloch eigenpairs at one theta, L^2(Q_0)-orthonormal."""
+    """Lowest Bloch eigenpairs at one theta, L^2(Q_0)-orthonormal.
+
+    ``lifts`` holds the harmonic lifts of theta when they were solved with
+    the eigenpairs (``bloch_eigs(..., lift_tol=...)`` at a theta with an
+    active fiber axis), else None.
+    """
 
     theta: QuasiMomentum
     eigenvalues: np.ndarray
@@ -77,6 +102,7 @@ class BlochDecomposition:
     dofs: np.ndarray = field(repr=False)
     grid_n: int
     residuals: np.ndarray = field(repr=False)
+    lifts: LiftSet | None = field(default=None, repr=False)
 
     @property
     def m_max(self) -> int:
@@ -98,13 +124,21 @@ def bloch_eigs(
     seed: int = 0,
     method: str = "auto",
     assembly: BlochAssembly | None = None,
+    lift_tol: float | None = None,
 ) -> BlochDecomposition:
-    """Lowest m_max eigenpairs of the Bloch operator at theta."""
+    """Lowest m_max eigenpairs of the Bloch operator at theta.
+
+    With ``lift_tol`` set and a fiber axis active at theta, the harmonic
+    lifts are solved too and attached as ``lifts``; the eigensolve and the
+    lifts share one factorization of the interior operator.
+    """
     asm = assembly if assembly is not None else assemble_bloch(geom, grid, theta)
+    sparse = eigen_method(asm.dim, m_max, method) == "sparse"
     vals, vectors, res = eigensolve(
-        asm.interior, asm.h**3, m_max=m_max, tol=tol, seed=seed, method=method
+        asm.interior, asm.h**3, m_max=m_max, tol=tol, seed=seed, method=method,
+        factor=asm.factor if sparse else None,
     )
-    return BlochDecomposition(
+    dec = BlochDecomposition(
         theta=asm.theta,
         eigenvalues=vals,
         vectors=vectors,
@@ -112,6 +146,12 @@ def bloch_eigs(
         grid_n=grid.n,
         residuals=res,
     )
+    if lift_tol is None or not asm.theta.active_set(geom.active_axes):
+        return dec
+    from . import beta  # beta imports this module
+
+    return replace(dec, lifts=beta.solve_lifts(geom, grid, asm.theta, dec, tol=lift_tol,
+                                               assembly=asm))
 
 
 def dirichlet_baseline(
@@ -193,17 +233,22 @@ def theta_sweep(
     seed: int = 0,
     threads: int = 1,
     method: str = "auto",
+    lift_tol: float | None = None,
 ) -> dict[tuple[float, float, float], BlochDecomposition]:
     """Bloch eigenvalues over the whole theta grid.
 
     The result map is keyed by theta tuples in lexicographic order and is
     deterministic regardless of the parallel schedule; per-point failures
     are aggregated into a single ConvergenceError naming each theta.
+    ``lift_tol`` attaches the lifts as in ``bloch_eigs``.  Each point's
+    factorization is dropped when its step ends, so at most ``threads``
+    factors are alive at once.
     """
     points = tgrid.points
 
     def solve(qm: QuasiMomentum):
-        return bloch_eigs(geom, grid, qm, m_max=m_max, tol=tol, seed=seed, method=method)
+        return bloch_eigs(geom, grid, qm, m_max=m_max, tol=tol, seed=seed, method=method,
+                          lift_tol=lift_tol)
 
     results: dict[tuple[float, float, float], BlochDecomposition] = {}
     failures: list[tuple[tuple[float, float, float], Exception]] = []

@@ -19,7 +19,7 @@ from .beta import beta_eval, pure_bloch_bands, spatial_points
 from .bloch import ThetaGrid, bloch_eigs, theta_sweep
 from .cell import axial_flux, effective_tensor, solve_cell_problem
 from .config import SCHEMA_VERSION, RunConfig, parse_config, with_overrides
-from .errors import HcBlochError
+from .errors import EmptyActiveSetError, HcBlochError
 from .geometry import build_geometry, classify_nodes
 from .operators import as_quasi_momentum
 from .validation import convergence_report
@@ -111,10 +111,11 @@ def cmd_cell(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _sweep(cfg: RunConfig, geom, grid, theta_override=None):
+def _sweep(cfg: RunConfig, geom, grid, theta_override=None, lift_tol=None):
     if theta_override is not None:
         qm = as_quasi_momentum(theta_override)
-        dec = bloch_eigs(geom, grid, qm, m_max=cfg.m_max, tol=cfg.tol_eigen, seed=cfg.seed)
+        dec = bloch_eigs(geom, grid, qm, m_max=cfg.m_max, tol=cfg.tol_eigen, seed=cfg.seed,
+                         lift_tol=lift_tol)
         return {qm.theta: dec}
     return theta_sweep(
         geom,
@@ -124,6 +125,7 @@ def _sweep(cfg: RunConfig, geom, grid, theta_override=None):
         tol=cfg.tol_eigen,
         seed=cfg.seed,
         threads=cfg.threads,
+        lift_tol=lift_tol,
     )
 
 
@@ -143,14 +145,16 @@ def cmd_bloch(cfg: RunConfig, out_dir: Path, theta_override=None) -> int:
 
 
 def cmd_beta(cfg: RunConfig, out_dir: Path, theta_override=None) -> int:
-    from .beta import solve_lifts
-
     geom = build_geometry(cfg.geometry)
     grid = classify_nodes(geom, cfg.n)
     qm = as_quasi_momentum(theta_override if theta_override is not None else (0.0, 0.0, 0.0))
-    dec = bloch_eigs(geom, grid, qm, m_max=cfg.m_max, tol=cfg.tol_eigen, seed=cfg.seed)
-    lifts = solve_lifts(geom, grid, qm, dec, tol=cfg.tol_linear)
-    beta = beta_eval(lifts, dec)
+    dec = bloch_eigs(geom, grid, qm, m_max=cfg.m_max, tol=cfg.tol_eigen, seed=cfg.seed,
+                     lift_tol=cfg.tol_linear)
+    if dec.lifts is None:
+        raise EmptyActiveSetError(
+            f"no active fiber axis at theta={qm.theta}; spatial operator is the zero map"
+        )
+    beta = beta_eval(dec.lifts, dec)
     lam_hi = cfg.lambda_max if cfg.lambda_max is not None else 0.999 * float(dec.eigenvalues[-1])
     guard = beta.pole_guard_width(cfg.pole_guard)
     samples = np.linspace(0.0, lam_hi, 400)
@@ -178,7 +182,7 @@ def cmd_beta(cfg: RunConfig, out_dir: Path, theta_override=None) -> int:
 def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
     geom = build_geometry(cfg.geometry)
     grid = classify_nodes(geom, cfg.n)
-    sweep = _sweep(cfg, geom, grid)
+    sweep = _sweep(cfg, geom, grid, lift_tol=cfg.tol_linear)
     window = _auto_window(cfg, sweep)
     structure = pure_bloch_bands(sweep, m_max=cfg.m_max, window=window)
 
@@ -198,7 +202,6 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
                 window,
                 L=cfg.torus_period,
                 pole_guard=cfg.pole_guard,
-                lift_tol=cfg.tol_linear,
             )
         )
 

@@ -180,6 +180,37 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
+def factorize(A: sp.spmatrix) -> spla.SuperLU:
+    """Sparse LU of A with the symmetric MMD ordering of A^T + A.
+
+    The package's only SuperLU factorization: one factor of an operator
+    serves every consumer (ARPACK's shift-invert and the linear solves).
+    A singular matrix raises SingularSystemError.
+    """
+    try:
+        return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
+        raise SingularSystemError(str(exc)) from exc
+
+
+def _solve(lu: spla.SuperLU, dtype, rhs: np.ndarray) -> np.ndarray:
+    """A^-1 rhs from the factor lu of a matrix A of the given dtype.
+
+    A real factor solves the real and imaginary parts of a complex rhs
+    apart; a complex factor solves any rhs directly.
+    """
+    if np.iscomplexobj(rhs) and not np.issubdtype(dtype, np.complexfloating):
+        return lu.solve(rhs.real) + 1j * lu.solve(rhs.imag)
+    return lu.solve(rhs)
+
+
+def eigen_method(dim: int, m_max: int, method: str = "auto") -> str:
+    """The path ``eigensolve`` takes: "dense" for small operators, else "sparse"."""
+    if method != "auto":
+        return method
+    return "dense" if (dim <= DENSE_EIGEN_CUTOFF or m_max >= dim - 1) else "sparse"
+
+
 def eigensolve(
     A: sp.spmatrix,
     mass: float,
@@ -187,6 +218,7 @@ def eigensolve(
     tol: float = 1e-8,
     seed: int = 0,
     method: str = "auto",
+    factor: spla.SuperLU | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lowest m_max eigenpairs of A v = mu mass v for a scalar mass > 0.
 
@@ -194,6 +226,11 @@ def eigensolve(
     columns, residual norms).  Deterministic: a fixed seed picks the
     iterative starting vector, and each eigenvector phase is fixed by
     making its largest-modulus entry real positive.
+
+    The sparse path is ARPACK shift-invert at sigma = 0 with
+    OPinv = mass A^-1 from ``factor`` (``factorize(A)`` when none is
+    given), so A must be positive definite; an A whose factorization is
+    exactly singular raises SingularSystemError.
     """
     dim = A.shape[0]
     m_max = int(m_max)
@@ -204,22 +241,20 @@ def eigensolve(
     if not mass > 0.0:
         raise ValueError("mass must be positive")
     s = 1.0 / np.sqrt(mass)
-    B = ((A * s) * s).tocsc()
+    B = (A * s) * s
 
-    if method == "auto":
-        method = "dense" if (dim <= DENSE_EIGEN_CUTOFF or m_max >= dim - 1) else "sparse"
-
-    if method == "dense":
+    if eigen_method(dim, m_max, method) == "dense":
         vals, w = eigh(B.toarray(), subset_by_index=(0, m_max - 1))
     else:
-        scale = float(np.abs(B.diagonal()).mean())
-        sigma = -1e-3 * scale - 1e-30
+        lu = factor if factor is not None else factorize(A)
+        # B = A / mass, so B^-1 x = mass A^-1 x
+        OPinv = spla.LinearOperator(B.shape, matvec=lambda x: mass * lu.solve(x), dtype=B.dtype)
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(dim)
         if np.iscomplexobj(B):
             v0 = v0.astype(np.complex128)
         try:
-            vals, w = spla.eigsh(B, k=m_max, sigma=sigma, which="LM", v0=v0, tol=0)
+            vals, w = spla.eigsh(B, k=m_max, sigma=0.0, which="LM", v0=v0, tol=0, OPinv=OPinv)
         except (spla.ArpackNoConvergence, RuntimeError) as exc:
             if dim <= 4000:
                 import logging
@@ -245,51 +280,44 @@ def eigensolve(
     return vals, vectors, res
 
 
-def _split_complex_solve(solve_real, rhs):
-    if np.iscomplexobj(rhs):
-        return solve_real(rhs.real) + 1j * solve_real(rhs.imag)
-    return solve_real(rhs)
-
-
 def linear_solve(
     A: sp.spmatrix,
     rhs: np.ndarray,
     tol: float = 1e-10,
     gauge: str | None = None,
+    factor: spla.SuperLU | None = None,
 ) -> np.ndarray:
     """Solve A x = rhs for Hermitian A by sparse LU.
 
     rhs is a vector or a (dim, r) block of r right-hand sides, all solved
-    with one factorization.  gauge="mean_zero" handles the
+    with one factorization: ``factor`` when given (a ready
+    ``factorize(A)``), else a new one.  gauge="mean_zero" handles the
     positive-semidefinite case with the constant vector in the kernel (rhs
     must be mean-compatible): one node is pinned, the system solved, and
     the result recentered to discrete mean zero.  A singular
     factorization, or a residual above tol * ||rhs|| in any column, raises
     SingularSystemError.
     """
-    mat = A.tocsc()
     rhs = np.asarray(rhs)
     rhs_norm = np.linalg.norm(rhs, axis=0)  # per column
     if not np.any(rhs_norm):
         return np.zeros_like(rhs)
 
     if gauge == "mean_zero":
+        if factor is not None:
+            raise ValueError("a ready factor cannot be pinned for gauge='mean_zero'")
+        mat = A.tocsc()
         keep = np.arange(1, mat.shape[0])
-        sub = mat[keep][:, keep]
-        lu = spla.splu(sub)
+        lu = factorize(mat[keep][:, keep])
         x = np.zeros(rhs.shape, dtype=np.promote_types(mat.dtype, rhs.dtype))
-        x[1:] = _split_complex_solve(lu.solve, rhs[1:].astype(x.dtype))
+        x[1:] = _solve(lu, mat.dtype, rhs[1:])
         x -= x.mean(axis=0)
     elif gauge is None:
-        try:
-            lu = spla.splu(mat)
-        except RuntimeError as exc:
-            raise SingularSystemError(str(exc)) from exc
-        x = _split_complex_solve(lu.solve, rhs)
+        x = _solve(factor if factor is not None else factorize(A), A.dtype, rhs)
     else:
         raise ValueError(f"unknown gauge {gauge!r}")
 
-    residual = np.linalg.norm(mat @ x - rhs, axis=0)
+    residual = np.linalg.norm(A @ x - rhs, axis=0)
     bad = residual > tol * rhs_norm
     if np.any(bad):
         raise SingularSystemError(

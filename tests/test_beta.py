@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -393,3 +395,95 @@ def test_batched_scan_matches_scalar_oracle(lift_setup, two_fiber_setup):
         roots = spatial_spectrum(beta, a_hom, theta, k_modes, window)
         assert roots
         assert roots == scalar_scan_spatial_spectrum(beta, a_hom, theta, k_modes, window)
+
+
+def test_sweep_with_lifts_factors_once_per_theta(single_fiber, monkeypatch):
+    """One LU per theta serves ARPACK and the lift solve; the lifts still go
+    through hcbloch.beta.linear_solve."""
+    import scipy.sparse.linalg as spla
+    from scipy.sparse.linalg._eigen.arpack import arpack
+
+    import hcbloch.beta
+
+    calls = {"splu": 0, "linear_solve": 0}
+    splu, linear_solve = spla.splu, hcbloch.beta.linear_solve
+
+    def counting_splu(*args, **kwargs):
+        calls["splu"] += 1
+        return splu(*args, **kwargs)
+
+    def counting_linear_solve(*args, **kwargs):
+        calls["linear_solve"] += 1
+        return linear_solve(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    monkeypatch.setattr(arpack, "splu", counting_splu)
+    monkeypatch.setattr(hcbloch.beta, "linear_solve", counting_linear_solve)
+    grid = classify_nodes(single_fiber, 8)
+    sweep = theta_sweep(single_fiber, grid, ThetaGrid(2), m_max=4, method="sparse", lift_tol=1e-10)
+    active = [t for t in sweep if t[0] == 0.0]
+    assert calls == {"splu": len(sweep), "linear_solve": len(active)}
+    assert all((sweep[t].lifts is not None) == (t in active) for t in sweep)
+
+
+def test_sweep_lifts_match_standalone_solve(two_fiber):
+    grid = classify_nodes(two_fiber, 8)
+    sweep = theta_sweep(two_fiber, grid, ThetaGrid(2), m_max=4, method="sparse", lift_tol=1e-10,
+                        threads=2)
+    checked = 0
+    for theta, dec in sweep.items():
+        if dec.lifts is None:
+            continue
+        alone = solve_lifts(two_fiber, grid, theta, dec)
+        attached = dec.lifts
+        assert attached.active == alone.active
+        for axis in alone.active:
+            scale = np.abs(alone.fields[axis]).max()
+            assert np.abs(attached.fields[axis] - alone.fields[axis]).max() <= 1e-12 * scale
+            scale = np.abs(alone.coeffs[axis]).max()
+            assert np.abs(attached.coeffs[axis] - alone.coeffs[axis]).max() <= 1e-12 * scale
+        for name in ("flux_gram", "mass_gram"):
+            ref = getattr(alone, name)
+            assert np.abs(getattr(attached, name) - ref).max() <= 1e-12 * np.abs(ref).max()
+        checked += 1
+    assert checked == 6  # theta with theta_1 = 0 or theta_3 = 0 on the g=2 grid
+
+
+@pytest.mark.parametrize("geom_name", ["single_fiber", "two_fiber"])
+def test_zero_root_exact_at_theta_zero(geom_name, request):
+    """At theta = 0, lambda = 0 is an exact root of every mode whose active
+    components vanish; it is reported as 0.0 whatever the rounding sign of
+    F(0): moving the kernel eigenvalue of flux_gram 1e-14 past its rounding
+    either way, which gives F(0) either sign, leaves the root set as it is."""
+    geom = request.getfixturevalue(geom_name)
+    grid = classify_nodes(geom, 10)
+    theta = (0.0, 0.0, 0.0)
+    dec = bloch_eigs(geom, grid, theta, m_max=8, lift_tol=1e-10)
+    beta = beta_eval(dec.lifts, dec)
+    a_hom = effective_tensor([solve_cell_problem(geom, grid, axis) for axis in geom.active_axes])
+    k_modes = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    window = (0.0, 0.98 * float(dec.eigenvalues[-1]))
+    roots = spatial_spectrum(beta, a_hom, theta, k_modes, window)
+
+    for z in k_modes:
+        zero = [r for r in roots if r.k_index == z and r.lam == 0.0]
+        if any(z[i - 1] for i in geom.active_axes):
+            assert zero == []
+            assert all(r.lam > 0.0 for r in roots if r.k_index == z)
+        else:
+            [r] = zero
+            assert r.bracket == (0.0, 0.0)
+            assert r.residual < 1e-10
+            assert not [s for s in roots if s.k_index == z and 0.0 < s.lam < 1e-6]
+
+    na = len(beta.active)
+    ones = np.ones((na, na)) / na  # projector on the kernel direction 1
+    shift = abs(np.linalg.eigvalsh(beta.flux_gram)[0]) + 1e-14
+    signs = set()
+    for sign in (1.0, -1.0):
+        perturbed = replace(beta, flux_gram=beta.flux_gram + sign * shift * ones)
+        signs.add(np.sign(np.linalg.det(-perturbed(0.0)).real))
+        moved = spatial_spectrum(perturbed, a_hom, theta, k_modes, window)
+        assert [(r.k_index, r.lam == 0.0) for r in moved] == [(r.k_index, r.lam == 0.0) for r in roots]
+        assert np.allclose([r.lam for r in moved], [r.lam for r in roots], rtol=1e-9, atol=0.0)
+    assert signs == {1.0, -1.0}

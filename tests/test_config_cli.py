@@ -150,6 +150,31 @@ def test_cli_beta_csv(tmp_path):
     assert len(lines) > 300
 
 
+def test_cli_beta_factors_once(tmp_path, monkeypatch):
+    """The eigensolve and the lifts of `beta` share one factorization."""
+    import scipy.sparse.linalg as spla
+
+    calls = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+    # n=14 puts the soft-phase operator above the dense cutoff: ARPACK runs
+    cfg_text = MINIMAL.replace("n: 16", "n: 14") + (
+        "spectrum:\n  m_max: 4\noutput:\n  dir: %s\n" % (tmp_path / "out")
+    )
+    path = tmp_path / "c.yml"
+    path.write_text(cfg_text)
+    assert main(["beta", "--config", str(path), "--theta", "0,3.141592653589793,0"]) == 0
+    assert len(calls) == 1
+
+
+def test_cli_beta_inactive_theta_is_an_error(tmp_path, capsys):
+    cfg_text = MINIMAL.replace("n: 16", "n: 8") + "output:\n  dir: %s\n" % (tmp_path / "out")
+    path = tmp_path / "c.yml"
+    path.write_text(cfg_text)
+    assert main(["beta", "--config", str(path), "--theta", "1,0,0"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "EmptyActiveSetError"
+
+
 def test_cli_spectrum_inclusion_point_bands(tmp_path):
     cfg_text = INCLUSION + "output:\n  dir: %s\n" % (tmp_path / "out")
     path = tmp_path / "c.yml"

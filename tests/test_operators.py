@@ -12,6 +12,7 @@ from hcbloch.geometry import classify_nodes
 from hcbloch.operators import (
     QuasiMomentum,
     eigensolve,
+    factorize,
     full_stiffness,
     linear_solve,
     restrict_to,
@@ -244,3 +245,54 @@ def test_eigensolve_arpack_fallback_is_logged(single_fiber, monkeypatch, caplog)
     assert str(op.shape[0]) in record.getMessage() and "no convergence" in record.getMessage()
     dense, _, _ = eigensolve(op, grid.h**3, m_max=4, method="dense")
     assert np.array_equal(vals, dense)
+
+
+def test_linear_solve_mean_zero_singular_pinned_system():
+    A = sp.csr_matrix(np.diag([1.0, 1.0, 0.0]))
+    with pytest.raises(SingularSystemError):
+        linear_solve(A, np.array([0.0, 1.0, 0.0]), gauge="mean_zero")
+
+
+class CountingFactor:
+    """A factor that counts its triangular solves."""
+
+    def __init__(self, lu):
+        self.lu, self.solves = lu, 0
+
+    def solve(self, rhs):
+        self.solves += 1
+        return self.lu.solve(rhs)
+
+
+def test_linear_solve_with_ready_factor(single_fiber):
+    """A complex factor solves a complex rhs in one go; a real factor
+    takes the real and imaginary parts apart.  The residual is checked."""
+    grid = classify_nodes(single_fiber, 8)
+    rng = np.random.default_rng(4)
+    for theta, solves in (((0.0, 0.7, 2.3), 1), ((0.0, np.pi, 0.0), 2)):
+        op = soft_operator(grid, theta)
+        rhs = rng.standard_normal((op.shape[0], 2)) + 1j * rng.standard_normal((op.shape[0], 2))
+        factor = CountingFactor(factorize(op))
+        x = linear_solve(op, rhs, tol=1e-12, factor=factor)
+        assert factor.solves == solves
+        oracle = np.linalg.solve(op.toarray(), rhs)
+        assert np.linalg.norm(x - oracle) < 1e-10 * np.linalg.norm(oracle)
+    wrong = factorize(soft_operator(grid, (0.0, 0.7, 2.3)))
+    with pytest.raises(SingularSystemError):  # a factor of another matrix fails the residual check
+        linear_solve(soft_operator(grid, (0.0, 0.2, 2.3)), rhs, factor=wrong)
+
+
+def test_eigensolve_shared_factor_matches_dense(single_fiber):
+    grid = classify_nodes(single_fiber, 8)
+    for theta in ((0.3, 1.1, 2.2), (0.0, np.pi, 0.0)):
+        op = soft_operator(grid, theta)
+        factor = factorize(op)
+        vals, _, _ = eigensolve(op, grid.h**3, m_max=6, method="sparse", factor=factor)
+        dense = dense_eigh(op.toarray() / grid.h**3, eigvals_only=True, subset_by_index=(0, 5))
+        assert np.abs(vals - dense).max() < 1e-8
+
+
+def test_eigensolve_sparse_singular_raises():
+    A = sp.diags(np.r_[np.arange(1.0, 30.0), 0.0]).tocsr()
+    with pytest.raises(SingularSystemError):
+        eigensolve(A, 1.0, m_max=3, method="sparse")
