@@ -30,7 +30,6 @@ from .bloch import (
 from .cell import CellSolution, effective_tensor, solve_cell_problem
 from .config import RunConfig, parse_config
 from .errors import (
-    BudgetError,
     CoefficientError,
     ContainmentError,
     ConvergenceError,

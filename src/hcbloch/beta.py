@@ -11,7 +11,9 @@ eigenbasis feed the Hermitian coupling matrix
 
 whose poles sit at the Bloch eigenvalues.  The spatial spectrum on a
 torus of period L consists, per Fourier mode k, of the roots of the
-secular determinant  det(diag(a_hom_i k_i^2) - beta(lam)).
+secular determinant  det(diag(a_hom_i k_i^2) - beta(lam)); they are the
+eigenvalues of a small bordered pencil on the Bloch modes and the lifts,
+each with an inertia-certified bracket (see spatial_spectrum).
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import eigh
 
 from .bloch import BlochAssembly, BlochDecomposition, assemble_bloch
-from .errors import EmptyActiveSetError, PoleProximityError
+from .errors import ConvergenceError, EmptyActiveSetError, PoleProximityError
 from .geometry import CellGeometry, Grid
 from .operators import as_quasi_momentum, linear_solve
 
@@ -371,19 +374,6 @@ def pure_bloch_bands(sweep, m_max: int | None = None, window=None) -> BandStruct
     )
 
 
-def _bisect(fn, lo, hi, f_lo, f_hi, width):
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        f_mid = fn(mid)
-        if f_mid == 0.0:
-            return mid, mid, 0.0
-        if (f_lo < 0.0) != (f_mid < 0.0):
-            hi, f_hi = mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
-    return lo, hi, None
-
-
 def spatial_spectrum(
     beta: BetaMatrix,
     a_hom: np.ndarray,
@@ -392,101 +382,91 @@ def spatial_spectrum(
     window: tuple[float, float],
     L: float = 1.0,
     pole_guard: float = 1e-6,
-    scan_points: int = 600,
-    bracket_width_rel: float = 1e-10,
 ) -> list[SpatialRoot]:
     """Roots of the per-mode secular determinant inside the window.
 
-    For each integer Fourier triple z (k = 2 pi z / L) the function
-    F(lam) = det(diag(a_hom_i k_i^2) - beta(lam)) is scanned for sign
-    changes on every inter-pole subinterval (pole neighborhoods excluded
-    by the guard) and each change is certified by bisection down to a
-    bracket of width bracket_width_rel * mu_1.
+    For each integer Fourier triple z (k = 2 pi z / L) the roots of
+    F(lam) = det(S - beta(lam)), S = diag(a_hom_i k_i^2), are eigenvalues of
+    the pencil on the Bloch modes bordered by one lift per active fiber,
 
-    The scan is batched: beta is evaluated once per subinterval grid, as
-    one array call, and that stack is shared by every k mode; only the
-    determinant depends on k.  Bisection and the reported residual use
-    scalar calls.
+        K = [[diag(mu), 0], [0, T + S]],   G = [[I, C^T], [conj(C), B + D]],
+
+    C = beta.coeffs, T = flux_gram, B = mass_gram, D = diag(measures).  The
+    lifts are a0-harmonic, so the stiffness couples no mode to a lift, and
+    the Schur complement of K - lam G on the fiber block is S - beta(lam):
+    det(K - lam G) = prod_m (mu_m - lam) F(lam).  One small eigensolve per
+    mode gives every root with its multiplicity, double roots included.
+    Eigenvalues within guard + d of a pole (decoupled modes) are dropped.
+
+    Each root has the bracket [lam - d, lam + d], d just under 5e-11 mu_1,
+    certified by inertia (Haynsworth): between poles the negative
+    eigenvalues of S - beta(sigma) number the pencil eigenvalues below
+    sigma less the Bloch ones, so across a bracket that number must rise by
+    the pencil eigenvalues inside it, else ConvergenceError is raised.  The
+    residual is |F(lam)|.
 
     lambda = 0 is an exact root at theta = 0 for every mode that vanishes
-    on the active axes, when the window starts at 0 and beta is resummed:
-    the lifts then sum to the constant 1 (every stiff node lies on an
-    active fiber) and the full form annihilates constants, so
-    flux_gram 1 = 0 and beta(0) 1 = 0.  It is reported as lam = 0.0 with
-    bracket (0, 0), and the sign of F(0), which is rounding, does not
-    enter the scan.
+    on the active axes, when the window starts at 0: the lifts then sum to
+    the constant 1 (every stiff node lies on an active fiber) and the full
+    form annihilates constants, so flux_gram 1 = 0 and beta(0) 1 = 0.  The
+    eigenvalue nearest 0 is reported as lam = 0.0 with bracket (0, 0).
 
-    Returns [] when the active set is empty (zero-map rule).
+    Returns [] when the active set is empty (zero-map rule).  A "spectral"
+    beta raises ValueError: the pencil is that of the resummed series.
     """
+    if beta.mode != "resummed":
+        raise ValueError("spatial roots need the resummed coupling matrix")
     if not beta.active:
         return []
     a_diag = np.array([a_hom[i - 1, i - 1] for i in beta.active])
     guard = beta.pole_guard_width(pole_guard)
-    width = bracket_width_rel * float(beta.poles[0])
+    # brackets of width just under 1e-10 mu_1 after rounding
+    half = 4.9e-11 * float(beta.poles[0])
     lo_w, hi_w = window
 
-    # Inter-pole subintervals clipped to the window; the margin is kept
-    # slightly wider than the evaluator guard so scan endpoints stay legal.
-    margin = guard * (1.0 + 1e-6) + 1e-300
-    poles = np.sort(beta.poles)
-    cuts = [lo_w]
-    for p in poles:
-        cuts.extend((p - margin, p + margin))
-    cuts.append(hi_w)
-    intervals = []
-    for a, b in zip(cuts[::2], cuts[1::2]):
-        a, b = max(a, lo_w), min(b, hi_w)
-        if b > a:
-            intervals.append((a, b))
+    M = beta.m_max
+    C = beta.coeffs
+    gram = np.block([[np.eye(M), C.T], [C.conj(), beta.mass_gram + np.diag(beta.measures)]])
+    stiff = np.zeros_like(gram)
+    stiff[:M, :M] = np.diag(beta.poles)
 
-    # beta does not depend on k: one batched evaluation per scan grid,
-    # shared by every Fourier mode.
-    scans = []
-    for a, b in intervals:
-        xs = np.linspace(a, b, scan_points)
-        scans.append((xs, beta(xs, pole_guard=pole_guard)))
+    def pole_distance(lam):
+        return np.abs(beta.poles - lam[:, None]).min(axis=1)
 
     roots: list[SpatialRoot] = []
     theta_t = tuple(beta.theta)
-    zero_root = beta.mode == "resummed" and not any(theta_t) and lo_w == 0.0
+    zero_root = not any(theta_t) and lo_w == 0.0
     for z in k_modes:
         z = tuple(int(v) for v in z)
         k = 2.0 * np.pi * np.asarray(z, dtype=float) / L
         shift = np.diag(a_diag * np.array([k[i - 1] ** 2 for i in beta.active]))
-
-        def F(lam):
-            mat = shift - beta(lam, pole_guard=pole_guard)
-            return float(np.real(np.linalg.det(mat)))
-
+        stiff[M:, M:] = beta.flux_gram + shift
+        pencil = eigh(stiff, gram, eigvals_only=True)
         exact_zero = zero_root and not np.any(shift)
         if exact_zero:
-            roots.append(SpatialRoot(theta=theta_t, k_index=z, lam=0.0,
-                                     residual=abs(F(0.0)), bracket=(0.0, 0.0)))
-        for xs, stack in scans:
-            fs = np.real(np.linalg.det(shift - stack))
-            if exact_zero and xs[0] == 0.0:
-                xs, fs = xs[1:], fs[1:]
-            signs = np.sign(fs)
-            zero = signs[:-1] == 0.0
-            change = signs[:-1] * signs[1:] < 0.0
-            for j in np.flatnonzero(zero | change):
-                if zero[j]:
-                    roots.append(
-                        SpatialRoot(theta=theta_t, k_index=z, lam=float(xs[j]),
-                                    residual=0.0, bracket=(float(xs[j]), float(xs[j])))
-                    )
-                else:
-                    lo, hi, exact = _bisect(F, xs[j], xs[j + 1], fs[j], fs[j + 1], width)
-                    lam = 0.5 * (lo + hi) if exact is None else exact
-                    roots.append(
-                        SpatialRoot(
-                            theta=theta_t,
-                            k_index=z,
-                            lam=float(lam),
-                            residual=abs(F(lam)),
-                            bracket=(float(lo), float(hi)),
-                        )
-                    )
+            pencil[np.argmin(np.abs(pencil))] = 0.0
+        lo, hi = pencil - half, pencil + half
+        keep = (lo_w <= pencil) & (pencil <= hi_w)
+        keep &= (pole_distance(lo) >= guard) & (pole_distance(hi) >= guard)
+        lams, lo, hi = pencil[keep], lo[keep], hi[keep]
+
+        # one beta call for the residuals and both bracket ends
+        mats = shift - beta(np.concatenate([lams, lo, hi]), pole_guard=pole_guard)
+        n = lams.size
+        residuals = np.abs(np.real(np.linalg.det(mats[:n])))
+        negative = (np.linalg.eigvalsh(mats[n:]) < 0.0).sum(axis=1)
+        rise = negative[n:] - negative[:n]
+        inside = ((lo[:, None] <= pencil) & (pencil <= hi[:, None])).sum(axis=1)
+        bad = np.flatnonzero(rise != inside)
+        if bad.size:
+            raise ConvergenceError(
+                f"uncertified spatial roots at theta={theta_t}, k={z}: lambda={lams[bad]}, "
+                f"inertia rise {rise[bad]} for {inside[bad]} pencil eigenvalues"
+            )
+        for lam, res, a, b in zip(lams, residuals, lo, hi):
+            bracket = (0.0, 0.0) if lam == 0.0 and exact_zero else (float(a), float(b))
+            roots.append(SpatialRoot(theta=theta_t, k_index=z, lam=float(lam),
+                                     residual=float(res), bracket=bracket))
     roots.sort(key=lambda r: (r.k_index, r.lam))
     return roots
 
@@ -506,7 +486,7 @@ def spatial_points(
 ) -> list[SpatialRoot]:
     """Spatial-spectrum roots at one theta; [] when no axis is active.
 
-    Wraps lift solve + resummed secular root finding, applying the
+    Wraps lift solve + the spatial pencil of spatial_spectrum, applying the
     zero-map rule: quasi-momenta with every component nonzero carry no
     spatial spectrum.  The lifts attached to ``bloch`` are used when
     present; otherwise they are solved here.

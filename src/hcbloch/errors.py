@@ -52,10 +52,6 @@ class PoleProximityError(HcBlochError):
     """Spectral parameter too close to a pole of the coupling matrix."""
 
 
-class BudgetError(HcBlochError):
-    """A problem size exceeds the configured unknown budget."""
-
-
 class ParseError(HcBlochError):
     """Config file is malformed or carries unknown keys."""
 

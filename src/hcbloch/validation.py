@@ -25,7 +25,6 @@ import scipy.sparse as sp
 from .beta import solve_lifts
 from .bloch import assemble_bloch, bloch_eigs
 from .cell import solve_cell_problem
-from .errors import BudgetError
 from .geometry import MATRIX, CellGeometry, Grid, classify_nodes
 from .operators import QuasiMomentum, as_quasi_momentum, full_stiffness, linear_solve
 
@@ -42,8 +41,6 @@ __all__ = [
     "composite_spectrum",
     "spectral_distance",
 ]
-
-UNKNOWN_BUDGET = 128  # max fine nodes per axis (K * p)
 
 
 @dataclass(frozen=True)
@@ -62,15 +59,10 @@ class EpsProblem:
     k_index: tuple[int, int, int] = (0, 0, 0)
     g_cell: np.ndarray | None = None
     contrast: str = "double_porosity"
-    budget: int = UNKNOWN_BUDGET
 
     def __post_init__(self):
         if self.K < 1 or self.p < 4:
             raise ValueError("need K >= 1 and p >= 4")
-        if self.K * self.p > self.budget:
-            raise BudgetError(
-                f"fine grid {self.K * self.p} nodes/axis exceeds budget {self.budget}"
-            )
         if self.contrast not in ("double_porosity", "off"):
             raise ValueError(f"unknown contrast mode {self.contrast!r}")
 

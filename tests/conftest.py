@@ -1,7 +1,14 @@
-import numpy as np
-import pytest
+import os
 
-from hcbloch.geometry import build_geometry, classify_nodes
+# One BLAS thread per process: theta_sweep(threads=2) would otherwise
+# oversubscribe the cores.  Set before numpy loads its BLAS.
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from hcbloch.geometry import build_geometry, classify_nodes  # noqa: E402
 
 
 @pytest.fixture(scope="session")

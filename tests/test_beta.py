@@ -7,7 +7,6 @@ from scipy.linalg import eigh as dense_eigh
 
 from hcbloch.beta import (
     SpatialRoot,
-    _bisect,
     beta_eval,
     flux,
     pure_bloch_bands,
@@ -17,7 +16,7 @@ from hcbloch.beta import (
 )
 from hcbloch.bloch import ThetaGrid, assemble_bloch, bloch_eigs, theta_sweep
 from hcbloch.cell import effective_tensor, solve_cell_problem
-from hcbloch.errors import EmptyActiveSetError, PoleProximityError
+from hcbloch.errors import ConvergenceError, EmptyActiveSetError, PoleProximityError
 from hcbloch.geometry import classify_nodes
 
 
@@ -153,33 +152,112 @@ def test_two_fiber_beta_cross_hermitian(two_fiber):
             )
 
 
-def test_spatial_roots_match_bordered_pencil(single_fiber):
-    """Secular roots of the fully-resummed coupling matrix must agree with
-    an independent generalized eigensolve of the bordered spatial pencil."""
-    grid = classify_nodes(single_fiber, 10)
-    theta = (0.0, np.pi / 2, np.pi)
-    asm = assemble_bloch(single_fiber, grid, theta)
-    dim = asm.dim
-    dec = bloch_eigs(single_fiber, grid, theta, m_max=dim, method="dense", assembly=asm)
-    lifts = solve_lifts(single_fiber, grid, theta, dec, assembly=asm)
+def bordered_pencil(grid, asm, a_hom, active, k):
+    """Eigenvalues of the dense bordered spatial pencil: the soft DOFs plus
+    one constant per active fiber."""
+    n, dim = grid.n, asm.dim
+    rows, cols = [asm.dofs], [np.arange(dim)]
+    for j, axis in enumerate(active):
+        fiber_nodes = np.flatnonzero(grid.fiber_mask(axis).ravel())
+        rows.append(fiber_nodes)
+        cols.append(np.full(fiber_nodes.size, dim + j))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    Z = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n**3, dim + len(active))).tocsr()
+    A_Z = (Z.getH() @ asm.full @ Z).toarray()
+    for j, axis in enumerate(active):
+        A_Z[dim + j, dim + j] += a_hom[axis - 1, axis - 1] * (2 * np.pi * k[axis - 1]) ** 2
+    M_Z = grid.h**3 * np.asarray((Z.multiply(Z)).sum(axis=0)).ravel()
+    return dense_eigh(A_Z, np.diag(M_Z), eigvals_only=True)
+
+
+def all_modes_setup(geom, theta):
+    """n = 10 with every Bloch mode kept, so that the secular roots are the
+    bordered pencil's eigenvalues themselves."""
+    grid = classify_nodes(geom, 10)
+    asm = assemble_bloch(geom, grid, theta)
+    dec = bloch_eigs(geom, grid, theta, m_max=asm.dim, method="dense", assembly=asm)
+    lifts = solve_lifts(geom, grid, theta, dec, assembly=asm)
     beta = beta_eval(lifts, dec, mode="resummed")
-    a_hom = effective_tensor([solve_cell_problem(single_fiber, grid, 1)])
+    a_hom = effective_tensor([solve_cell_problem(geom, grid, axis) for axis in geom.active_axes])
     window = (0.0, float(dec.eigenvalues[6] * 0.99))
-    k = (1, 0, 0)
+    return grid, asm, dec, beta, a_hom, window
+
+
+# two_fiber at theta = (0, pi, 0), k = 0: the pencil has 15.2315, 57.2778
+# and 70.3850 twice each, double roots at which F does not change sign
+DOUBLE_ROOTS = ("two_fiber", (0.0, np.pi, 0.0), (0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "geom_name, theta, k",
+    [("single_fiber", (0.0, np.pi / 2, np.pi), (1, 0, 0)), DOUBLE_ROOTS],
+    ids=["single_fiber", "two_fiber_double_roots"],
+)
+def test_spatial_roots_match_bordered_pencil(geom_name, theta, k, request):
+    """Secular roots of the fully-resummed coupling matrix must agree with
+    an independent generalized eigensolve of the bordered spatial pencil,
+    and every pencil eigenvalue beyond the pole guard must be a root as
+    often as it is a pencil eigenvalue."""
+    geom = request.getfixturevalue(geom_name)
+    grid, asm, dec, beta, a_hom, window = all_modes_setup(geom, theta)
     roots = spatial_spectrum(beta, a_hom, theta, [k], window)
     assert roots, "expected at least one secular root in the window"
 
-    n = grid.n
-    fiber_nodes = np.flatnonzero(grid.fiber_mask(1).ravel())
-    rows = np.concatenate([asm.dofs, fiber_nodes])
-    cols = np.concatenate([np.arange(dim), np.full(fiber_nodes.size, dim)])
-    Z = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n**3, dim + 1)).tocsr()
-    A_Z = (Z.getH() @ asm.full @ Z).toarray()
-    A_Z[-1, -1] += a_hom[0, 0] * (2 * np.pi) ** 2
-    M_Z = grid.h**3 * np.asarray((Z.multiply(Z)).sum(axis=0)).ravel()
-    pencil = dense_eigh(A_Z, np.diag(M_Z), eigvals_only=True)
+    pencil = bordered_pencil(grid, asm, a_hom, beta.active, k)
     for r in roots:
         assert np.min(np.abs(pencil - r.lam)) < 1e-7 * (1.0 + r.lam)
+
+    lams = np.array([r.lam for r in roots])
+    guard = beta.pole_guard_width(1e-6)
+    for e in pencil[(window[0] <= pencil) & (pencil <= window[1])]:
+        if np.min(np.abs(dec.eigenvalues - e)) <= guard:
+            continue
+        tol = 1e-7 * (1.0 + e)
+        assert np.sum(np.abs(lams - e) < tol) == np.sum(np.abs(pencil - e) < tol), e
+
+
+def test_double_root_brackets_gain_two_negative_eigenvalues(two_fiber):
+    _, theta, k = DOUBLE_ROOTS
+    grid, asm, dec, beta, a_hom, window = all_modes_setup(two_fiber, theta)
+    roots = spatial_spectrum(beta, a_hom, theta, [k], window)
+    assert len(roots) == 6
+    for r in roots:
+        lo, hi = r.bracket
+        below, above = (int(np.sum(np.linalg.eigvalsh(-beta(x)) < 0.0)) for x in (lo, hi))
+        assert above - below == 2
+
+
+def test_uncertified_root_raises(lift_setup, monkeypatch):
+    """An eigenvalue moved off its root by 1e-6 mu_1 fails the inertia count."""
+    import hcbloch.beta
+
+    geom, grid, theta, asm, dec, lifts = lift_setup
+    beta = beta_eval(lifts, dec)
+    a_hom = effective_tensor([solve_cell_problem(geom, grid, 1)])
+    window = (0.0, 0.98 * float(dec.eigenvalues[-1]))
+    roots = spatial_spectrum(beta, a_hom, theta, [(1, 0, 0)], window)
+    target = roots[0].lam
+    mu1 = float(dec.eigenvalues[0])
+    assert np.min(np.abs(beta.poles - target)) > 10 * beta.pole_guard_width(1e-6)
+
+    eigh = hcbloch.beta.eigh
+
+    def moved_eigh(*args, **kwargs):
+        vals = eigh(*args, **kwargs)
+        vals[np.argmin(np.abs(vals - target))] += 1e-6 * mu1
+        return vals
+
+    monkeypatch.setattr(hcbloch.beta, "eigh", moved_eigh)
+    with pytest.raises(ConvergenceError):
+        spatial_spectrum(beta, a_hom, theta, [(1, 0, 0)], window)
+
+
+def test_spectral_beta_has_no_spatial_pencil(lift_setup):
+    geom, grid, theta, asm, dec, lifts = lift_setup
+    a_hom = effective_tensor([solve_cell_problem(geom, grid, 1)])
+    with pytest.raises(ValueError):
+        spatial_spectrum(beta_eval(lifts, dec, mode="spectral"), a_hom, theta, [(1, 0, 0)],
+                         (0.0, float(dec.eigenvalues[-1])))
 
 
 def test_root_certification_and_scan_oracle(lift_setup):
@@ -295,11 +373,24 @@ def test_spectral_mode_no_root_below_first_pole(lift_setup):
     assert np.all(vals > 0.0)  # F = -beta never changes sign before mu_1
 
 
+def _bisect(fn, lo, hi, f_lo, f_hi, width):
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        f_mid = fn(mid)
+        if f_mid == 0.0:
+            return mid, mid, 0.0
+        if (f_lo < 0.0) != (f_mid < 0.0):
+            hi, f_hi = mid, f_mid
+        else:
+            lo, f_lo = mid, f_mid
+    return lo, hi, None
+
+
 def scalar_scan_spatial_spectrum(beta, a_hom, theta, k_modes, window, L=1.0,
                                  pole_guard=1e-6, scan_points=600, bracket_width_rel=1e-10):
     """Oracle: the per-point secular scan, one scalar beta call and one det
-    per scan point and per k mode, as spatial_spectrum did before the scan
-    was batched."""
+    per scan point and per k mode, each sign change bisected down to a
+    bracket of width bracket_width_rel * mu_1."""
     a_diag = np.array([a_hom[i - 1, i - 1] for i in beta.active])
     guard = beta.pole_guard_width(pole_guard)
     width = bracket_width_rel * float(beta.poles[0])
@@ -383,7 +474,9 @@ def test_beta_array_pole_guard(lift_setup):
         beta(xs)
 
 
-def test_batched_scan_matches_scalar_oracle(lift_setup, two_fiber_setup):
+def test_pencil_roots_match_scalar_scan_oracle(lift_setup, two_fiber_setup):
+    """Same root count per k as the sign-change scan, and every pencil root
+    inside the bracket the scan bisected for it."""
     k_modes = [(0, 0, 0), (1, 0, 0), (0, 0, 1)]
     geom, grid, theta1, asm, dec1, lifts1 = lift_setup
     a_hom1 = effective_tensor([solve_cell_problem(geom, grid, 1)])
@@ -394,7 +487,13 @@ def test_batched_scan_matches_scalar_oracle(lift_setup, two_fiber_setup):
         window = (0.0, 0.98 * float(dec.eigenvalues[-1]))
         roots = spatial_spectrum(beta, a_hom, theta, k_modes, window)
         assert roots
-        assert roots == scalar_scan_spatial_spectrum(beta, a_hom, theta, k_modes, window)
+        oracle = scalar_scan_spatial_spectrum(beta, a_hom, theta, k_modes, window)
+        for z in k_modes:
+            got = [r for r in roots if r.k_index == z]
+            want = [r for r in oracle if r.k_index == z]
+            assert len(got) == len(want)
+            for r, o in zip(got, want):
+                assert o.bracket[0] <= r.lam <= o.bracket[1]
 
 
 def test_sweep_with_lifts_factors_once_per_theta(single_fiber, monkeypatch):

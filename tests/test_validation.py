@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import eigvalsh
 
-from hcbloch.errors import BudgetError
+from hcbloch.errors import SingularSystemError
 from hcbloch.geometry import build_geometry, classify_nodes
 from hcbloch.operators import full_stiffness, linear_solve
 from hcbloch.validation import (
@@ -29,9 +29,14 @@ def fat_fiber():
     )
 
 
-def test_budget_error(single_fiber):
-    with pytest.raises(BudgetError):
-        EpsProblem(geom=single_fiber, p=8, K=32)
+def test_residual_check_is_the_only_size_gate(single_fiber):
+    """K p = 256 solves to the fixed 1e-10 * ||rhs|| residual; at K p = 8192
+    the cell system's condition, ~(K p)^2, defeats that check and
+    linear_solve refuses the solution."""
+    sol = solve_eps(EpsProblem(geom=single_fiber, p=8, K=32, k_index=(1, 0, 0)))
+    assert sol.residual < 1e-10
+    with pytest.raises(SingularSystemError):
+        solve_eps(EpsProblem(geom=single_fiber, p=8, K=1024, k_index=(1, 0, 0)))
 
 
 def test_uniform_unit_solution(fat_fiber):
