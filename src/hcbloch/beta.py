@@ -60,8 +60,8 @@ class LiftSet:
     coeffs: dict[int, np.ndarray]  # axis -> (m_max,) <b, v_m>_{L2(Q_0)}
     residuals: dict[int, float]
     measures: dict[int, float]
-    flux_gram: np.ndarray = None
-    mass_gram: np.ndarray = None
+    flux_gram: np.ndarray
+    mass_gram: np.ndarray
 
 
 def solve_lifts(
@@ -155,29 +155,19 @@ def flux(asm: BlochAssembly, v: np.ndarray, lift_field: np.ndarray, axis: int) -
 class BetaMatrix:
     """Evaluator of the coupling matrix on the active axes at one theta.
 
-    Two summations of the same pole series are available:
-
-    * mode="spectral": the literal truncated series
-      lam |C_i| d_ij + sum_{m<=m_max} |mu_m|^2/(mu_m - lam) b^(j) conj(b^(i)).
-      Its truncation error contains the partial sums of
-      sum_m mu_m b^(j) conj(b^(i)), which grow with m_max (the lifts have
-      nonzero trace, so their zero-trace eigenexpansions carry a boundary
-      layer); use it only as the literal series.
-
-    * mode="resummed" (default): the two conditionally convergent
-      constants are replaced by their exact mode-free values,
+    The two conditionally convergent constants of the pole series are
+    replaced by their exact mode-free values,
 
       lam |C_i| d_ij - T_i(b^(j)) + lam <b^(j), b^(i)>
                      + sum_{m<=m_max} lam^2/(mu_m - lam) b^(j) conj(b^(i)),
 
-      which is the same series rearranged term by term
-      (mu^2/(mu-lam) = mu + lam + lam^2/(mu-lam)) and is the summation
-      implied by the Green-identity derivation of the series.  Its
-      truncation tail is O(lam^2 sum_{m>m_max} |b_m|^2 / mu_m), so roots
-      converge as the truncation deepens.
-
-    Both modes share the pole set and the strict monotonicity of the
-    diagonal between consecutive poles.
+    which is the series of the module docstring rearranged term by term
+    (mu^2/(mu-lam) = mu + lam + lam^2/(mu-lam)) and is the summation
+    implied by the Green-identity derivation of the series.  Its
+    truncation tail is O(lam^2 sum_{m>m_max} |b_m|^2 / mu_m), so roots
+    converge as the truncation deepens; that of the literal series holds
+    partial sums of mu_m b^(j) conj(b^(i)), which grow with m_max.  The
+    diagonal increases strictly between consecutive poles.
     """
 
     theta: tuple[float, float, float]
@@ -185,15 +175,8 @@ class BetaMatrix:
     poles: np.ndarray  # (m_max,) Bloch eigenvalues, ascending
     coeffs: np.ndarray  # (n_active, m_max), row i = lift coefficients of active[i]
     measures: np.ndarray  # (n_active,) discrete fiber volumes
-    flux_gram: np.ndarray = None  # T_i(b^(j)), Hermitian
-    mass_gram: np.ndarray = None  # <b^(j), b^(i)>_{L2(Q_0)}, Hermitian
-    mode: str = "resummed"
-
-    def __post_init__(self):
-        if self.mode not in ("spectral", "resummed"):
-            raise ValueError(f"unknown summation mode {self.mode!r}")
-        if self.mode == "resummed" and (self.flux_gram is None or self.mass_gram is None):
-            raise ValueError("resummed mode needs the lift Gram matrices")
+    flux_gram: np.ndarray  # T_i(b^(j)), Hermitian
+    mass_gram: np.ndarray  # <b^(j), b^(i)>_{L2(Q_0)}, Hermitian
 
     @property
     def m_max(self) -> int:
@@ -202,76 +185,38 @@ class BetaMatrix:
     def pole_guard_width(self, pole_guard: float) -> float:
         return pole_guard * float(self.poles[0])
 
-    def _check_guard(self, lam, pole_guard: float) -> None:
-        guard = self.pole_guard_width(pole_guard)
-        lam = np.asarray(lam)
-        near = np.any(np.abs(self.poles - lam[..., None]) < guard, axis=-1)
-        if np.any(near):
-            raise PoleProximityError(f"lambda={lam[near]} within {guard:.3e} of a pole")
-
     def __call__(self, lam, pole_guard: float = 1e-6) -> np.ndarray:
         """Hermitian coupling matrix at spectral parameter lam.
 
         A scalar lam gives one (n_active, n_active) matrix; a 1-D array of
         S values gives the (S, n_active, n_active) stack, entry for entry
-        the same numbers as S scalar calls.  The pole guard is checked on
-        every value.
+        the same numbers as S scalar calls.  A value within the pole guard
+        of a pole raises PoleProximityError.
         """
-        self._check_guard(lam, pole_guard)
         lam = np.asarray(lam, dtype=float)
+        guard = self.pole_guard_width(pole_guard)
+        near = np.any(np.abs(self.poles - lam[..., None]) < guard, axis=-1)
+        if np.any(near):
+            raise PoleProximityError(f"lambda={lam[near]} within {guard:.3e} of a pole")
         col = lam[..., None]  # broadcasts against the poles
-        if self.mode == "spectral":
-            weights = np.abs(self.poles) ** 2 / (self.poles - col)
-        else:
-            weights = col**2 / (self.poles - col)
+        weights = col**2 / (self.poles - col)
         out = (self.coeffs.conj() * weights[..., None, :]) @ self.coeffs.T
         lam = lam[..., None, None]  # broadcasts against the (n_active, n_active) terms
-        if self.mode == "resummed":
-            out = out - self.flux_gram + lam * self.mass_gram
+        out = out - self.flux_gram + lam * self.mass_gram
         return out + lam * np.diag(self.measures)
 
-    def diagonal_derivative(self, lam: float, pole_guard: float = 1e-6) -> np.ndarray:
-        """d/dlam of the diagonal; strictly positive between poles.
 
-        Spectral mode: |C_i| + sum |mu_m b_m|^2 / (mu_m - lam)^2.
-        Resummed mode adds the nonnegative unresolved tail mass
-        ||b||^2 - sum_{m<=m_max} |b_m|^2.
-        """
-        self._check_guard(lam, pole_guard)
-        w = np.abs(self.poles) ** 2 / (self.poles - lam) ** 2
-        base = self.measures + (np.abs(self.coeffs) ** 2 * w).sum(axis=1)
-        if self.mode == "spectral":
-            return base
-        tail_mass = np.real(np.diag(self.mass_gram)) - (np.abs(self.coeffs) ** 2).sum(axis=1)
-        return base + tail_mass
-
-
-def beta_eval(
-    lifts: LiftSet,
-    bloch: BlochDecomposition,
-    lam=None,
-    pole_guard: float = 1e-6,
-    mode: str = "resummed",
-):
-    """Build the BetaMatrix from lifts + Bloch data; evaluate if lam given.
-
-    mode="spectral" gives the literal truncated series (see BetaMatrix).
-    """
-    coeffs = np.vstack([lifts.coeffs[axis] for axis in lifts.active])
-    measures = np.array([lifts.measures[axis] for axis in lifts.active])
-    beta = BetaMatrix(
+def beta_eval(lifts: LiftSet, bloch: BlochDecomposition) -> BetaMatrix:
+    """The BetaMatrix of the lifts and Bloch eigenpairs at one theta."""
+    return BetaMatrix(
         theta=lifts.theta,
         active=lifts.active,
         poles=np.asarray(bloch.eigenvalues, dtype=float),
-        coeffs=coeffs,
-        measures=measures,
+        coeffs=np.vstack([lifts.coeffs[axis] for axis in lifts.active]),
+        measures=np.array([lifts.measures[axis] for axis in lifts.active]),
         flux_gram=lifts.flux_gram,
         mass_gram=lifts.mass_gram,
-        mode=mode,
     )
-    if lam is None:
-        return beta
-    return beta(float(lam), pole_guard=pole_guard)
 
 
 @dataclass(frozen=True)
@@ -377,7 +322,6 @@ def pure_bloch_bands(sweep, m_max: int | None = None, window=None) -> BandStruct
 def spatial_spectrum(
     beta: BetaMatrix,
     a_hom: np.ndarray,
-    theta,
     k_modes,
     window: tuple[float, float],
     L: float = 1.0,
@@ -411,11 +355,9 @@ def spatial_spectrum(
     form annihilates constants, so flux_gram 1 = 0 and beta(0) 1 = 0.  The
     eigenvalue nearest 0 is reported as lam = 0.0 with bracket (0, 0).
 
-    Returns [] when the active set is empty (zero-map rule).  A "spectral"
-    beta raises ValueError: the pencil is that of the resummed series.
+    Returns [] when the active set is empty (zero-map rule).  The roots
+    carry the theta of ``beta``.
     """
-    if beta.mode != "resummed":
-        raise ValueError("spatial roots need the resummed coupling matrix")
     if not beta.active:
         return []
     a_diag = np.array([a_hom[i - 1, i - 1] for i in beta.active])
@@ -473,7 +415,6 @@ def spatial_spectrum(
 
 def spatial_points(
     geom: CellGeometry,
-    grid: Grid,
     theta,
     bloch: BlochDecomposition,
     a_hom: np.ndarray,
@@ -481,23 +422,17 @@ def spatial_points(
     window: tuple[float, float],
     L: float = 1.0,
     pole_guard: float = 1e-6,
-    lift_tol: float = 1e-10,
-    assembly: BlochAssembly | None = None,
 ) -> list[SpatialRoot]:
     """Spatial-spectrum roots at one theta; [] when no axis is active.
 
-    Wraps lift solve + the spatial pencil of spatial_spectrum, applying the
-    zero-map rule: quasi-momenta with every component nonzero carry no
-    spatial spectrum.  The lifts attached to ``bloch`` are used when
-    present; otherwise they are solved here.
+    Applies the zero-map rule (quasi-momenta with every component nonzero
+    carry no spatial spectrum), else runs spatial_spectrum on the lifts
+    attached to ``bloch`` (``bloch_eigs(..., lift_tol=...)``).  A
+    decomposition without lifts at an active theta raises ValueError.
     """
-    qm = as_quasi_momentum(theta)
-    if not qm.active_set(geom.active_axes):
+    if not as_quasi_momentum(theta).active_set(geom.active_axes):
         return []
-    lifts = bloch.lifts
-    if lifts is None:
-        lifts = solve_lifts(geom, grid, qm, bloch, tol=lift_tol, assembly=assembly)
-    beta = beta_eval(lifts, bloch)
-    return spatial_spectrum(
-        beta, a_hom, qm, k_modes, window, L=L, pole_guard=pole_guard
-    )
+    if bloch.lifts is None:
+        raise ValueError("spatial_points needs a Bloch decomposition with lifts (lift_tol)")
+    beta = beta_eval(bloch.lifts, bloch)
+    return spatial_spectrum(beta, a_hom, k_modes, window, L=L, pole_guard=pole_guard)

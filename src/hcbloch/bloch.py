@@ -82,7 +82,7 @@ class BlochAssembly:
 
 def assemble_bloch(geom: CellGeometry, grid: Grid, theta) -> BlochAssembly:
     qm = as_quasi_momentum(theta)
-    full = full_stiffness(grid.n, grid.a0_field(), qm, bc="quasi_periodic")
+    full = full_stiffness(grid.n, grid.a0_field(), qm)
     interior, dofs = restrict_to(full, grid.matrix_mask)
     return BlochAssembly(grid=grid, theta=qm, full=full, interior=interior, dofs=dofs)
 
@@ -164,12 +164,13 @@ def dirichlet_baseline(
 ) -> np.ndarray:
     """Eigenvalues of the full Dirichlet operator on the soft phase.
 
-    Zero trace on the stiff closures and on the cell boundary: the grid
-    planes with a zero coordinate leave the DOF set and wrap links are
-    cut.  These dominate every Bloch branch: lambda_n(theta) <= mu_n.
+    Zero trace on the stiff closures and on the cell boundary: the periodic
+    stiffness is restricted to the soft nodes off the grid planes with a
+    zero coordinate, which thereby carry the boundary value 0.  These
+    dominate every Bloch branch: lambda_n(theta) <= mu_n.
     """
     n = grid.n
-    full = full_stiffness(n, grid.a0_field(), None, bc="dirichlet_box")
+    full = full_stiffness(n, grid.a0_field())
     inner = np.ones((n, n, n), dtype=bool)
     for ax in range(3):
         sl = [slice(None)] * 3

@@ -192,17 +192,8 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
     spatial = []
     for theta in sorted(sweep):
         spatial.extend(
-            spatial_points(
-                geom,
-                grid,
-                theta,
-                sweep[theta],
-                a_hom,
-                cfg.k_modes,
-                window,
-                L=cfg.torus_period,
-                pole_guard=cfg.pole_guard,
-            )
+            spatial_points(geom, theta, sweep[theta], a_hom, cfg.k_modes, window,
+                           L=cfg.torus_period, pole_guard=cfg.pole_guard)
         )
 
     payload = _meta(cfg, geom)

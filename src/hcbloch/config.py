@@ -128,46 +128,78 @@ def parse_config_text(text: str) -> RunConfig:
         for key in entry:
             if key not in _FIBER_KEYS:
                 raise ParseError(f"unknown key {key!r} in a fiber entry")
+        missing = _FIBER_KEYS - entry.keys()
+        if missing:
+            raise ParseError(f"fiber entry lacks key {min(missing)!r}")
 
     def sect(name):
         return raw.get(name) or {}
 
+    violations: list[str] = []
+
+    def get(kind, section, key, default):
+        value = sect(section).get(key, default)
+        if value is None and default is None:  # an optional value left unset
+            return None
+        return _convert(kind, value, f"{section}.{key}", violations, default)
+
+    for key in ("a0", "a1"):  # checked only: the geometry mapping is kept as written
+        _convert(float, sect("geometry").get(key, 1.0), f"geometry.{key}", violations)
+    modes = sect("spectrum").get("k_modes", [list(k) for k in RunConfig.k_modes])
     cfg = RunConfig(
         geometry=sect("geometry") or {"variant": "fibered", "fibers": []},
-        n=int(sect("grid").get("n", RunConfig.n)),
-        theta_g=int(sect("theta_grid").get("g", RunConfig.theta_g)),
-        m_max=int(sect("spectrum").get("m_max", RunConfig.m_max)),
-        lambda_max=_opt_float(sect("spectrum").get("lambda_max")),
-        k_modes=tuple(
-            tuple(int(v) for v in k)
-            for k in sect("spectrum").get("k_modes", [list(k) for k in RunConfig.k_modes])
-        ),
-        torus_period=float(sect("spectrum").get("torus_period", RunConfig.torus_period)),
-        eps_K=tuple(int(v) for v in sect("validate").get("eps", list(RunConfig.eps_K))),
-        p_cell=int(sect("validate").get("p", RunConfig.p_cell)),
-        validate_k_index=tuple(
-            int(v) for v in sect("validate").get("k_mode", list(RunConfig.validate_k_index))
-        ),
+        n=get(int, "grid", "n", RunConfig.n),
+        theta_g=get(int, "theta_grid", "g", RunConfig.theta_g),
+        m_max=get(int, "spectrum", "m_max", RunConfig.m_max),
+        lambda_max=get(float, "spectrum", "lambda_max", None),
+        k_modes=tuple(_integers(k, "spectrum.k_modes", violations)
+                      for k in (modes if isinstance(modes, (list, tuple)) else [modes])),
+        torus_period=get(float, "spectrum", "torus_period", RunConfig.torus_period),
+        eps_K=_integers(sect("validate").get("eps", list(RunConfig.eps_K)), "validate.eps",
+                        violations),
+        p_cell=get(int, "validate", "p", RunConfig.p_cell),
+        validate_k_index=_integers(sect("validate").get("k_mode", list(RunConfig.validate_k_index)),
+                                   "validate.k_mode", violations),
         contrast=str(sect("validate").get("contrast", RunConfig.contrast)),
-        residual_factor=float(sect("validate").get("residual_factor", RunConfig.residual_factor)),
-        monotone_slack=float(sect("validate").get("monotone_slack", RunConfig.monotone_slack)),
-        tol_eigen=float(sect("tolerances").get("eigen", RunConfig.tol_eigen)),
-        tol_linear=float(sect("tolerances").get("linear", RunConfig.tol_linear)),
-        pole_guard=float(sect("tolerances").get("pole_guard", RunConfig.pole_guard)),
+        residual_factor=get(float, "validate", "residual_factor", RunConfig.residual_factor),
+        monotone_slack=get(float, "validate", "monotone_slack", RunConfig.monotone_slack),
+        tol_eigen=get(float, "tolerances", "eigen", RunConfig.tol_eigen),
+        tol_linear=get(float, "tolerances", "linear", RunConfig.tol_linear),
+        pole_guard=get(float, "tolerances", "pole_guard", RunConfig.pole_guard),
         out_dir=str(sect("output").get("dir", RunConfig.out_dir)),
-        threads=int(sect("run").get("threads", RunConfig.threads)),
-        seed=int(sect("run").get("seed", RunConfig.seed)),
+        threads=get(int, "run", "threads", RunConfig.threads),
+        seed=get(int, "run", "seed", RunConfig.seed),
     )
-    _validate(cfg)
+    _validate(cfg, violations)
     return cfg
 
 
-def _opt_float(value):
-    return None if value is None else float(value)
+def _convert(kind, value, name: str, violations: list[str], default=0):
+    """value as kind (int or float); else default, with a violation recorded.
+
+    An int must be integral: 1.7 is reported, not truncated to 1.
+    """
+    try:
+        out = kind(value)
+        if out == float(value):
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    violations.append(f"{name} must be {'an integer' if kind is int else 'a real number'}, "
+                      f"got {value!r}")
+    return default
 
 
-def _validate(cfg: RunConfig) -> None:
-    violations = []
+def _integers(values, name: str, violations: list[str]) -> tuple[int, ...]:
+    if isinstance(values, (list, tuple)):
+        return tuple(_convert(int, v, name, violations) for v in values)
+    violations.append(f"{name} must be a list of integers, got {values!r}")
+    return ()
+
+
+def _validate(cfg: RunConfig, violations=()) -> None:
+    """Raise one ValidationError listing ``violations`` and every invariant cfg breaks."""
+    violations = list(violations)
     if cfg.n < 4:
         violations.append(f"grid.n must be >= 4, got {cfg.n}")
     if cfg.theta_g < 1:
@@ -193,6 +225,8 @@ def _validate(cfg: RunConfig) -> None:
         violations.append(f"validate.contrast must be double_porosity or off, got {cfg.contrast}")
     if cfg.residual_factor <= 0.0:
         violations.append(f"validate.residual_factor must be > 0, got {cfg.residual_factor}")
+    if cfg.monotone_slack < 0.0:
+        violations.append(f"validate.monotone_slack must be >= 0, got {cfg.monotone_slack}")
     if cfg.threads < 1:
         violations.append(f"run.threads must be >= 1, got {cfg.threads}")
     if any(len(k) != 3 for k in cfg.k_modes):

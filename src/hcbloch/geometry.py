@@ -192,13 +192,11 @@ class Grid:
     """Uniform n^3 node grid over the unit cell, nodes at k/n, k = 0..n-1.
 
     ``node_class`` holds MATRIX (0), a fiber axis label (1..3), or
-    STIFF_COMPLEMENT (4).  ``interface`` marks stiff nodes with at least
-    one matrix node among their six periodic neighbors.
+    STIFF_COMPLEMENT (4).
     """
 
     n: int
     node_class: np.ndarray
-    interface: np.ndarray
     geometry: CellGeometry = field(repr=False)
 
     @property
@@ -297,10 +295,8 @@ def classify_nodes(geom: CellGeometry, n: int) -> Grid:
                 )
             node_class[mask] = axis
 
-    interface = _interface_mask(node_class)
     node_class.flags.writeable = False
-    interface.flags.writeable = False
-    return Grid(n=n, node_class=node_class, interface=interface, geometry=geom)
+    return Grid(n=n, node_class=node_class, geometry=geom)
 
 
 def _extrude(cross: np.ndarray, axis: int, n: int) -> np.ndarray:
@@ -330,12 +326,3 @@ def _has_interior_node(mask: np.ndarray) -> bool:
     for ax in range(3):
         out &= np.roll(mask, 1, axis=ax) & np.roll(mask, -1, axis=ax)
     return bool(np.any(out))
-
-
-def _interface_mask(node_class: np.ndarray) -> np.ndarray:
-    stiff = node_class != MATRIX
-    near_matrix = np.zeros_like(stiff)
-    for ax in range(3):
-        for shift in (1, -1):
-            near_matrix |= np.roll(~stiff, shift, axis=ax)
-    return stiff & near_matrix

@@ -12,7 +12,9 @@ eigenproblem A v = mu h^3 v approximates -div(a grad v) = mu v and the
 inner product <u, v> = h^3 sum(u * conj(v)) approximates L^2.
 
 Every operator of the package is one assembled form restricted to a
-node set: ``restrict_to(full_stiffness(n, coeff, theta), mask)``.
+node set: ``restrict_to(full_stiffness(n, coeff, theta), mask)``.  Zero
+trace, on the stiff closures or on the cell faces, is imposed by leaving
+the nodes that carry it out of the mask.
 """
 
 from __future__ import annotations
@@ -80,17 +82,11 @@ def edge_weights(coeff: np.ndarray, direction: int) -> np.ndarray:
     return harmonic_mean(coeff, np.roll(coeff, -1, axis=direction))
 
 
-def full_stiffness(n: int, coeff: np.ndarray, theta=None, bc: str = "quasi_periodic") -> sp.csr_matrix:
+def full_stiffness(n: int, coeff: np.ndarray, theta=None) -> sp.csr_matrix:
     """Assemble the stiffness form matrix on all n^3 nodes.
 
-    bc = "quasi_periodic": wrap links carry phases exp(+/- i theta_d).
-    bc = "dirichlet_box": wrap links become boundary edges (zero trace on
-    the cell faces); only their diagonal contribution at the inner node
-    survives, which together with excluding the coordinate-zero node
-    planes from the DOF set yields the H^1_0((0,1)^3) discretization.
+    Wrap links carry the quasi-periodic phases exp(+/- i theta_d).
     """
-    if bc not in ("quasi_periodic", "dirichlet_box"):
-        raise ValueError(f"unknown bc {bc!r}")
     qm = as_quasi_momentum(theta)
     h = 1.0 / n
     # theta components 0 and pi give exactly real wrap factors; keeping the
@@ -99,10 +95,7 @@ def full_stiffness(n: int, coeff: np.ndarray, theta=None, bc: str = "quasi_perio
     phase_vals = [
         1.0 if t == 0.0 else (-1.0 if t == np.pi else np.exp(1j * t)) for t in qm.theta
     ]
-    complex_dtype = bc == "quasi_periodic" and any(
-        isinstance(p, complex) for p in phase_vals
-    )
-    dtype = np.complex128 if complex_dtype else np.float64
+    dtype = np.complex128 if any(isinstance(p, complex) for p in phase_vals) else np.float64
 
     idx = np.arange(n**3, dtype=np.int64).reshape(n, n, n)
     rows, cols, data = [], [], []
@@ -114,32 +107,17 @@ def full_stiffness(n: int, coeff: np.ndarray, theta=None, bc: str = "quasi_perio
         wrap[(slice(None),) * d + (n - 1,)] = True
 
         p_flat, q_flat, w_flat = idx.ravel(), q_idx.ravel(), w.ravel()
-        wrap_flat = wrap.ravel()
-
         np.add.at(diag, p_flat, w_flat)
-        if bc == "dirichlet_box":
-            keep = ~wrap_flat
-            # wrap edges: boundary value 0 beyond the far face; inner-node
-            # diagonal contribution already added above, far-side diagonal
-            # (the coordinate-zero plane) added only for interior links.
-            np.add.at(diag, q_flat[keep], w_flat[keep])
-            rows.append(p_flat[keep])
-            cols.append(q_flat[keep])
-            data.append(-w_flat[keep].astype(dtype))
-            rows.append(q_flat[keep])
-            cols.append(p_flat[keep])
-            data.append(-w_flat[keep].astype(dtype))
-        else:
-            np.add.at(diag, q_flat, w_flat)
-            phase = np.ones(n**3, dtype=dtype)
-            phase[wrap_flat] = phase_vals[d]
-            off = -w_flat * phase
-            rows.append(p_flat)
-            cols.append(q_flat)
-            data.append(off)
-            rows.append(q_flat)
-            cols.append(p_flat)
-            data.append(np.conjugate(off))
+        np.add.at(diag, q_flat, w_flat)
+        phase = np.ones(n**3, dtype=dtype)
+        phase[wrap.ravel()] = phase_vals[d]
+        off = -w_flat * phase
+        rows.append(p_flat)
+        cols.append(q_flat)
+        data.append(off)
+        rows.append(q_flat)
+        cols.append(p_flat)
+        data.append(np.conjugate(off))
 
     rows.append(np.arange(n**3, dtype=np.int64))
     cols.append(np.arange(n**3, dtype=np.int64))

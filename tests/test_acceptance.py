@@ -177,24 +177,23 @@ def test_criterion_7_beta_properties(single_fiber, fiber16, beta_theta, deep_mod
     rng = np.random.default_rng(2024)
     herm_worst = 0.0
     mono_ok = True
-    for mode in ("spectral", "resummed"):
-        beta = beta_eval(lifts, dec, mode=mode)
-        guard = beta.pole_guard_width(1e-6)
-        drawn = 0
-        while drawn < 50:
-            lam = rng.uniform(0.0, 0.98 * float(beta.poles[-1]))
-            if np.any(np.abs(beta.poles - lam) < 2 * guard):
-                continue
-            B = beta(lam)
-            herm_worst = max(herm_worst, float(np.abs(B - B.conj().T).max()))
-            drawn += 1
-        cuts = [0.0] + list(beta.poles)
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            if hi - lo <= 20 * guard:
-                continue
-            xs = np.linspace(lo + 5 * guard, hi - 5 * guard, 1000)
-            vals = np.array([beta(x)[0, 0].real for x in xs])
-            mono_ok = mono_ok and bool(np.all(np.diff(vals) > 0.0))
+    beta = beta_eval(lifts, dec)
+    guard = beta.pole_guard_width(1e-6)
+    drawn = 0
+    while drawn < 50:
+        lam = rng.uniform(0.0, 0.98 * float(beta.poles[-1]))
+        if np.any(np.abs(beta.poles - lam) < 2 * guard):
+            continue
+        B = beta(lam)
+        herm_worst = max(herm_worst, float(np.abs(B - B.conj().T).max()))
+        drawn += 1
+    cuts = [0.0] + list(beta.poles)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if hi - lo <= 20 * guard:
+            continue
+        xs = np.linspace(lo + 5 * guard, hi - 5 * guard, 1000)
+        vals = np.array([beta(x)[0, 0].real for x in xs])
+        mono_ok = mono_ok and bool(np.all(np.diff(vals) > 0.0))
     report(7, herm_worst <= 1e-12 and mono_ok,
            f"hermiticity defect={herm_worst:.2e}, monotone={mono_ok}")
 
@@ -213,13 +212,12 @@ def test_criterion_8_spatial_certification(single_fiber, fiber16, beta_theta, de
     for m in (160, 320):
         dec = truncate(dec_all, m)
         lifts = solve_lifts(single_fiber, fiber16, beta_theta, dec, assembly=asm)
-        beta = beta_eval(lifts, dec, mode="resummed")
-        roots[m] = spatial_spectrum(beta, a_hom, beta_theta, k_modes, window)
+        beta = beta_eval(lifts, dec)
+        roots[m] = spatial_spectrum(beta, a_hom, k_modes, window)
 
     beta320 = beta_eval(
         solve_lifts(single_fiber, fiber16, beta_theta, truncate(dec_all, 320), assembly=asm),
         truncate(dec_all, 320),
-        mode="resummed",
     )
 
     def F(k_index, lam):
@@ -260,7 +258,7 @@ def test_criterion_9_zero_map_rule(single_fiber, fiber16):
     theta = (np.pi / 2, np.pi, 3 * np.pi / 2)
     dec = bloch_eigs(single_fiber, fiber16, theta, m_max=4)
     a_hom = effective_tensor([solve_cell_problem(single_fiber, fiber16, 1)])
-    pts = spatial_points(single_fiber, fiber16, theta, dec, a_hom, [(1, 0, 0)], (0.0, 60.0))
+    pts = spatial_points(single_fiber, theta, dec, a_hom, [(1, 0, 0)], (0.0, 60.0))
     raised = False
     try:
         solve_lifts(single_fiber, fiber16, theta, dec)

@@ -80,26 +80,19 @@ def test_flux_of_zero_field(lift_setup):
     assert flux(asm, np.zeros(asm.dim), lifts.fields[1], 1) == 0.0
 
 
-def test_beta_hermitian_both_modes(lift_setup):
+def test_beta_hermitian(lift_setup):
     geom, grid, theta, asm, dec, lifts = lift_setup
     rng = np.random.default_rng(42)
-    for mode in ("spectral", "resummed"):
-        beta = beta_eval(lifts, dec, mode=mode)
-        guard = beta.pole_guard_width(1e-6)
-        count = 0
-        while count < 50:
-            lam = rng.uniform(0.0, 0.98 * dec.eigenvalues[-1])
-            if np.any(np.abs(beta.poles - lam) < 2 * guard):
-                continue
-            B = beta(lam)
-            assert np.abs(B - B.conj().T).max() <= 1e-12
-            count += 1
-
-
-def test_beta_zero_spectral_is_psd(lift_setup):
-    geom, grid, theta, asm, dec, lifts = lift_setup
-    B0 = beta_eval(lifts, dec, lam=0.0, mode="spectral")
-    assert np.min(np.linalg.eigvalsh(B0)) >= -1e-12
+    beta = beta_eval(lifts, dec)
+    guard = beta.pole_guard_width(1e-6)
+    count = 0
+    while count < 50:
+        lam = rng.uniform(0.0, 0.98 * dec.eigenvalues[-1])
+        if np.any(np.abs(beta.poles - lam) < 2 * guard):
+            continue
+        B = beta(lam)
+        assert np.abs(B - B.conj().T).max() <= 1e-12
+        count += 1
 
 
 def unique_poles(poles, rel=1e-9):
@@ -112,17 +105,15 @@ def unique_poles(poles, rel=1e-9):
 
 def test_beta_diagonal_monotone_between_poles(lift_setup):
     geom, grid, theta, asm, dec, lifts = lift_setup
-    for mode in ("spectral", "resummed"):
-        beta = beta_eval(lifts, dec, mode=mode)
-        guard = 10 * beta.pole_guard_width(1e-6)
-        cuts = [0.0] + [p for p in unique_poles(beta.poles) if p < 0.9 * beta.poles[-1]]
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            if hi - lo <= 4 * guard:
-                continue
-            xs = np.linspace(lo + guard, hi - guard, 200)
-            vals = [beta(x)[0, 0].real for x in xs]
-            assert np.all(np.diff(vals) > 0.0), mode
-            assert np.all(beta.diagonal_derivative(xs[50]) > 0.0)
+    beta = beta_eval(lifts, dec)
+    guard = 10 * beta.pole_guard_width(1e-6)
+    cuts = [0.0] + [p for p in unique_poles(beta.poles) if p < 0.9 * beta.poles[-1]]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if hi - lo <= 4 * guard:
+            continue
+        xs = np.linspace(lo + guard, hi - guard, 200)
+        vals = [beta(x)[0, 0].real for x in xs]
+        assert np.all(np.diff(vals) > 0.0)
 
 
 def test_pole_proximity_error(lift_setup):
@@ -139,7 +130,7 @@ def test_two_fiber_beta_cross_hermitian(two_fiber):
     dec = bloch_eigs(two_fiber, grid, theta, m_max=8, assembly=asm, method="dense")
     lifts = solve_lifts(two_fiber, grid, theta, dec, assembly=asm)
     assert lifts.active == (1, 3)
-    beta = beta_eval(lifts, dec, mode="resummed")
+    beta = beta_eval(lifts, dec)
     B = beta(3.0)
     assert B.shape == (2, 2)
     assert abs(B[0, 1] - np.conjugate(B[1, 0])) <= 1e-12
@@ -177,7 +168,7 @@ def all_modes_setup(geom, theta):
     asm = assemble_bloch(geom, grid, theta)
     dec = bloch_eigs(geom, grid, theta, m_max=asm.dim, method="dense", assembly=asm)
     lifts = solve_lifts(geom, grid, theta, dec, assembly=asm)
-    beta = beta_eval(lifts, dec, mode="resummed")
+    beta = beta_eval(lifts, dec)
     a_hom = effective_tensor([solve_cell_problem(geom, grid, axis) for axis in geom.active_axes])
     window = (0.0, float(dec.eigenvalues[6] * 0.99))
     return grid, asm, dec, beta, a_hom, window
@@ -200,7 +191,7 @@ def test_spatial_roots_match_bordered_pencil(geom_name, theta, k, request):
     often as it is a pencil eigenvalue."""
     geom = request.getfixturevalue(geom_name)
     grid, asm, dec, beta, a_hom, window = all_modes_setup(geom, theta)
-    roots = spatial_spectrum(beta, a_hom, theta, [k], window)
+    roots = spatial_spectrum(beta, a_hom, [k], window)
     assert roots, "expected at least one secular root in the window"
 
     pencil = bordered_pencil(grid, asm, a_hom, beta.active, k)
@@ -219,7 +210,7 @@ def test_spatial_roots_match_bordered_pencil(geom_name, theta, k, request):
 def test_double_root_brackets_gain_two_negative_eigenvalues(two_fiber):
     _, theta, k = DOUBLE_ROOTS
     grid, asm, dec, beta, a_hom, window = all_modes_setup(two_fiber, theta)
-    roots = spatial_spectrum(beta, a_hom, theta, [k], window)
+    roots = spatial_spectrum(beta, a_hom, [k], window)
     assert len(roots) == 6
     for r in roots:
         lo, hi = r.bracket
@@ -235,7 +226,7 @@ def test_uncertified_root_raises(lift_setup, monkeypatch):
     beta = beta_eval(lifts, dec)
     a_hom = effective_tensor([solve_cell_problem(geom, grid, 1)])
     window = (0.0, 0.98 * float(dec.eigenvalues[-1]))
-    roots = spatial_spectrum(beta, a_hom, theta, [(1, 0, 0)], window)
+    roots = spatial_spectrum(beta, a_hom, [(1, 0, 0)], window)
     target = roots[0].lam
     mu1 = float(dec.eigenvalues[0])
     assert np.min(np.abs(beta.poles - target)) > 10 * beta.pole_guard_width(1e-6)
@@ -249,26 +240,18 @@ def test_uncertified_root_raises(lift_setup, monkeypatch):
 
     monkeypatch.setattr(hcbloch.beta, "eigh", moved_eigh)
     with pytest.raises(ConvergenceError):
-        spatial_spectrum(beta, a_hom, theta, [(1, 0, 0)], window)
-
-
-def test_spectral_beta_has_no_spatial_pencil(lift_setup):
-    geom, grid, theta, asm, dec, lifts = lift_setup
-    a_hom = effective_tensor([solve_cell_problem(geom, grid, 1)])
-    with pytest.raises(ValueError):
-        spatial_spectrum(beta_eval(lifts, dec, mode="spectral"), a_hom, theta, [(1, 0, 0)],
-                         (0.0, float(dec.eigenvalues[-1])))
+        spatial_spectrum(beta, a_hom, [(1, 0, 0)], window)
 
 
 def test_root_certification_and_scan_oracle(lift_setup):
     """Every root is bracketed by a certified sign change; the root count
     per inter-pole interval matches a dense 10^4-point scan."""
     geom, grid, theta, asm, dec, lifts = lift_setup
-    beta = beta_eval(lifts, dec, mode="resummed")
+    beta = beta_eval(lifts, dec)
     a_hom = effective_tensor([solve_cell_problem(geom, grid, 1)])
     window = (0.0, float(dec.eigenvalues[5] * 0.98))
     k = (2, 0, 0)
-    roots = spatial_spectrum(beta, a_hom, theta, [k], window)
+    roots = spatial_spectrum(beta, a_hom, [k], window)
     mu1 = float(dec.eigenvalues[0])
     kk = 2 * np.pi * np.array([2, 0, 0], dtype=float)
 
@@ -304,8 +287,17 @@ def test_spatial_zero_map(single_fiber):
     theta = (np.pi, np.pi / 2, np.pi / 2)
     dec = bloch_eigs(single_fiber, grid, theta, m_max=4)
     a_hom = effective_tensor([solve_cell_problem(single_fiber, grid, 1)])
-    pts = spatial_points(single_fiber, grid, theta, dec, a_hom, [(1, 0, 0)], (0.0, 50.0))
+    pts = spatial_points(single_fiber, theta, dec, a_hom, [(1, 0, 0)], (0.0, 50.0))
     assert pts == []
+
+
+def test_spatial_points_need_lifts_at_active_theta(single_fiber):
+    grid = classify_nodes(single_fiber, 8)
+    theta = (0.0, np.pi, 0.0)
+    dec = bloch_eigs(single_fiber, grid, theta, m_max=4)
+    a_hom = effective_tensor([solve_cell_problem(single_fiber, grid, 1)])
+    with pytest.raises(ValueError, match="lift_tol"):
+        spatial_points(single_fiber, theta, dec, a_hom, [(1, 0, 0)], (0.0, 50.0))
 
 
 def test_bands_single_point_sweep(single_fiber):
@@ -361,18 +353,6 @@ def test_band_merging_and_gaps():
     assert structure.gaps == [(0.0, 1.0), (3.0, 6.0), (7.0, 8.0)]
 
 
-def test_spectral_mode_no_root_below_first_pole(lift_setup):
-    """Literal-series mode: beta(0) >= 0 and increasing up to the first
-    pole, so the k = 0 secular function has no root in (0, mu_1)."""
-    geom, grid, theta, asm, dec, lifts = lift_setup
-    beta = beta_eval(lifts, dec, mode="spectral")
-    assert beta(0.0)[0, 0].real > 0.0
-    guard = 10 * beta.pole_guard_width(1e-6)
-    xs = np.linspace(guard, float(beta.poles[0]) - guard, 2000)
-    vals = np.array([beta(x)[0, 0].real for x in xs])
-    assert np.all(vals > 0.0)  # F = -beta never changes sign before mu_1
-
-
 def _bisect(fn, lo, hi, f_lo, f_hi, width):
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
@@ -386,7 +366,7 @@ def _bisect(fn, lo, hi, f_lo, f_hi, width):
     return lo, hi, None
 
 
-def scalar_scan_spatial_spectrum(beta, a_hom, theta, k_modes, window, L=1.0,
+def scalar_scan_spatial_spectrum(beta, a_hom, k_modes, window, L=1.0,
                                  pole_guard=1e-6, scan_points=600, bracket_width_rel=1e-10):
     """Oracle: the per-point secular scan, one scalar beta call and one det
     per scan point and per k mode, each sign change bisected down to a
@@ -451,11 +431,10 @@ def scan_grid(beta, hi):
     return xs[np.all(np.abs(beta.poles - xs[:, None]) >= 2 * beta.pole_guard_width(1e-6), axis=1)]
 
 
-@pytest.mark.parametrize("mode", ["spectral", "resummed"])
-def test_beta_array_call_equals_scalar_calls(lift_setup, two_fiber_setup, mode):
+def test_beta_array_call_equals_scalar_calls(lift_setup, two_fiber_setup):
     cases = [(lift_setup[5], lift_setup[4]), (two_fiber_setup[2], two_fiber_setup[1])]
     for lifts, dec in cases:
-        beta = beta_eval(lifts, dec, mode=mode)
+        beta = beta_eval(lifts, dec)
         xs = scan_grid(beta, 1.2 * dec.eigenvalues[-1])
         stack = beta(xs)
         assert stack.shape == (xs.size, len(lifts.active), len(lifts.active))
@@ -485,9 +464,9 @@ def test_pencil_roots_match_scalar_scan_oracle(lift_setup, two_fiber_setup):
                                      (theta2, dec2, lifts2, a_hom2)):
         beta = beta_eval(lifts, dec)
         window = (0.0, 0.98 * float(dec.eigenvalues[-1]))
-        roots = spatial_spectrum(beta, a_hom, theta, k_modes, window)
+        roots = spatial_spectrum(beta, a_hom, k_modes, window)
         assert roots
-        oracle = scalar_scan_spatial_spectrum(beta, a_hom, theta, k_modes, window)
+        oracle = scalar_scan_spatial_spectrum(beta, a_hom, k_modes, window)
         for z in k_modes:
             got = [r for r in roots if r.k_index == z]
             want = [r for r in oracle if r.k_index == z]
@@ -562,7 +541,7 @@ def test_zero_root_exact_at_theta_zero(geom_name, request):
     a_hom = effective_tensor([solve_cell_problem(geom, grid, axis) for axis in geom.active_axes])
     k_modes = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
     window = (0.0, 0.98 * float(dec.eigenvalues[-1]))
-    roots = spatial_spectrum(beta, a_hom, theta, k_modes, window)
+    roots = spatial_spectrum(beta, a_hom, k_modes, window)
 
     for z in k_modes:
         zero = [r for r in roots if r.k_index == z and r.lam == 0.0]
@@ -582,7 +561,7 @@ def test_zero_root_exact_at_theta_zero(geom_name, request):
     for sign in (1.0, -1.0):
         perturbed = replace(beta, flux_gram=beta.flux_gram + sign * shift * ones)
         signs.add(np.sign(np.linalg.det(-perturbed(0.0)).real))
-        moved = spatial_spectrum(perturbed, a_hom, theta, k_modes, window)
+        moved = spatial_spectrum(perturbed, a_hom, k_modes, window)
         assert [(r.k_index, r.lam == 0.0) for r in moved] == [(r.k_index, r.lam == 0.0) for r in roots]
         assert np.allclose([r.lam for r in moved], [r.lam for r in roots], rtol=1e-9, atol=0.0)
     assert signs == {1.0, -1.0}

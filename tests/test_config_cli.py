@@ -46,6 +46,42 @@ def test_validation_collects_all_violations():
     assert any("n" in v for v in err.value.violations)
 
 
+def test_validation_rejects_negative_slack_and_non_integer_modes():
+    bad = MINIMAL + (
+        "spectrum:\n  k_modes: [[1.7, 0, 0]]\n"
+        "validate:\n  k_mode: [0, 0.5, 0]\n  monotone_slack: -0.1\n"
+    )
+    with pytest.raises(ValidationError) as err:
+        parse_config_text(bad)
+    assert len(err.value.violations) == 3
+    for key in ("spectrum.k_modes", "validate.k_mode", "validate.monotone_slack"):
+        assert any(v.startswith(key) for v in err.value.violations), key
+
+
+def test_integral_float_values_accepted():
+    text = MINIMAL.replace("n: 16", "n: 16.0") + "spectrum:\n  k_modes: [[1.0, 0, 0]]\n"
+    cfg = parse_config_text(text)
+    assert cfg.n == 16 and cfg.k_modes == ((1, 0, 0),)
+
+
+@pytest.mark.parametrize(
+    "text, error, key",
+    [
+        (MINIMAL.replace("n: 16", "n: sixteen"), "ValidationError", "grid.n"),
+        (MINIMAL.replace(", rect: [0.3, 0.7, 0.3, 0.7]", ""), "ParseError", "rect"),
+        (MINIMAL.replace("  fibers:", "  a0: soft\n  fibers:"), "ValidationError", "geometry.a0"),
+    ],
+    ids=["non_numeric_n", "fiber_without_rect", "non_numeric_a0"],
+)
+def test_cli_malformed_value_exit2(tmp_path, capsys, text, error, key):
+    path = tmp_path / "c.yml"
+    path.write_text(text)
+    assert main(["geom-check", "--config", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == error
+    assert key in err["message"]
+
+
 def test_unknown_key_rejected():
     bad = MINIMAL.replace("fibers:", "fibres:")
     with pytest.raises(ParseError) as err:

@@ -9,7 +9,6 @@ from hcbloch.errors import (
     ValidationError,
 )
 from hcbloch.geometry import (
-    MATRIX,
     STIFF_COMPLEMENT,
     build_geometry,
     classify_nodes,
@@ -138,18 +137,6 @@ def test_classification_deterministic(single_fiber):
     g1 = classify_nodes(single_fiber, 16)
     g2 = classify_nodes(single_fiber, 16)
     assert np.array_equal(g1.node_class, g2.node_class)
-    assert np.array_equal(g1.interface, g2.interface)
-
-
-def test_interface_nodes_are_stiff_and_matrix_adjacent(single_fiber):
-    grid = classify_nodes(single_fiber, 16)
-    assert np.all(grid.node_class[grid.interface] != MATRIX)
-    # every interface node has a matrix neighbor
-    stiff_near_matrix = np.zeros_like(grid.interface)
-    for ax in range(3):
-        for s in (1, -1):
-            stiff_near_matrix |= np.roll(grid.matrix_mask, s, axis=ax)
-    assert np.all(stiff_near_matrix[grid.interface])
 
 
 def test_fiber_masks_disjoint(two_fiber):

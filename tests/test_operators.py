@@ -94,7 +94,7 @@ def test_identity_pencil():
 def test_dirichlet_cube_lowest_eigenvalue():
     n = 16
     h = 1.0 / n
-    A = full_stiffness(n, np.ones((n, n, n)), None, bc="dirichlet_box")
+    A = full_stiffness(n, np.ones((n, n, n)), None)
     inner = np.ones((n, n, n), dtype=bool)
     for ax in range(3):
         sl = [slice(None)] * 3
