@@ -10,9 +10,7 @@ finite-cell-size validation of the two-scale limit.
 from .beta import (
     BandStructure,
     BetaMatrix,
-    LiftSet,
     SpatialRoot,
-    beta_eval,
     flux,
     pure_bloch_bands,
     solve_lifts,

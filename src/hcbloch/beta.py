@@ -26,17 +26,15 @@ from scipy.linalg import eigh
 from .bloch import BlochAssembly, BlochDecomposition, assemble_bloch
 from .errors import ConvergenceError, EmptyActiveSetError, PoleProximityError
 from .geometry import CellGeometry, Grid
-from .operators import as_quasi_momentum, linear_solve
+from .operators import linear_solve
 
 __all__ = [
-    "LiftSet",
     "BetaMatrix",
     "Band",
     "BandStructure",
     "SpatialRoot",
     "solve_lifts",
     "flux",
-    "beta_eval",
     "pure_bloch_bands",
     "spatial_spectrum",
     "spatial_points",
@@ -44,119 +42,17 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class LiftSet:
-    """Harmonic lifts and their Bloch expansion coefficients at one theta.
-
-    Besides the mode coefficients, carries the two mode-free Gram
-    matrices of the lifts, flux_gram[i,j] = T_i(b^(j)) (surface flux of
-    lift j through fiber i) and mass_gram[i,j] = <b^(j), b^(i)>_{L2(Q_0)};
-    these are the exact values of the two conditionally convergent
-    constants hidden in the pole series of the coupling matrix.
-    """
-
-    theta: tuple[float, float, float]
-    active: tuple[int, ...]
-    fields: dict[int, np.ndarray] = field(repr=False)  # axis -> flat n^3 values
-    coeffs: dict[int, np.ndarray]  # axis -> (m_max,) <b, v_m>_{L2(Q_0)}
-    residuals: dict[int, float]
-    measures: dict[int, float]
-    flux_gram: np.ndarray
-    mass_gram: np.ndarray
-
-
-def solve_lifts(
-    geom: CellGeometry,
-    grid: Grid,
-    theta,
-    bloch: BlochDecomposition,
-    tol: float = 1e-10,
-    assembly: BlochAssembly | None = None,
-) -> LiftSet:
-    """Solve the lift problems for every active axis and expand them.
-
-    Raises EmptyActiveSetError when no fiber axis has theta_i = 0: the
-    spatial operator is the zero map there and no lift exists.
-    """
-    asm = assembly if assembly is not None else assemble_bloch(geom, grid, theta)
-    active = asm.theta.active_set(geom.active_axes)
-    if not active:
-        raise EmptyActiveSetError(
-            f"no active fiber axis at theta={asm.theta.theta}; spatial operator is the zero map"
-        )
-    if tuple(bloch.theta.theta) != tuple(asm.theta.theta):
-        raise ValueError("Bloch decomposition was computed at a different theta")
-
-    h3 = asm.h**3
-    fields: dict[int, np.ndarray] = {}
-    coeffs: dict[int, np.ndarray] = {}
-    residuals: dict[int, float] = {}
-    measures: dict[int, float] = {}
-    boundaries = np.zeros((grid.n**3, len(active)), dtype=asm.full.dtype)
-    for jj, axis in enumerate(active):
-        boundaries[grid.fiber_mask(axis).ravel(), jj] = 1.0
-    rhs_all = -(asm.full @ boundaries)[asm.dofs]
-    # every axis with the interior factor the eigensolve used
-    solutions = linear_solve(asm.interior, rhs_all, tol=tol, factor=asm.factor)
-    for jj, axis in enumerate(active):
-        # contiguous columns: the per-axis arithmetic below is that of a vector
-        rhs = np.ascontiguousarray(rhs_all[:, jj])
-        values = np.ascontiguousarray(solutions[:, jj])
-        residuals[axis] = float(
-            np.linalg.norm(asm.interior @ values - rhs) / max(np.linalg.norm(rhs), 1e-300)
-        )
-        lift = boundaries[:, jj].astype(values.dtype)
-        lift[asm.dofs] = values
-        fields[axis] = lift
-        coeffs[axis] = h3 * (bloch.vectors.conj().T @ values)
-        measures[axis] = grid.fiber_measure(axis)
-
-    na = len(active)
-    flux_gram = np.zeros((na, na), dtype=complex)
-    mass_gram = np.zeros((na, na), dtype=complex)
-    for jj, ax_j in enumerate(active):
-        applied = asm.full @ fields[ax_j]
-        for ii, ax_i in enumerate(active):
-            flux_gram[ii, jj] = np.sum(applied[grid.fiber_mask(ax_i).ravel()])
-            mass_gram[ii, jj] = h3 * np.vdot(fields[ax_i][asm.dofs], fields[ax_j][asm.dofs])
-    # Hermitian in exact arithmetic (Dirichlet-form Grams); symmetrize away
-    # the solver-residual defect.
-    flux_gram = 0.5 * (flux_gram + flux_gram.conj().T)
-    mass_gram = 0.5 * (mass_gram + mass_gram.conj().T)
-
-    return LiftSet(
-        theta=asm.theta.theta,
-        active=active,
-        fields=fields,
-        coeffs=coeffs,
-        residuals=residuals,
-        measures=measures,
-        flux_gram=flux_gram,
-        mass_gram=mass_gram,
-    )
-
-
-def flux(asm: BlochAssembly, v: np.ndarray, lift_field: np.ndarray, axis: int) -> complex:
-    """Discrete surface flux of v through the boundary of fiber ``axis``.
-
-    Summation-by-parts form: T(v) = q(v, b) - <A0 v, b>, with q the full
-    Dirichlet form including the stiff-boundary links and A0 the
-    interior operator.  For a Bloch eigenpair (mu, v) this satisfies the
-    Green identity T(v) = -mu * conj(<b, v>) to machine precision.
-
-    ``v`` is a soft-phase DOF vector; ``lift_field`` a full-grid field.
-    """
-    v_full = asm.embed(v)
-    q_form = np.vdot(lift_field, asm.full @ v_full)
-    interior = np.vdot(lift_field[asm.dofs], asm.interior @ v)
-    return complex(q_form - interior)
-
-
-@dataclass(frozen=True)
 class BetaMatrix:
-    """Evaluator of the coupling matrix on the active axes at one theta.
+    """The coupling matrix on the active axes at one theta, from the
+    harmonic lifts and the Bloch eigenpairs (built by ``solve_lifts``).
 
-    The two conditionally convergent constants of the pole series are
-    replaced by their exact mode-free values,
+    Row i of ``fields``, ``residuals``, ``coeffs`` and ``measures`` belongs
+    to fiber axis active[i].  Besides the mode coefficients it carries the
+    two mode-free Gram matrices of the lifts, flux_gram[i,j] = T_i(b^(j))
+    (surface flux of lift j through fiber i) and mass_gram[i,j] =
+    <b^(j), b^(i)>_{L2(Q_0)}.  These are the exact values of the two
+    conditionally convergent constants of the pole series, so the
+    evaluator sums
 
       lam |C_i| d_ij - T_i(b^(j)) + lam <b^(j), b^(i)>
                      + sum_{m<=m_max} lam^2/(mu_m - lam) b^(j) conj(b^(i)),
@@ -173,7 +69,9 @@ class BetaMatrix:
     theta: tuple[float, float, float]
     active: tuple[int, ...]
     poles: np.ndarray  # (m_max,) Bloch eigenvalues, ascending
-    coeffs: np.ndarray  # (n_active, m_max), row i = lift coefficients of active[i]
+    fields: np.ndarray = field(repr=False)  # (n_active, n^3) lifts on the full grid
+    residuals: np.ndarray  # (n_active,) relative residuals of the lift solves
+    coeffs: np.ndarray  # (n_active, m_max) <b, v_m>_{L2(Q_0)}
     measures: np.ndarray  # (n_active,) discrete fiber volumes
     flux_gram: np.ndarray  # T_i(b^(j)), Hermitian
     mass_gram: np.ndarray  # <b^(j), b^(i)>_{L2(Q_0)}, Hermitian
@@ -206,17 +104,89 @@ class BetaMatrix:
         return out + lam * np.diag(self.measures)
 
 
-def beta_eval(lifts: LiftSet, bloch: BlochDecomposition) -> BetaMatrix:
-    """The BetaMatrix of the lifts and Bloch eigenpairs at one theta."""
+def solve_lifts(
+    geom: CellGeometry,
+    grid: Grid,
+    bloch: BlochDecomposition,
+    tol: float = 1e-10,
+    assembly: BlochAssembly | None = None,
+) -> BetaMatrix:
+    """The coupling matrix at the theta of ``bloch``: solve the lift problem
+    of every active axis and expand the lifts in the Bloch modes.
+
+    Raises EmptyActiveSetError when no fiber axis has theta_i = 0: the
+    spatial operator is the zero map there and no lift exists.  An
+    ``assembly`` at another theta raises ValueError.
+    """
+    active = bloch.theta.active_set(geom.active_axes)
+    if not active:
+        raise EmptyActiveSetError(
+            f"no active fiber axis at theta={bloch.theta.theta}; spatial operator is the zero map"
+        )
+    asm = assembly if assembly is not None else assemble_bloch(geom, grid, bloch.theta)
+    if asm.theta != bloch.theta:
+        raise ValueError("Bloch decomposition was computed at a different theta")
+
+    h3 = asm.h**3
+    fields, coeffs, residuals = [], [], []
+    boundaries = np.zeros((grid.n**3, len(active)), dtype=asm.full.dtype)
+    for jj, axis in enumerate(active):
+        boundaries[grid.fiber_mask(axis).ravel(), jj] = 1.0
+    rhs_all = -(asm.full @ boundaries)[asm.dofs]
+    # every axis with the interior factor the eigensolve used
+    solutions = linear_solve(asm.interior, rhs_all, tol=tol, factor=asm.factor)
+    for jj in range(len(active)):
+        # contiguous columns: the per-axis arithmetic below is that of a vector
+        rhs = np.ascontiguousarray(rhs_all[:, jj])
+        values = np.ascontiguousarray(solutions[:, jj])
+        residuals.append(
+            np.linalg.norm(asm.interior @ values - rhs) / max(np.linalg.norm(rhs), 1e-300)
+        )
+        lift = boundaries[:, jj].astype(values.dtype)
+        lift[asm.dofs] = values
+        fields.append(lift)
+        coeffs.append(h3 * (bloch.vectors.conj().T @ values))
+
+    na = len(active)
+    flux_gram = np.zeros((na, na), dtype=complex)
+    mass_gram = np.zeros((na, na), dtype=complex)
+    for jj in range(na):
+        applied = asm.full @ fields[jj]
+        for ii, ax_i in enumerate(active):
+            flux_gram[ii, jj] = np.sum(applied[grid.fiber_mask(ax_i).ravel()])
+            mass_gram[ii, jj] = h3 * np.vdot(fields[ii][asm.dofs], fields[jj][asm.dofs])
+    # Hermitian in exact arithmetic (Dirichlet-form Grams); symmetrize away
+    # the solver-residual defect.
+    flux_gram = 0.5 * (flux_gram + flux_gram.conj().T)
+    mass_gram = 0.5 * (mass_gram + mass_gram.conj().T)
+
     return BetaMatrix(
-        theta=lifts.theta,
-        active=lifts.active,
+        theta=asm.theta.theta,
+        active=active,
         poles=np.asarray(bloch.eigenvalues, dtype=float),
-        coeffs=np.vstack([lifts.coeffs[axis] for axis in lifts.active]),
-        measures=np.array([lifts.measures[axis] for axis in lifts.active]),
-        flux_gram=lifts.flux_gram,
-        mass_gram=lifts.mass_gram,
+        fields=np.vstack(fields),
+        residuals=np.array(residuals),
+        coeffs=np.vstack(coeffs),
+        measures=np.array([grid.fiber_measure(axis) for axis in active]),
+        flux_gram=flux_gram,
+        mass_gram=mass_gram,
     )
+
+
+def flux(asm: BlochAssembly, v: np.ndarray, lift_field: np.ndarray, axis: int) -> complex:
+    """Discrete surface flux of v through the boundary of fiber ``axis``.
+
+    Summation-by-parts form: T(v) = q(v, b) - <A0 v, b>, with q the full
+    Dirichlet form including the stiff-boundary links and A0 the
+    interior operator.  For a Bloch eigenpair (mu, v) this satisfies the
+    Green identity T(v) = -mu * conj(<b, v>) to machine precision.
+
+    ``v`` is a soft-phase DOF vector; ``lift_field`` a full-grid field.
+    """
+    v_full = asm.embed(v)
+    q_form = np.vdot(lift_field, asm.full @ v_full)
+    interior = np.vdot(lift_field[asm.dofs], asm.interior @ v)
+    return complex(q_form - interior)
 
 
 @dataclass(frozen=True)
@@ -415,7 +385,6 @@ def spatial_spectrum(
 
 def spatial_points(
     geom: CellGeometry,
-    theta,
     bloch: BlochDecomposition,
     a_hom: np.ndarray,
     k_modes,
@@ -423,16 +392,15 @@ def spatial_points(
     L: float = 1.0,
     pole_guard: float = 1e-6,
 ) -> list[SpatialRoot]:
-    """Spatial-spectrum roots at one theta; [] when no axis is active.
+    """Spatial-spectrum roots at the theta of ``bloch``; [] when no axis is active.
 
     Applies the zero-map rule (quasi-momenta with every component nonzero
-    carry no spatial spectrum), else runs spatial_spectrum on the lifts
-    attached to ``bloch`` (``bloch_eigs(..., lift_tol=...)``).  A
-    decomposition without lifts at an active theta raises ValueError.
+    carry no spatial spectrum), else runs spatial_spectrum on the coupling
+    matrix attached to ``bloch`` (``bloch_eigs(..., lift_tol=...)``).  A
+    decomposition without it at an active theta raises ValueError.
     """
-    if not as_quasi_momentum(theta).active_set(geom.active_axes):
+    if not bloch.theta.active_set(geom.active_axes):
         return []
-    if bloch.lifts is None:
+    if bloch.beta is None:
         raise ValueError("spatial_points needs a Bloch decomposition with lifts (lift_tol)")
-    beta = beta_eval(bloch.lifts, bloch)
-    return spatial_spectrum(beta, a_hom, k_modes, window, L=L, pole_guard=pole_guard)
+    return spatial_spectrum(bloch.beta, a_hom, k_modes, window, L=L, pole_guard=pole_guard)

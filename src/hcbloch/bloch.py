@@ -31,7 +31,7 @@ from .operators import (
 )
 
 if TYPE_CHECKING:
-    from .beta import LiftSet
+    from .beta import BetaMatrix
 
 __all__ = [
     "BlochAssembly",
@@ -91,9 +91,9 @@ def assemble_bloch(geom: CellGeometry, grid: Grid, theta) -> BlochAssembly:
 class BlochDecomposition:
     """Lowest Bloch eigenpairs at one theta, L^2(Q_0)-orthonormal.
 
-    ``lifts`` holds the harmonic lifts of theta when they were solved with
-    the eigenpairs (``bloch_eigs(..., lift_tol=...)`` at a theta with an
-    active fiber axis), else None.
+    ``beta`` holds the coupling matrix of theta when its lifts were solved
+    with the eigenpairs (``bloch_eigs(..., lift_tol=...)`` at a theta with
+    an active fiber axis), else None.
     """
 
     theta: QuasiMomentum
@@ -102,7 +102,7 @@ class BlochDecomposition:
     dofs: np.ndarray = field(repr=False)
     grid_n: int
     residuals: np.ndarray = field(repr=False)
-    lifts: LiftSet | None = field(default=None, repr=False)
+    beta: BetaMatrix | None = field(default=None, repr=False)
 
     @property
     def m_max(self) -> int:
@@ -122,20 +122,20 @@ def bloch_eigs(
     m_max: int = 10,
     tol: float = 1e-8,
     seed: int = 0,
-    method: str = "auto",
     assembly: BlochAssembly | None = None,
     lift_tol: float | None = None,
 ) -> BlochDecomposition:
     """Lowest m_max eigenpairs of the Bloch operator at theta.
 
     With ``lift_tol`` set and a fiber axis active at theta, the harmonic
-    lifts are solved too and attached as ``lifts``; the eigensolve and the
-    lifts share one factorization of the interior operator.
+    lifts are solved too and their coupling matrix attached as ``beta``;
+    the eigensolve and the lifts share one factorization of the interior
+    operator.
     """
     asm = assembly if assembly is not None else assemble_bloch(geom, grid, theta)
-    sparse = eigen_method(asm.dim, m_max, method) == "sparse"
+    sparse = eigen_method(asm.dim, m_max) == "sparse"
     vals, vectors, res = eigensolve(
-        asm.interior, asm.h**3, m_max=m_max, tol=tol, seed=seed, method=method,
+        asm.interior, asm.h**3, m_max=m_max, tol=tol, seed=seed,
         factor=asm.factor if sparse else None,
     )
     dec = BlochDecomposition(
@@ -148,10 +148,9 @@ def bloch_eigs(
     )
     if lift_tol is None or not asm.theta.active_set(geom.active_axes):
         return dec
-    from . import beta  # beta imports this module
+    from .beta import solve_lifts  # beta imports this module
 
-    return replace(dec, lifts=beta.solve_lifts(geom, grid, asm.theta, dec, tol=lift_tol,
-                                               assembly=asm))
+    return replace(dec, beta=solve_lifts(geom, grid, dec, tol=lift_tol, assembly=asm))
 
 
 def dirichlet_baseline(
@@ -160,7 +159,6 @@ def dirichlet_baseline(
     m_max: int = 10,
     tol: float = 1e-8,
     seed: int = 0,
-    method: str = "auto",
 ) -> np.ndarray:
     """Eigenvalues of the full Dirichlet operator on the soft phase.
 
@@ -177,7 +175,7 @@ def dirichlet_baseline(
         sl[ax] = 0
         inner[tuple(sl)] = False
     interior, _ = restrict_to(full, grid.matrix_mask & inner)
-    vals, _, _ = eigensolve(interior, grid.h**3, m_max=m_max, tol=tol, seed=seed, method=method)
+    vals, _, _ = eigensolve(interior, grid.h**3, m_max=m_max, tol=tol, seed=seed)
     return vals
 
 
@@ -233,7 +231,6 @@ def theta_sweep(
     tol: float = 1e-8,
     seed: int = 0,
     threads: int = 1,
-    method: str = "auto",
     lift_tol: float | None = None,
 ) -> dict[tuple[float, float, float], BlochDecomposition]:
     """Bloch eigenvalues over the whole theta grid.
@@ -241,32 +238,23 @@ def theta_sweep(
     The result map is keyed by theta tuples in lexicographic order and is
     deterministic regardless of the parallel schedule; per-point failures
     are aggregated into a single ConvergenceError naming each theta.
-    ``lift_tol`` attaches the lifts as in ``bloch_eigs``.  Each point's
-    factorization is dropped when its step ends, so at most ``threads``
-    factors are alive at once.
+    ``lift_tol`` attaches the coupling matrix as in ``bloch_eigs``.  Each
+    point's factorization is dropped when its step ends, so at most
+    ``threads`` factors are alive at once.
     """
-    points = tgrid.points
 
     def solve(qm: QuasiMomentum):
-        return bloch_eigs(geom, grid, qm, m_max=m_max, tol=tol, seed=seed, method=method,
-                          lift_tol=lift_tol)
+        return bloch_eigs(geom, grid, qm, m_max=m_max, tol=tol, seed=seed, lift_tol=lift_tol)
 
     results: dict[tuple[float, float, float], BlochDecomposition] = {}
     failures: list[tuple[tuple[float, float, float], Exception]] = []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [(qm, pool.submit(solve, qm)) for qm in points]
-        for qm, fut in futures:
-            try:
-                results[qm.theta] = fut.result()
-            except Exception as exc:  # aggregate below
-                failures.append((qm.theta, exc))
-    else:
-        for qm in points:
-            try:
-                results[qm.theta] = solve(qm)
-            except Exception as exc:
-                failures.append((qm.theta, exc))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [(qm, pool.submit(solve, qm)) for qm in tgrid.points]
+    for qm, fut in futures:
+        try:
+            results[qm.theta] = fut.result()
+        except Exception as exc:  # aggregate below
+            failures.append((qm.theta, exc))
     if failures:
         summary = "; ".join(f"theta={t}: {e}" for t, e in failures)
         raise ConvergenceError(f"theta sweep failed at {len(failures)} point(s): {summary}")

@@ -15,13 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .beta import beta_eval, pure_bloch_bands, spatial_points
+from .beta import pure_bloch_bands, spatial_points
 from .bloch import ThetaGrid, bloch_eigs, theta_sweep
 from .cell import axial_flux, effective_tensor, solve_cell_problem
 from .config import SCHEMA_VERSION, RunConfig, parse_config, with_overrides
-from .errors import EmptyActiveSetError, HcBlochError
+from .errors import EmptyActiveSetError, HcBlochError, ValidationError
 from .geometry import build_geometry, classify_nodes
-from .operators import as_quasi_momentum
+from .operators import QuasiMomentum, as_quasi_momentum
 from .validation import convergence_report
 
 __all__ = ["main", "run_subcommand"]
@@ -112,6 +112,11 @@ def cmd_cell(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _sweep(cfg: RunConfig, geom, grid, theta_override=None, lift_tol=None):
+    dim = int(np.count_nonzero(grid.matrix_mask))
+    if cfg.m_max > dim:
+        raise ValidationError(
+            f"spectrum.m_max={cfg.m_max} exceeds the Bloch operator dimension {dim}"
+        )
     if theta_override is not None:
         qm = as_quasi_momentum(theta_override)
         dec = bloch_eigs(geom, grid, qm, m_max=cfg.m_max, tol=cfg.tol_eigen, seed=cfg.seed,
@@ -147,15 +152,14 @@ def cmd_bloch(cfg: RunConfig, out_dir: Path, theta_override=None) -> int:
 def cmd_beta(cfg: RunConfig, out_dir: Path, theta_override=None) -> int:
     geom = build_geometry(cfg.geometry)
     grid = classify_nodes(geom, cfg.n)
-    qm = as_quasi_momentum(theta_override if theta_override is not None else (0.0, 0.0, 0.0))
-    dec = bloch_eigs(geom, grid, qm, m_max=cfg.m_max, tol=cfg.tol_eigen, seed=cfg.seed,
-                     lift_tol=cfg.tol_linear)
-    if dec.lifts is None:
+    qm = as_quasi_momentum(theta_override)
+    sweep = _sweep(cfg, geom, grid, qm, lift_tol=cfg.tol_linear)
+    beta = sweep[qm.theta].beta
+    if beta is None:
         raise EmptyActiveSetError(
             f"no active fiber axis at theta={qm.theta}; spatial operator is the zero map"
         )
-    beta = beta_eval(dec.lifts, dec)
-    lam_hi = cfg.lambda_max if cfg.lambda_max is not None else 0.999 * float(dec.eigenvalues[-1])
+    _, lam_hi = _auto_window(cfg, sweep)
     guard = beta.pole_guard_width(cfg.pole_guard)
     samples = np.linspace(0.0, lam_hi, 400)
     samples = samples[np.all(np.abs(beta.poles - samples[:, None]) >= guard, axis=1)]
@@ -192,7 +196,7 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
     spatial = []
     for theta in sorted(sweep):
         spatial.extend(
-            spatial_points(geom, theta, sweep[theta], a_hom, cfg.k_modes, window,
+            spatial_points(geom, sweep[theta], a_hom, cfg.k_modes, window,
                            L=cfg.torus_period, pole_guard=cfg.pole_guard)
         )
 
@@ -266,16 +270,24 @@ def cmd_validate(cfg: RunConfig, out_dir: Path, eps_override=None) -> int:
 def _parse_theta(text: str | None):
     if text is None:
         return None
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) != 3:
-        raise HcBlochError(f"--theta needs three comma-separated values, got {text!r}")
-    return tuple(parts)
+    try:
+        parts = tuple(float(v) for v in text.split(","))
+        if len(parts) != 3:
+            raise ValueError("needs three comma-separated values")
+        return QuasiMomentum(parts)
+    except ValueError as exc:
+        raise ValidationError(f"--theta {text!r}: {exc}") from None
 
 
-def _parse_eps(text: str | None):
+def _parse_eps(text: str | None, cfg: RunConfig):
     if text is None:
         return None
-    return [int(v) for v in text.split(",")]
+    try:
+        eps = [int(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ValidationError(f"--eps {text!r}: {exc}") from None
+    with_overrides(cfg, eps_K=tuple(eps))  # held to the rules of validate.eps
+    return eps
 
 
 def main(argv=None) -> int:
@@ -314,7 +326,7 @@ def main(argv=None) -> int:
             cfg,
             out_dir,
             theta=_parse_theta(getattr(args, "theta", None)),
-            eps=_parse_eps(getattr(args, "eps", None)),
+            eps=_parse_eps(getattr(args, "eps", None), cfg),
         )
     except HcBlochError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}

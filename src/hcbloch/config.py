@@ -206,8 +206,8 @@ def _validate(cfg: RunConfig, violations=()) -> None:
         violations.append(f"theta_grid.g must be >= 1, got {cfg.theta_g}")
     if cfg.m_max < 1:
         violations.append(f"spectrum.m_max must be >= 1, got {cfg.m_max}")
-    if cfg.lambda_max is not None and cfg.lambda_max <= 0.0:
-        violations.append(f"spectrum.lambda_max must be > 0, got {cfg.lambda_max}")
+    if cfg.lambda_max is not None and not 0.0 < cfg.lambda_max < float("inf"):
+        violations.append(f"spectrum.lambda_max must be finite and > 0, got {cfg.lambda_max}")
     if cfg.torus_period <= 0.0:
         violations.append(f"spectrum.torus_period must be > 0, got {cfg.torus_period}")
     for name, value in (

@@ -162,6 +162,13 @@ class CellGeometry:
         return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
 
 
+def _reals(values, name: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(v) for v in values)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a list of real numbers, got {values!r}") from None
+
+
 def build_geometry(config: dict) -> CellGeometry:
     """Build and validate a CellGeometry from a plain config mapping.
 
@@ -172,16 +179,21 @@ def build_geometry(config: dict) -> CellGeometry:
     variant = config.get("variant", "fibered")
     fibers: dict[int, FiberSpec] = {}
     for entry in config.get("fibers", []) or []:
-        axis = int(entry["axis"])
+        try:
+            axis = int(entry["axis"])
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"geometry.fibers.axis must be an integer, got {entry['axis']!r}"
+            ) from None
         if axis in fibers:
             raise ValidationError(f"more than one fiber on axis {axis}")
-        rect = tuple(float(v) for v in entry["rect"])
+        rect = _reals(entry["rect"], "geometry.fibers.rect")
         if len(rect) != 4:
             raise ValidationError(f"fiber rect must have 4 entries, got {entry['rect']}")
         fibers[axis] = FiberSpec(axis=axis, rect=rect)
     box = config.get("inclusion_box")
     if box is not None:
-        box = tuple(float(v) for v in box)
+        box = _reals(box, "geometry.inclusion_box")
     a0 = config.get("a0", 1.0)
     a1 = config.get("a1", 1.0)
     return CellGeometry(fibers=fibers, a0=a0, a1=a1, variant=variant, inclusion_box=box)

@@ -43,7 +43,7 @@ class QuasiMomentum:
 
     def __post_init__(self):
         t = tuple(float(v) for v in self.theta)
-        if any(v < 0.0 or v >= 2.0 * np.pi for v in t):
+        if not all(0.0 <= v < 2.0 * np.pi for v in t):  # NaN included
             raise ValueError(f"theta components must lie in [0, 2pi), got {t}")
         object.__setattr__(self, "theta", t)
 
@@ -182,10 +182,8 @@ def _solve(lu: spla.SuperLU, dtype, rhs: np.ndarray) -> np.ndarray:
     return lu.solve(rhs)
 
 
-def eigen_method(dim: int, m_max: int, method: str = "auto") -> str:
+def eigen_method(dim: int, m_max: int) -> str:
     """The path ``eigensolve`` takes: "dense" for small operators, else "sparse"."""
-    if method != "auto":
-        return method
     return "dense" if (dim <= DENSE_EIGEN_CUTOFF or m_max >= dim - 1) else "sparse"
 
 
@@ -195,7 +193,6 @@ def eigensolve(
     m_max: int,
     tol: float = 1e-8,
     seed: int = 0,
-    method: str = "auto",
     factor: spla.SuperLU | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lowest m_max eigenpairs of A v = mu mass v for a scalar mass > 0.
@@ -221,7 +218,7 @@ def eigensolve(
     s = 1.0 / np.sqrt(mass)
     B = (A * s) * s
 
-    if eigen_method(dim, m_max, method) == "dense":
+    if eigen_method(dim, m_max) == "dense":
         vals, w = eigh(B.toarray(), subset_by_index=(0, m_max - 1))
     else:
         lu = factor if factor is not None else factorize(A)

@@ -269,9 +269,7 @@ def solve_homogenized(
     theta,
     k_index=(0, 0, 0),
     g_cell: np.ndarray | None = None,
-    L: float = 1.0,
     tol: float = 1e-10,
-    a_hom: dict[int, float] | None = None,
 ) -> HomogenizedSolution:
     """Solve the Fourier-reduced homogenized system for one macro mode.
 
@@ -290,10 +288,7 @@ def solve_homogenized(
     dofs = asm.dofs
     n_dof = dofs.size
 
-    if a_hom is None:
-        a_hom = {
-            axis: solve_cell_problem(geom, grid, axis, tol=tol).a_hom for axis in active
-        }
+    a_hom = {axis: solve_cell_problem(geom, grid, axis, tol=tol).a_hom for axis in active}
 
     # Constraint basis Z: soft-phase unit vectors, then fiber indicators.
     cols_rows = [dofs]
@@ -313,7 +308,7 @@ def solve_homogenized(
     S = (Z.getH() @ asm.full @ Z).tocsr()
     mass_diag = h3 * np.asarray((Z.multiply(Z)).sum(axis=0)).ravel()
     spatial_diag = np.zeros(n_dof + len(active))
-    k = 2.0 * np.pi * np.asarray(k_index, dtype=float) / L
+    k = 2.0 * np.pi * np.asarray(k_index, dtype=float)
     for j, axis in enumerate(active):
         spatial_diag[n_dof + j] = a_hom[axis] * k[axis - 1] ** 2
     system = (S + sp.diags(mass_diag + spatial_diag)).tocsr()
@@ -330,7 +325,7 @@ def solve_homogenized(
         k_index=tuple(int(v) for v in k_index),
         w_full=w_full,
         w_fiber=w_fiber,
-        a_hom=dict(a_hom),
+        a_hom=a_hom,
         grid_n=n,
         residual=residual,
     )
@@ -493,14 +488,13 @@ def _phi_battery(k_index):
 
 def _psi_battery(geom: CellGeometry, grid_cell: Grid, qm):
     battery = [("one", np.ones(grid_cell.shape, dtype=complex))]
-    dec = bloch_eigs(geom, grid_cell, qm, m_max=1, method="auto")
+    asm = assemble_bloch(geom, grid_cell, qm)
+    dec = bloch_eigs(geom, grid_cell, qm, m_max=1, assembly=asm)
     battery.append(("bloch_1", dec.mode_field(0)))
     active = qm.active_set(geom.active_axes)
     if active:
-        lifts = solve_lifts(geom, grid_cell, qm, dec)
-        battery.append(
-            (f"fiber_profile_{active[0]}", lifts.fields[active[0]].reshape(grid_cell.shape))
-        )
+        beta = solve_lifts(geom, grid_cell, dec, assembly=asm)
+        battery.append((f"fiber_profile_{active[0]}", beta.fields[0].reshape(grid_cell.shape)))
     return battery
 
 

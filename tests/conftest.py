@@ -50,6 +50,14 @@ def inclusion():
     )
 
 
+@pytest.fixture
+def sparse_eigensolver(monkeypatch):
+    """Every eigensolve takes the ARPACK path, however small the operator."""
+    import hcbloch.operators
+
+    monkeypatch.setattr(hcbloch.operators, "DENSE_EIGEN_CUTOFF", 0)
+
+
 @pytest.fixture(scope="session")
 def single_fiber_grid12(single_fiber):
     return classify_nodes(single_fiber, 12)

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from hcbloch.beta import beta_eval, flux, pure_bloch_bands, solve_lifts, spatial_points, spatial_spectrum
+from hcbloch.beta import flux, pure_bloch_bands, solve_lifts, spatial_points, spatial_spectrum
 from hcbloch.bloch import (
     BlochDecomposition,
     ThetaGrid,
@@ -47,7 +47,7 @@ def beta_theta():
 @pytest.fixture(scope="module")
 def deep_modes(single_fiber, fiber16, beta_theta):
     asm = assemble_bloch(single_fiber, fiber16, beta_theta)
-    dec = bloch_eigs(single_fiber, fiber16, beta_theta, m_max=320, assembly=asm, method="sparse")
+    dec = bloch_eigs(single_fiber, fiber16, beta_theta, m_max=320, assembly=asm)
     return asm, dec
 
 
@@ -158,26 +158,26 @@ def test_criterion_6_green_identity(single_fiber, two_fiber):
     for geom, n, theta in cases:
         grid = classify_nodes(geom, n)
         asm = assemble_bloch(geom, grid, theta)
-        dec = bloch_eigs(geom, grid, theta, m_max=8, assembly=asm, method="dense")
-        lifts = solve_lifts(geom, grid, theta, dec, assembly=asm)
-        for axis in lifts.active:
+        dec = bloch_eigs(geom, grid, theta, m_max=8, assembly=asm)
+        lifts = solve_lifts(geom, grid, dec, assembly=asm)
+        for row, axis in enumerate(lifts.active):
             for m in range(dec.m_max):
-                T = flux(asm, dec.vectors[:, m], lifts.fields[axis], axis)
-                err = abs(T + dec.eigenvalues[m] * np.conjugate(lifts.coeffs[axis][m]))
+                T = flux(asm, dec.vectors[:, m], lifts.fields[row], axis)
+                err = abs(T + dec.eigenvalues[m] * np.conjugate(lifts.coeffs[row][m]))
                 worst = max(worst, err / (1.0 + dec.eigenvalues[m]))
     report(6, worst <= 1e-12, f"worst scaled Green defect={worst:.2e}")
 
 
-def test_criterion_7_beta_properties(single_fiber, fiber16, beta_theta, deep_modes):
+def test_criterion_7_beta_properties(single_fiber, fiber16, deep_modes):
     """Hermiticity <= 1e-12 at 50 random lambda; strict diagonal
     monotonicity on a 10^3-point scan between consecutive poles."""
     asm, dec_all = deep_modes
     dec = truncate(dec_all, 10)
-    lifts = solve_lifts(single_fiber, fiber16, beta_theta, dec, assembly=asm)
+    lifts = solve_lifts(single_fiber, fiber16, dec, assembly=asm)
     rng = np.random.default_rng(2024)
     herm_worst = 0.0
     mono_ok = True
-    beta = beta_eval(lifts, dec)
+    beta = lifts
     guard = beta.pole_guard_width(1e-6)
     drawn = 0
     while drawn < 50:
@@ -198,7 +198,7 @@ def test_criterion_7_beta_properties(single_fiber, fiber16, beta_theta, deep_mod
            f"hermiticity defect={herm_worst:.2e}, monotone={mono_ok}")
 
 
-def test_criterion_8_spatial_certification(single_fiber, fiber16, beta_theta, deep_modes):
+def test_criterion_8_spatial_certification(single_fiber, fiber16, deep_modes):
     """Every root carries a sign-change bracket of width <= 1e-10 mu_1 and
     the root set is stable under doubling the pole-series truncation."""
     t0 = time.perf_counter()
@@ -211,14 +211,11 @@ def test_criterion_8_spatial_certification(single_fiber, fiber16, beta_theta, de
     roots = {}
     for m in (160, 320):
         dec = truncate(dec_all, m)
-        lifts = solve_lifts(single_fiber, fiber16, beta_theta, dec, assembly=asm)
-        beta = beta_eval(lifts, dec)
+        lifts = solve_lifts(single_fiber, fiber16, dec, assembly=asm)
+        beta = lifts
         roots[m] = spatial_spectrum(beta, a_hom, k_modes, window)
 
-    beta320 = beta_eval(
-        solve_lifts(single_fiber, fiber16, beta_theta, truncate(dec_all, 320), assembly=asm),
-        truncate(dec_all, 320),
-    )
+    beta320 = solve_lifts(single_fiber, fiber16, truncate(dec_all, 320), assembly=asm)
 
     def F(k_index, lam):
         kk = 2 * np.pi * np.asarray(k_index, dtype=float)
@@ -258,10 +255,10 @@ def test_criterion_9_zero_map_rule(single_fiber, fiber16):
     theta = (np.pi / 2, np.pi, 3 * np.pi / 2)
     dec = bloch_eigs(single_fiber, fiber16, theta, m_max=4)
     a_hom = effective_tensor([solve_cell_problem(single_fiber, fiber16, 1)])
-    pts = spatial_points(single_fiber, theta, dec, a_hom, [(1, 0, 0)], (0.0, 60.0))
+    pts = spatial_points(single_fiber, dec, a_hom, [(1, 0, 0)], (0.0, 60.0))
     raised = False
     try:
-        solve_lifts(single_fiber, fiber16, theta, dec)
+        solve_lifts(single_fiber, fiber16, dec)
     except EmptyActiveSetError:
         raised = True
     report(9, pts == [] and raised, f"spatial points={len(pts)}, EmptyActiveSetError={raised}")

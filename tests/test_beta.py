@@ -7,7 +7,6 @@ from scipy.linalg import eigh as dense_eigh
 
 from hcbloch.beta import (
     SpatialRoot,
-    beta_eval,
     flux,
     pure_bloch_bands,
     solve_lifts,
@@ -25,8 +24,8 @@ def lift_setup(single_fiber):
     grid = classify_nodes(single_fiber, 10)
     theta = (0.0, np.pi / 2, np.pi)
     asm = assemble_bloch(single_fiber, grid, theta)
-    dec = bloch_eigs(single_fiber, grid, theta, m_max=10, assembly=asm, method="dense")
-    lifts = solve_lifts(single_fiber, grid, theta, dec, assembly=asm)
+    dec = bloch_eigs(single_fiber, grid, theta, m_max=10, assembly=asm)
+    lifts = solve_lifts(single_fiber, grid, dec, assembly=asm)
     return single_fiber, grid, theta, asm, dec, lifts
 
 
@@ -35,34 +34,34 @@ def test_empty_active_set_raises(single_fiber):
     theta = (np.pi / 2, np.pi, np.pi / 3)
     dec = bloch_eigs(single_fiber, grid, theta, m_max=2)
     with pytest.raises(EmptyActiveSetError):
-        solve_lifts(single_fiber, grid, theta, dec)
+        solve_lifts(single_fiber, grid, dec)
 
 
 def test_lift_boundary_values_exact(lift_setup):
     geom, grid, theta, asm, dec, lifts = lift_setup
-    field = lifts.fields[1]
+    field = lifts.fields[0]
     assert np.all(field[grid.fiber_mask(1).ravel()] == 1.0)
 
 
 def test_lift_harmonicity(lift_setup):
     geom, grid, theta, asm, dec, lifts = lift_setup
-    assert lifts.residuals[1] < 1e-10
+    assert lifts.residuals[0] < 1e-10
 
 
 def test_lift_real_at_zero_theta(single_fiber):
     grid = classify_nodes(single_fiber, 8)
     dec = bloch_eigs(single_fiber, grid, (0.0, 0.0, 0.0), m_max=5)
-    lifts = solve_lifts(single_fiber, grid, (0.0, 0.0, 0.0), dec)
-    assert not np.iscomplexobj(lifts.coeffs[1])
+    lifts = solve_lifts(single_fiber, grid, dec)
+    assert not np.iscomplexobj(lifts.coeffs[0])
     # single fiber at theta = 0: harmonic extension of constant data is 1
-    assert np.abs(lifts.fields[1] - 1.0).max() < 1e-10
+    assert np.abs(lifts.fields[0] - 1.0).max() < 1e-10
 
 
 def test_bessel_inequality(lift_setup):
     geom, grid, theta, asm, dec, lifts = lift_setup
-    b = lifts.fields[1][asm.dofs]
+    b = lifts.fields[0][asm.dofs]
     norm2 = grid.h**3 * np.vdot(b, b).real
-    partial = float(np.sum(np.abs(lifts.coeffs[1]) ** 2))
+    partial = float(np.sum(np.abs(lifts.coeffs[0]) ** 2))
     assert partial <= norm2 + 1e-12
     assert abs(lifts.mass_gram[0, 0].real - norm2) < 1e-12
 
@@ -70,20 +69,20 @@ def test_bessel_inequality(lift_setup):
 def test_green_identity(lift_setup):
     geom, grid, theta, asm, dec, lifts = lift_setup
     for m in range(dec.m_max):
-        T = flux(asm, dec.vectors[:, m], lifts.fields[1], 1)
-        err = abs(T + dec.eigenvalues[m] * np.conjugate(lifts.coeffs[1][m]))
+        T = flux(asm, dec.vectors[:, m], lifts.fields[0], 1)
+        err = abs(T + dec.eigenvalues[m] * np.conjugate(lifts.coeffs[0][m]))
         assert err <= 1e-12 * (1.0 + dec.eigenvalues[m])
 
 
 def test_flux_of_zero_field(lift_setup):
     geom, grid, theta, asm, dec, lifts = lift_setup
-    assert flux(asm, np.zeros(asm.dim), lifts.fields[1], 1) == 0.0
+    assert flux(asm, np.zeros(asm.dim), lifts.fields[0], 1) == 0.0
 
 
 def test_beta_hermitian(lift_setup):
     geom, grid, theta, asm, dec, lifts = lift_setup
     rng = np.random.default_rng(42)
-    beta = beta_eval(lifts, dec)
+    beta = lifts
     guard = beta.pole_guard_width(1e-6)
     count = 0
     while count < 50:
@@ -105,7 +104,7 @@ def unique_poles(poles, rel=1e-9):
 
 def test_beta_diagonal_monotone_between_poles(lift_setup):
     geom, grid, theta, asm, dec, lifts = lift_setup
-    beta = beta_eval(lifts, dec)
+    beta = lifts
     guard = 10 * beta.pole_guard_width(1e-6)
     cuts = [0.0] + [p for p in unique_poles(beta.poles) if p < 0.9 * beta.poles[-1]]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
@@ -118,7 +117,7 @@ def test_beta_diagonal_monotone_between_poles(lift_setup):
 
 def test_pole_proximity_error(lift_setup):
     geom, grid, theta, asm, dec, lifts = lift_setup
-    beta = beta_eval(lifts, dec)
+    beta = lifts
     with pytest.raises(PoleProximityError):
         beta(float(dec.eigenvalues[0]))
 
@@ -127,17 +126,17 @@ def test_two_fiber_beta_cross_hermitian(two_fiber):
     grid = classify_nodes(two_fiber, 10)
     theta = (0.0, np.pi / 2, 0.0)  # both fiber axes active
     asm = assemble_bloch(two_fiber, grid, theta)
-    dec = bloch_eigs(two_fiber, grid, theta, m_max=8, assembly=asm, method="dense")
-    lifts = solve_lifts(two_fiber, grid, theta, dec, assembly=asm)
+    dec = bloch_eigs(two_fiber, grid, theta, m_max=8, assembly=asm)
+    lifts = solve_lifts(two_fiber, grid, dec, assembly=asm)
     assert lifts.active == (1, 3)
-    beta = beta_eval(lifts, dec)
+    beta = lifts
     B = beta(3.0)
     assert B.shape == (2, 2)
     assert abs(B[0, 1] - np.conjugate(B[1, 0])) <= 1e-12
     for m in range(dec.m_max):
-        for axis in (1, 3):
-            T = flux(asm, dec.vectors[:, m], lifts.fields[axis], axis)
-            coeff = lifts.coeffs[axis][m]
+        for row, axis in enumerate((1, 3)):
+            T = flux(asm, dec.vectors[:, m], lifts.fields[row], axis)
+            coeff = lifts.coeffs[row][m]
             assert abs(T + dec.eigenvalues[m] * np.conjugate(coeff)) <= 1e-12 * (
                 1.0 + dec.eigenvalues[m]
             )
@@ -166,9 +165,9 @@ def all_modes_setup(geom, theta):
     bordered pencil's eigenvalues themselves."""
     grid = classify_nodes(geom, 10)
     asm = assemble_bloch(geom, grid, theta)
-    dec = bloch_eigs(geom, grid, theta, m_max=asm.dim, method="dense", assembly=asm)
-    lifts = solve_lifts(geom, grid, theta, dec, assembly=asm)
-    beta = beta_eval(lifts, dec)
+    dec = bloch_eigs(geom, grid, theta, m_max=asm.dim, assembly=asm)
+    lifts = solve_lifts(geom, grid, dec, assembly=asm)
+    beta = lifts
     a_hom = effective_tensor([solve_cell_problem(geom, grid, axis) for axis in geom.active_axes])
     window = (0.0, float(dec.eigenvalues[6] * 0.99))
     return grid, asm, dec, beta, a_hom, window
@@ -223,7 +222,7 @@ def test_uncertified_root_raises(lift_setup, monkeypatch):
     import hcbloch.beta
 
     geom, grid, theta, asm, dec, lifts = lift_setup
-    beta = beta_eval(lifts, dec)
+    beta = lifts
     a_hom = effective_tensor([solve_cell_problem(geom, grid, 1)])
     window = (0.0, 0.98 * float(dec.eigenvalues[-1]))
     roots = spatial_spectrum(beta, a_hom, [(1, 0, 0)], window)
@@ -247,7 +246,7 @@ def test_root_certification_and_scan_oracle(lift_setup):
     """Every root is bracketed by a certified sign change; the root count
     per inter-pole interval matches a dense 10^4-point scan."""
     geom, grid, theta, asm, dec, lifts = lift_setup
-    beta = beta_eval(lifts, dec)
+    beta = lifts
     a_hom = effective_tensor([solve_cell_problem(geom, grid, 1)])
     window = (0.0, float(dec.eigenvalues[5] * 0.98))
     k = (2, 0, 0)
@@ -287,7 +286,7 @@ def test_spatial_zero_map(single_fiber):
     theta = (np.pi, np.pi / 2, np.pi / 2)
     dec = bloch_eigs(single_fiber, grid, theta, m_max=4)
     a_hom = effective_tensor([solve_cell_problem(single_fiber, grid, 1)])
-    pts = spatial_points(single_fiber, theta, dec, a_hom, [(1, 0, 0)], (0.0, 50.0))
+    pts = spatial_points(single_fiber, dec, a_hom, [(1, 0, 0)], (0.0, 50.0))
     assert pts == []
 
 
@@ -297,7 +296,7 @@ def test_spatial_points_need_lifts_at_active_theta(single_fiber):
     dec = bloch_eigs(single_fiber, grid, theta, m_max=4)
     a_hom = effective_tensor([solve_cell_problem(single_fiber, grid, 1)])
     with pytest.raises(ValueError, match="lift_tol"):
-        spatial_points(single_fiber, theta, dec, a_hom, [(1, 0, 0)], (0.0, 50.0))
+        spatial_points(single_fiber, dec, a_hom, [(1, 0, 0)], (0.0, 50.0))
 
 
 def test_bands_single_point_sweep(single_fiber):
@@ -419,8 +418,8 @@ def two_fiber_setup(two_fiber):
     grid = classify_nodes(two_fiber, 10)
     theta = (0.0, np.pi / 2, 0.0)  # both fiber axes active
     asm = assemble_bloch(two_fiber, grid, theta)
-    dec = bloch_eigs(two_fiber, grid, theta, m_max=8, assembly=asm, method="dense")
-    lifts = solve_lifts(two_fiber, grid, theta, dec, assembly=asm)
+    dec = bloch_eigs(two_fiber, grid, theta, m_max=8, assembly=asm)
+    lifts = solve_lifts(two_fiber, grid, dec, assembly=asm)
     a_hom = effective_tensor([solve_cell_problem(two_fiber, grid, axis) for axis in (1, 3)])
     return theta, dec, lifts, a_hom
 
@@ -434,7 +433,7 @@ def scan_grid(beta, hi):
 def test_beta_array_call_equals_scalar_calls(lift_setup, two_fiber_setup):
     cases = [(lift_setup[5], lift_setup[4]), (two_fiber_setup[2], two_fiber_setup[1])]
     for lifts, dec in cases:
-        beta = beta_eval(lifts, dec)
+        beta = lifts
         xs = scan_grid(beta, 1.2 * dec.eigenvalues[-1])
         stack = beta(xs)
         assert stack.shape == (xs.size, len(lifts.active), len(lifts.active))
@@ -445,7 +444,7 @@ def test_beta_array_call_equals_scalar_calls(lift_setup, two_fiber_setup):
 
 def test_beta_array_pole_guard(lift_setup):
     geom, grid, theta, asm, dec, lifts = lift_setup
-    beta = beta_eval(lifts, dec)
+    beta = lifts
     xs = scan_grid(beta, 0.9 * dec.eigenvalues[-1])
     beta(xs)  # every point legal
     xs[len(xs) // 2] = dec.eigenvalues[2] + 0.5 * beta.pole_guard_width(1e-6)
@@ -462,7 +461,7 @@ def test_pencil_roots_match_scalar_scan_oracle(lift_setup, two_fiber_setup):
     theta2, dec2, lifts2, a_hom2 = two_fiber_setup
     for theta, dec, lifts, a_hom in ((theta1, dec1, lifts1, a_hom1),
                                      (theta2, dec2, lifts2, a_hom2)):
-        beta = beta_eval(lifts, dec)
+        beta = lifts
         window = (0.0, 0.98 * float(dec.eigenvalues[-1]))
         roots = spatial_spectrum(beta, a_hom, k_modes, window)
         assert roots
@@ -475,7 +474,7 @@ def test_pencil_roots_match_scalar_scan_oracle(lift_setup, two_fiber_setup):
                 assert o.bracket[0] <= r.lam <= o.bracket[1]
 
 
-def test_sweep_with_lifts_factors_once_per_theta(single_fiber, monkeypatch):
+def test_sweep_with_lifts_factors_once_per_theta(single_fiber, sparse_eigensolver, monkeypatch):
     """One LU per theta serves ARPACK and the lift solve; the lifts still go
     through hcbloch.beta.linear_solve."""
     import scipy.sparse.linalg as spla
@@ -498,28 +497,27 @@ def test_sweep_with_lifts_factors_once_per_theta(single_fiber, monkeypatch):
     monkeypatch.setattr(arpack, "splu", counting_splu)
     monkeypatch.setattr(hcbloch.beta, "linear_solve", counting_linear_solve)
     grid = classify_nodes(single_fiber, 8)
-    sweep = theta_sweep(single_fiber, grid, ThetaGrid(2), m_max=4, method="sparse", lift_tol=1e-10)
+    sweep = theta_sweep(single_fiber, grid, ThetaGrid(2), m_max=4, lift_tol=1e-10)
     active = [t for t in sweep if t[0] == 0.0]
     assert calls == {"splu": len(sweep), "linear_solve": len(active)}
-    assert all((sweep[t].lifts is not None) == (t in active) for t in sweep)
+    assert all((sweep[t].beta is not None) == (t in active) for t in sweep)
 
 
-def test_sweep_lifts_match_standalone_solve(two_fiber):
+def test_sweep_lifts_match_standalone_solve(two_fiber, sparse_eigensolver):
     grid = classify_nodes(two_fiber, 8)
-    sweep = theta_sweep(two_fiber, grid, ThetaGrid(2), m_max=4, method="sparse", lift_tol=1e-10,
-                        threads=2)
+    sweep = theta_sweep(two_fiber, grid, ThetaGrid(2), m_max=4, lift_tol=1e-10, threads=2)
     checked = 0
-    for theta, dec in sweep.items():
-        if dec.lifts is None:
+    for dec in sweep.values():
+        if dec.beta is None:
             continue
-        alone = solve_lifts(two_fiber, grid, theta, dec)
-        attached = dec.lifts
+        alone = solve_lifts(two_fiber, grid, dec)
+        attached = dec.beta
         assert attached.active == alone.active
-        for axis in alone.active:
-            scale = np.abs(alone.fields[axis]).max()
-            assert np.abs(attached.fields[axis] - alone.fields[axis]).max() <= 1e-12 * scale
-            scale = np.abs(alone.coeffs[axis]).max()
-            assert np.abs(attached.coeffs[axis] - alone.coeffs[axis]).max() <= 1e-12 * scale
+        for row in range(len(alone.active)):
+            scale = np.abs(alone.fields[row]).max()
+            assert np.abs(attached.fields[row] - alone.fields[row]).max() <= 1e-12 * scale
+            scale = np.abs(alone.coeffs[row]).max()
+            assert np.abs(attached.coeffs[row] - alone.coeffs[row]).max() <= 1e-12 * scale
         for name in ("flux_gram", "mass_gram"):
             ref = getattr(alone, name)
             assert np.abs(getattr(attached, name) - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -537,7 +535,7 @@ def test_zero_root_exact_at_theta_zero(geom_name, request):
     grid = classify_nodes(geom, 10)
     theta = (0.0, 0.0, 0.0)
     dec = bloch_eigs(geom, grid, theta, m_max=8, lift_tol=1e-10)
-    beta = beta_eval(dec.lifts, dec)
+    beta = dec.beta
     a_hom = effective_tensor([solve_cell_problem(geom, grid, axis) for axis in geom.active_axes])
     k_modes = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
     window = (0.0, 0.98 * float(dec.eigenvalues[-1]))

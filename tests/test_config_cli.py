@@ -70,8 +70,14 @@ def test_integral_float_values_accepted():
         (MINIMAL.replace("n: 16", "n: sixteen"), "ValidationError", "grid.n"),
         (MINIMAL.replace(", rect: [0.3, 0.7, 0.3, 0.7]", ""), "ParseError", "rect"),
         (MINIMAL.replace("  fibers:", "  a0: soft\n  fibers:"), "ValidationError", "geometry.a0"),
+        (MINIMAL.replace("axis: 1", "axis: one"), "ValidationError", "geometry.fibers.axis"),
+        (MINIMAL.replace("0.3, 0.7, 0.3, 0.7", "0.3, x, 0.3, 0.7"), "ValidationError",
+         "geometry.fibers.rect"),
+        (INCLUSION.replace("0.75, 0.25, 0.75]", "0.75, 0.25, x]"), "ValidationError",
+         "geometry.inclusion_box"),
     ],
-    ids=["non_numeric_n", "fiber_without_rect", "non_numeric_a0"],
+    ids=["non_numeric_n", "fiber_without_rect", "non_numeric_a0", "non_numeric_axis",
+         "non_numeric_rect", "non_numeric_inclusion_box"],
 )
 def test_cli_malformed_value_exit2(tmp_path, capsys, text, error, key):
     path = tmp_path / "c.yml"
@@ -80,6 +86,30 @@ def test_cli_malformed_value_exit2(tmp_path, capsys, text, error, key):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == error
     assert key in err["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, extra, keys",
+    [
+        (["validate", "--eps", "4,x"], "", ["--eps"]),
+        (["validate", "--eps", "0"], "", ["validate.eps"]),
+        (["bloch", "--theta", "0,a,0"], "", ["--theta"]),
+        (["bloch", "--theta", "7,0,0"], "", ["--theta"]),
+        (["bloch", "--theta", "nan,0,0"], "", ["--theta"]),
+        (["beta", "--lambda-max", "nan"], "", ["spectrum.lambda_max"]),
+        (["bloch", "--theta", "0,0,0"], "spectrum:\n  m_max: 5000\n", ["spectrum.m_max", "3312"]),
+    ],
+    ids=["eps_not_integer", "eps_zero", "theta_not_real", "theta_out_of_range", "theta_nan",
+         "lambda_max_nan", "m_max_above_dimension"],
+)
+def test_cli_bad_flag_or_m_max_exit2(tmp_path, capsys, argv, extra, keys):
+    path = tmp_path / "c.yml"
+    path.write_text(MINIMAL + extra + "output:\n  dir: %s\n" % (tmp_path / "out"))
+    assert main([argv[0], "--config", str(path), *argv[1:]]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+    assert all(key in err["message"] for key in keys)
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_key_rejected():

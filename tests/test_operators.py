@@ -109,25 +109,25 @@ def test_dirichlet_cube_lowest_eigenvalue():
 def test_eigensolve_orthonormal_and_residuals(single_fiber):
     grid = classify_nodes(single_fiber, 8)
     op = soft_operator(grid, (1.0, 0.5, 0.0))
-    vals, vectors, _ = eigensolve(op, grid.h**3, m_max=6, tol=1e-8, method="dense")
+    vals, vectors, _ = eigensolve(op, grid.h**3, m_max=6, tol=1e-8)
     G = vectors.conj().T @ (grid.h**3 * vectors)
     assert np.abs(G - np.eye(6)).max() < 1e-10
     assert np.all(np.diff(vals) >= -1e-12)
 
 
-def test_eigensolve_sparse_matches_dense(single_fiber):
+def test_eigensolve_sparse_matches_dense(single_fiber, sparse_eigensolver):
     grid = classify_nodes(single_fiber, 8)
     op = soft_operator(grid, (0.3, 1.1, 2.2))
-    vals1, _, _ = eigensolve(op, grid.h**3, m_max=5, method="dense")
-    vals2, _, _ = eigensolve(op, grid.h**3, m_max=5, method="sparse")
+    vals1 = dense_eigh(op.toarray() / grid.h**3, eigvals_only=True, subset_by_index=(0, 4))
+    vals2, _, _ = eigensolve(op, grid.h**3, m_max=5)
     assert np.abs(vals1 - vals2).max() < 1e-8
 
 
-def test_eigensolve_deterministic(single_fiber):
+def test_eigensolve_deterministic(single_fiber, sparse_eigensolver):
     grid = classify_nodes(single_fiber, 8)
     op = soft_operator(grid, (0.3, 1.1, 2.2))
-    vals1, vectors1, _ = eigensolve(op, grid.h**3, m_max=4, method="sparse", seed=3)
-    vals2, vectors2, _ = eigensolve(op, grid.h**3, m_max=4, method="sparse", seed=3)
+    vals1, vectors1, _ = eigensolve(op, grid.h**3, m_max=4, seed=3)
+    vals2, vectors2, _ = eigensolve(op, grid.h**3, m_max=4, seed=3)
     assert np.array_equal(vals1, vals2)
     assert np.array_equal(vectors1, vectors2)
 
@@ -230,7 +230,8 @@ def test_linear_solve_two_columns_singular():
         linear_solve(A, rhs, tol=1e-10)
 
 
-def test_eigensolve_arpack_fallback_is_logged(single_fiber, monkeypatch, caplog):
+def test_eigensolve_arpack_fallback_is_logged(single_fiber, sparse_eigensolver, monkeypatch,
+                                              caplog):
     grid = classify_nodes(single_fiber, 8)
     op = soft_operator(grid, (0.3, 1.1, 2.2))
 
@@ -239,11 +240,12 @@ def test_eigensolve_arpack_fallback_is_logged(single_fiber, monkeypatch, caplog)
 
     monkeypatch.setattr(spla, "eigsh", failing_eigsh)
     with caplog.at_level(logging.WARNING, logger="hcbloch"):
-        vals, _, _ = eigensolve(op, grid.h**3, m_max=4, method="sparse")
+        vals, _, _ = eigensolve(op, grid.h**3, m_max=4)
     [record] = [r for r in caplog.records if r.name == "hcbloch"]
     assert record.levelno == logging.WARNING
     assert str(op.shape[0]) in record.getMessage() and "no convergence" in record.getMessage()
-    dense, _, _ = eigensolve(op, grid.h**3, m_max=4, method="dense")
+    s = 1.0 / np.sqrt(grid.h**3)  # the scaled matrix the fallback diagonalizes
+    dense, _ = dense_eigh(((op * s) * s).toarray(), subset_by_index=(0, 3))
     assert np.array_equal(vals, dense)
 
 
@@ -282,17 +284,17 @@ def test_linear_solve_with_ready_factor(single_fiber):
         linear_solve(soft_operator(grid, (0.0, 0.2, 2.3)), rhs, factor=wrong)
 
 
-def test_eigensolve_shared_factor_matches_dense(single_fiber):
+def test_eigensolve_shared_factor_matches_dense(single_fiber, sparse_eigensolver):
     grid = classify_nodes(single_fiber, 8)
     for theta in ((0.3, 1.1, 2.2), (0.0, np.pi, 0.0)):
         op = soft_operator(grid, theta)
         factor = factorize(op)
-        vals, _, _ = eigensolve(op, grid.h**3, m_max=6, method="sparse", factor=factor)
+        vals, _, _ = eigensolve(op, grid.h**3, m_max=6, factor=factor)
         dense = dense_eigh(op.toarray() / grid.h**3, eigvals_only=True, subset_by_index=(0, 5))
         assert np.abs(vals - dense).max() < 1e-8
 
 
-def test_eigensolve_sparse_singular_raises():
+def test_eigensolve_sparse_singular_raises(sparse_eigensolver):
     A = sp.diags(np.r_[np.arange(1.0, 30.0), 0.0]).tocsr()
     with pytest.raises(SingularSystemError):
-        eigensolve(A, 1.0, m_max=3, method="sparse")
+        eigensolve(A, 1.0, m_max=3)
