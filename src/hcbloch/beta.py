@@ -18,14 +18,14 @@ each with an inertia-certified bracket (see spatial_spectrum).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import eigh
 
 from .bloch import BlochAssembly, BlochDecomposition, assemble_bloch
 from .errors import ConvergenceError, EmptyActiveSetError, PoleProximityError
-from .geometry import CellGeometry, Grid
+from .geometry import Grid
 from .operators import linear_solve
 
 __all__ = [
@@ -105,7 +105,6 @@ class BetaMatrix:
 
 
 def solve_lifts(
-    geom: CellGeometry,
     grid: Grid,
     bloch: BlochDecomposition,
     tol: float = 1e-10,
@@ -118,12 +117,12 @@ def solve_lifts(
     spatial operator is the zero map there and no lift exists.  An
     ``assembly`` at another theta raises ValueError.
     """
-    active = bloch.theta.active_set(geom.active_axes)
+    active = bloch.active
     if not active:
         raise EmptyActiveSetError(
             f"no active fiber axis at theta={bloch.theta.theta}; spatial operator is the zero map"
         )
-    asm = assembly if assembly is not None else assemble_bloch(geom, grid, bloch.theta)
+    asm = assembly if assembly is not None else assemble_bloch(grid, bloch.theta)
     if asm.theta != bloch.theta:
         raise ValueError("Bloch decomposition was computed at a different theta")
 
@@ -173,8 +172,8 @@ def solve_lifts(
     )
 
 
-def flux(asm: BlochAssembly, v: np.ndarray, lift_field: np.ndarray, axis: int) -> complex:
-    """Discrete surface flux of v through the boundary of fiber ``axis``.
+def flux(asm: BlochAssembly, v: np.ndarray, lift_field: np.ndarray) -> complex:
+    """Discrete surface flux of v through the fiber boundary of the lift ``lift_field``.
 
     Summation-by-parts form: T(v) = q(v, b) - <A0 v, b>, with q the full
     Dirichlet form including the stiff-boundary links and A0 the
@@ -209,30 +208,27 @@ class SpatialRoot:
 
 @dataclass(frozen=True)
 class BandStructure:
-    """Pure Bloch bands, gaps within the window, and spatial eigenvalues."""
+    """Pure Bloch bands and the gaps within the window."""
 
     branch_intervals: list[Band]
     bands: list[Band]
     gaps: list[tuple[float, float]]
     window: tuple[float, float]
-    spatial: list[SpatialRoot] = field(default_factory=list)
 
 
-def pure_bloch_bands(sweep, m_max: int | None = None, window=None) -> BandStructure:
+def pure_bloch_bands(sweep, window=None) -> BandStructure:
     """Aggregate a theta sweep into per-branch intervals, bands and gaps.
 
-    Branch m spans [min_theta mu_m, max_theta mu_m]; overlapping branch
-    intervals merge into maximal bands, and gaps are the complement
-    inside the window [0, lambda_max].
+    Branch m (up to the smallest m_max in the sweep) spans
+    [min_theta mu_m, max_theta mu_m]; overlapping branch intervals merge
+    into maximal bands, and gaps are the complement inside the window
+    [0, lambda_max].
     """
     if not sweep:
         raise ValueError("empty theta sweep")
     thetas = sorted(sweep)
-    m_avail = min(sweep[t].m_max for t in thetas)
-    m_use = m_avail if m_max is None else min(m_max, m_avail)
-
     branch_intervals = []
-    for m in range(m_use):
+    for m in range(min(sweep[t].m_max for t in thetas)):
         vals = np.array([sweep[t].eigenvalues[m] for t in thetas])
         i_lo, i_hi = int(np.argmin(vals)), int(np.argmax(vals))
         branch_intervals.append(
@@ -250,22 +246,9 @@ def pure_bloch_bands(sweep, m_max: int | None = None, window=None) -> BandStruct
     for band in sorted(branch_intervals, key=lambda b: (b.lo, b.hi)):
         if merged and band.lo <= merged[-1].hi:
             prev = merged[-1]
-            if band.hi > prev.hi:
-                merged[-1] = Band(
-                    lo=prev.lo,
-                    hi=band.hi,
-                    branches=prev.branches + band.branches,
-                    theta_at_lo=prev.theta_at_lo,
-                    theta_at_hi=band.theta_at_hi,
-                )
-            else:
-                merged[-1] = Band(
-                    lo=prev.lo,
-                    hi=prev.hi,
-                    branches=prev.branches + band.branches,
-                    theta_at_lo=prev.theta_at_lo,
-                    theta_at_hi=prev.theta_at_hi,
-                )
+            top = band if band.hi > prev.hi else prev
+            merged[-1] = replace(prev, hi=top.hi, branches=prev.branches + band.branches,
+                                 theta_at_hi=top.theta_at_hi)
         else:
             merged.append(band)
 
@@ -384,7 +367,6 @@ def spatial_spectrum(
 
 
 def spatial_points(
-    geom: CellGeometry,
     bloch: BlochDecomposition,
     a_hom: np.ndarray,
     k_modes,
@@ -399,7 +381,7 @@ def spatial_points(
     matrix attached to ``bloch`` (``bloch_eigs(..., lift_tol=...)``).  A
     decomposition without it at an active theta raises ValueError.
     """
-    if not bloch.theta.active_set(geom.active_axes):
+    if not bloch.active:
         return []
     if bloch.beta is None:
         raise ValueError("spatial_points needs a Bloch decomposition with lifts (lift_tol)")

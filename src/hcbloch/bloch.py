@@ -19,7 +19,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError
-from .geometry import CellGeometry, Grid
+from .geometry import Grid
 from .operators import (
     QuasiMomentum,
     as_quasi_momentum,
@@ -80,7 +80,7 @@ class BlochAssembly:
         return out
 
 
-def assemble_bloch(geom: CellGeometry, grid: Grid, theta) -> BlochAssembly:
+def assemble_bloch(grid: Grid, theta) -> BlochAssembly:
     qm = as_quasi_momentum(theta)
     full = full_stiffness(grid.n, grid.a0_field(), qm)
     interior, dofs = restrict_to(full, grid.matrix_mask)
@@ -91,12 +91,14 @@ def assemble_bloch(geom: CellGeometry, grid: Grid, theta) -> BlochAssembly:
 class BlochDecomposition:
     """Lowest Bloch eigenpairs at one theta, L^2(Q_0)-orthonormal.
 
-    ``beta`` holds the coupling matrix of theta when its lifts were solved
-    with the eigenpairs (``bloch_eigs(..., lift_tol=...)`` at a theta with
-    an active fiber axis), else None.
+    ``active`` lists the fiber axes i with theta_i = 0.  ``beta`` holds the
+    coupling matrix of theta when its lifts were solved with the eigenpairs
+    (``bloch_eigs(..., lift_tol=...)`` at a theta with an active fiber
+    axis), else None.
     """
 
     theta: QuasiMomentum
+    active: tuple[int, ...]
     eigenvalues: np.ndarray
     vectors: np.ndarray  # (dim, m_max), columns orthonormal in h^3 inner product
     dofs: np.ndarray = field(repr=False)
@@ -116,7 +118,6 @@ class BlochDecomposition:
 
 
 def bloch_eigs(
-    geom: CellGeometry,
     grid: Grid,
     theta,
     m_max: int = 10,
@@ -132,7 +133,7 @@ def bloch_eigs(
     the eigensolve and the lifts share one factorization of the interior
     operator.
     """
-    asm = assembly if assembly is not None else assemble_bloch(geom, grid, theta)
+    asm = assembly if assembly is not None else assemble_bloch(grid, theta)
     sparse = eigen_method(asm.dim, m_max) == "sparse"
     vals, vectors, res = eigensolve(
         asm.interior, asm.h**3, m_max=m_max, tol=tol, seed=seed,
@@ -140,21 +141,21 @@ def bloch_eigs(
     )
     dec = BlochDecomposition(
         theta=asm.theta,
+        active=asm.theta.active_set(grid.geometry.active_axes),
         eigenvalues=vals,
         vectors=vectors,
         dofs=asm.dofs,
         grid_n=grid.n,
         residuals=res,
     )
-    if lift_tol is None or not asm.theta.active_set(geom.active_axes):
+    if lift_tol is None or not dec.active:
         return dec
     from .beta import solve_lifts  # beta imports this module
 
-    return replace(dec, beta=solve_lifts(geom, grid, dec, tol=lift_tol, assembly=asm))
+    return replace(dec, beta=solve_lifts(grid, dec, tol=lift_tol, assembly=asm))
 
 
 def dirichlet_baseline(
-    geom: CellGeometry,
     grid: Grid,
     m_max: int = 10,
     tol: float = 1e-8,
@@ -224,7 +225,6 @@ class ThetaGrid:
 
 
 def theta_sweep(
-    geom: CellGeometry,
     grid: Grid,
     tgrid: ThetaGrid,
     m_max: int = 10,
@@ -244,7 +244,7 @@ def theta_sweep(
     """
 
     def solve(qm: QuasiMomentum):
-        return bloch_eigs(geom, grid, qm, m_max=m_max, tol=tol, seed=seed, lift_tol=lift_tol)
+        return bloch_eigs(grid, qm, m_max=m_max, tol=tol, seed=seed, lift_tol=lift_tol)
 
     results: dict[tuple[float, float, float], BlochDecomposition] = {}
     failures: list[tuple[tuple[float, float, float], Exception]] = []

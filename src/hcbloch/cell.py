@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResolutionError
-from .geometry import CellGeometry, Grid
+from .geometry import Grid
 from .operators import edge_weights, full_stiffness, linear_solve, restrict_to
 
 __all__ = ["CellSolution", "solve_cell_problem", "effective_tensor"]
@@ -54,7 +54,7 @@ def _flux(grid: Grid, axis: int, corrector: np.ndarray, direction: int) -> float
     return float(grid.h**3 * np.sum(w * (dN / grid.h + unit)))
 
 
-def solve_cell_problem(geom: CellGeometry, grid: Grid, axis: int, tol: float = 1e-10) -> CellSolution:
+def solve_cell_problem(grid: Grid, axis: int, tol: float = 1e-10) -> CellSolution:
     """Solve the corrector problem on fiber ``axis`` and form a_hom."""
     mask = grid.fiber_mask(axis)
     if not np.any(mask):
@@ -86,7 +86,7 @@ def solve_cell_problem(geom: CellGeometry, grid: Grid, axis: int, tol: float = 1
     )
 
 
-def axial_flux(geom: CellGeometry, grid: Grid, solution: CellSolution, direction: int) -> float:
+def axial_flux(grid: Grid, solution: CellSolution, direction: int) -> float:
     """Discrete flux component integral_C a1 (grad N + e_i) . e_j.
 
     Vanishes (to solver tolerance) for every direction transverse to the

@@ -86,7 +86,7 @@ def cmd_cell(cfg: RunConfig, out_dir: Path) -> int:
     geom = build_geometry(cfg.geometry)
     grid = classify_nodes(geom, cfg.n)
     solutions = [
-        solve_cell_problem(geom, grid, axis, tol=cfg.tol_linear)
+        solve_cell_problem(grid, axis, tol=cfg.tol_linear)
         for axis in geom.active_axes
     ]
     tensor = effective_tensor(solutions)
@@ -98,7 +98,7 @@ def cmd_cell(cfg: RunConfig, out_dir: Path) -> int:
             "discrete_measure": sol.discrete_measure,
             "residual": sol.residual,
             "off_axis_flux": {
-                str(j): axial_flux(geom, grid, sol, j)
+                str(j): axial_flux(grid, sol, j)
                 for j in (1, 2, 3)
                 if j != sol.axis
             },
@@ -111,7 +111,7 @@ def cmd_cell(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _sweep(cfg: RunConfig, geom, grid, theta_override=None, lift_tol=None):
+def _sweep(cfg: RunConfig, grid, theta_override=None, lift_tol=None):
     dim = int(np.count_nonzero(grid.matrix_mask))
     if cfg.m_max > dim:
         raise ValidationError(
@@ -119,11 +119,10 @@ def _sweep(cfg: RunConfig, geom, grid, theta_override=None, lift_tol=None):
         )
     if theta_override is not None:
         qm = as_quasi_momentum(theta_override)
-        dec = bloch_eigs(geom, grid, qm, m_max=cfg.m_max, tol=cfg.tol_eigen, seed=cfg.seed,
+        dec = bloch_eigs(grid, qm, m_max=cfg.m_max, tol=cfg.tol_eigen, seed=cfg.seed,
                          lift_tol=lift_tol)
         return {qm.theta: dec}
     return theta_sweep(
-        geom,
         grid,
         ThetaGrid(cfg.theta_g),
         m_max=cfg.m_max,
@@ -137,7 +136,7 @@ def _sweep(cfg: RunConfig, geom, grid, theta_override=None, lift_tol=None):
 def cmd_bloch(cfg: RunConfig, out_dir: Path, theta_override=None) -> int:
     geom = build_geometry(cfg.geometry)
     grid = classify_nodes(geom, cfg.n)
-    sweep = _sweep(cfg, geom, grid, theta_override)
+    sweep = _sweep(cfg, grid, theta_override)
     rows = []
     for theta in sorted(sweep):
         dec = sweep[theta]
@@ -153,7 +152,7 @@ def cmd_beta(cfg: RunConfig, out_dir: Path, theta_override=None) -> int:
     geom = build_geometry(cfg.geometry)
     grid = classify_nodes(geom, cfg.n)
     qm = as_quasi_momentum(theta_override)
-    sweep = _sweep(cfg, geom, grid, qm, lift_tol=cfg.tol_linear)
+    sweep = _sweep(cfg, grid, qm, lift_tol=cfg.tol_linear)
     beta = sweep[qm.theta].beta
     if beta is None:
         raise EmptyActiveSetError(
@@ -186,18 +185,18 @@ def cmd_beta(cfg: RunConfig, out_dir: Path, theta_override=None) -> int:
 def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
     geom = build_geometry(cfg.geometry)
     grid = classify_nodes(geom, cfg.n)
-    sweep = _sweep(cfg, geom, grid, lift_tol=cfg.tol_linear)
+    sweep = _sweep(cfg, grid, lift_tol=cfg.tol_linear)
     window = _auto_window(cfg, sweep)
-    structure = pure_bloch_bands(sweep, m_max=cfg.m_max, window=window)
+    structure = pure_bloch_bands(sweep, window=window)
 
     a_hom = effective_tensor(
-        [solve_cell_problem(geom, grid, axis, tol=cfg.tol_linear) for axis in geom.active_axes]
+        [solve_cell_problem(grid, axis, tol=cfg.tol_linear) for axis in geom.active_axes]
     )
     spatial = []
     for theta in sorted(sweep):
         spatial.extend(
-            spatial_points(geom, sweep[theta], a_hom, cfg.k_modes, window,
-                           L=cfg.torus_period, pole_guard=cfg.pole_guard)
+            spatial_points(sweep[theta], a_hom, cfg.k_modes, window, L=cfg.torus_period,
+                           pole_guard=cfg.pole_guard)
         )
 
     payload = _meta(cfg, geom)

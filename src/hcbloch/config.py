@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import yaml
@@ -177,16 +178,17 @@ def parse_config_text(text: str) -> RunConfig:
 def _convert(kind, value, name: str, violations: list[str], default=0):
     """value as kind (int or float); else default, with a violation recorded.
 
-    An int must be integral: 1.7 is reported, not truncated to 1.
+    An int must be integral: 1.7 is reported, not truncated to 1.  A real
+    must be finite: .inf and .nan are reported.
     """
     try:
         out = kind(value)
-        if out == float(value):
+        if out == float(value) and math.isfinite(out):
             return out
     except (TypeError, ValueError, OverflowError):
         pass
-    violations.append(f"{name} must be {'an integer' if kind is int else 'a real number'}, "
-                      f"got {value!r}")
+    expected = "an integer" if kind is int else "a finite real number"
+    violations.append(f"{name} must be {expected}, got {value!r}")
     return default
 
 

@@ -264,7 +264,6 @@ class HomogenizedSolution:
 
 
 def solve_homogenized(
-    geom: CellGeometry,
     grid: Grid,
     theta,
     k_index=(0, 0, 0),
@@ -280,15 +279,15 @@ def solve_homogenized(
     fiber constants.
     """
     qm = as_quasi_momentum(theta)
-    asm = assemble_bloch(geom, grid, qm)
-    active = qm.active_set(geom.active_axes)
+    asm = assemble_bloch(grid, qm)
+    active = qm.active_set(grid.geometry.active_axes)
     n = grid.n
     N = n**3
     h3 = grid.h**3
     dofs = asm.dofs
     n_dof = dofs.size
 
-    a_hom = {axis: solve_cell_problem(geom, grid, axis, tol=tol).a_hom for axis in active}
+    a_hom = {axis: solve_cell_problem(grid, axis, tol=tol).a_hom for axis in active}
 
     # Constraint basis Z: soft-phase unit vectors, then fiber indicators.
     cols_rows = [dofs]
@@ -377,7 +376,7 @@ class TwoScaleReport:
         }
 
 
-def _theory_bound_constant(geom: CellGeometry, grid: Grid) -> float:
+def _theory_bound_constant(grid: Grid) -> float:
     a0 = grid.a0_field()
     a1 = grid.a1_field()
     return float(max(1.0, np.sqrt(1.0 / a0.min() + 1.0 / a1.min())))
@@ -411,12 +410,12 @@ def convergence_report(
     grid_cell = classify_nodes(geom, p)
     g = np.ones(grid_cell.shape) if g_cell is None else np.asarray(g_cell).reshape(grid_cell.shape)
 
-    psi_battery = _psi_battery(geom, grid_cell, qm)
+    psi_battery = _psi_battery(grid_cell, qm, tol)
     failures: list[str] = []
 
     hom = None
     if contrast == "double_porosity":
-        hom = solve_homogenized(geom, grid_cell, qm, k_index=k_index, g_cell=g, tol=tol)
+        hom = solve_homogenized(grid_cell, qm, k_index=k_index, g_cell=g, tol=tol)
 
     solutions: dict[int, EpsSolution] = {}
     for K in eps_K:
@@ -425,7 +424,7 @@ def convergence_report(
     apriori = {K: sol.apriori_norms() for K, sol in solutions.items()}
     energy_defect = {K: sol.energy_identity_defect() for K, sol in solutions.items()}
 
-    bound_c = _theory_bound_constant(geom, grid_cell)
+    bound_c = _theory_bound_constant(grid_cell)
     for K, norms in apriori.items():
         for key in ("stiff_energy", "eps_gradient", "l2"):
             if norms[key] > bound_c * norms["f_l2"] * (1.0 + 1e-8):
@@ -486,15 +485,14 @@ def _phi_battery(k_index):
     return [("mode", lambda n: _axis_waves(k_index, n)), ("mode*poly", poly)]
 
 
-def _psi_battery(geom: CellGeometry, grid_cell: Grid, qm):
+def _psi_battery(grid_cell: Grid, qm, tol: float):
     battery = [("one", np.ones(grid_cell.shape, dtype=complex))]
-    asm = assemble_bloch(geom, grid_cell, qm)
-    dec = bloch_eigs(geom, grid_cell, qm, m_max=1, assembly=asm)
+    asm = assemble_bloch(grid_cell, qm)
+    dec = bloch_eigs(grid_cell, qm, m_max=1, assembly=asm)
     battery.append(("bloch_1", dec.mode_field(0)))
-    active = qm.active_set(geom.active_axes)
-    if active:
-        beta = solve_lifts(geom, grid_cell, dec, assembly=asm)
-        battery.append((f"fiber_profile_{active[0]}", beta.fields[0].reshape(grid_cell.shape)))
+    if dec.active:
+        beta = solve_lifts(grid_cell, dec, tol=tol, assembly=asm)
+        battery.append((f"fiber_profile_{dec.active[0]}", beta.fields[0].reshape(grid_cell.shape)))
     return battery
 
 

@@ -35,8 +35,8 @@ def fiber16(single_fiber):
 
 
 @pytest.fixture(scope="module")
-def sweep16(single_fiber, fiber16):
-    return theta_sweep(single_fiber, fiber16, ThetaGrid(4), m_max=10, threads=2)
+def sweep16(fiber16):
+    return theta_sweep(fiber16, ThetaGrid(4), m_max=10, threads=2)
 
 
 @pytest.fixture(scope="module")
@@ -45,15 +45,16 @@ def beta_theta():
 
 
 @pytest.fixture(scope="module")
-def deep_modes(single_fiber, fiber16, beta_theta):
-    asm = assemble_bloch(single_fiber, fiber16, beta_theta)
-    dec = bloch_eigs(single_fiber, fiber16, beta_theta, m_max=320, assembly=asm)
+def deep_modes(fiber16, beta_theta):
+    asm = assemble_bloch(fiber16, beta_theta)
+    dec = bloch_eigs(fiber16, beta_theta, m_max=320, assembly=asm)
     return asm, dec
 
 
 def truncate(dec, m):
     return BlochDecomposition(
         theta=dec.theta,
+        active=dec.active,
         eigenvalues=dec.eigenvalues[:m],
         vectors=dec.vectors[:, :m],
         dofs=dec.dofs,
@@ -67,7 +68,7 @@ def test_criterion_1_constant_cell(single_fiber, fiber16):
     t0 = time.perf_counter()
     geom = CellGeometry(fibers=single_fiber.fibers, a0=1.0, a1=3.7)
     grid = classify_nodes(geom, 16)
-    sol = solve_cell_problem(geom, grid, 1)
+    sol = solve_cell_problem(grid, 1)
     elapsed = time.perf_counter() - t0
     err_a = abs(sol.a_hom - 3.7 * sol.discrete_measure)
     err_n = float(np.abs(sol.corrector).max())
@@ -90,7 +91,7 @@ def test_criterion_2_layered_oracles():
         a1=lambda y1, y2, y3: np.where(y1 < 0.5, 1.0, 4.0),
     )
     grid = classify_nodes(axial, 32)
-    sol_ax = solve_cell_problem(axial, grid, 1)
+    sol_ax = solve_cell_problem(grid, 1)
     harmonic = 1.0 / np.mean([1.0, 1.0 / 4.0])  # 1.6
     err_ax = abs(sol_ax.a_hom - area * harmonic) / (area * harmonic)
 
@@ -99,7 +100,7 @@ def test_criterion_2_layered_oracles():
         a1=lambda y1, y2, y3: np.where(y2 < 15.5 / 32, 1.0, 4.0),
     )
     grid_t = classify_nodes(transverse, 32)
-    sol_tr = solve_cell_problem(transverse, grid_t, 1)
+    sol_tr = solve_cell_problem(grid_t, 1)
     arithmetic = (6 * 1.0 + 7 * 4.0) / 13.0  # continuum mean over the cross-section
     err_tr = abs(sol_tr.a_hom - area * arithmetic) / (area * arithmetic)
     elapsed = time.perf_counter() - t0
@@ -125,9 +126,9 @@ def test_criterion_3_lipschitz_bound(sweep16, fiber16):
     report(3, worst <= 0.0 and elapsed < 300.0, f"worst margin={worst:.3e}, {elapsed:.1f}s")
 
 
-def test_criterion_4_dirichlet_domination(single_fiber, fiber16, sweep16):
+def test_criterion_4_dirichlet_domination(fiber16, sweep16):
     """lam_n(theta) <= mu_n + 1e-8 for all sampled theta, n <= 10."""
-    mu = dirichlet_baseline(single_fiber, fiber16, m_max=10)
+    mu = dirichlet_baseline(fiber16, m_max=10)
     worst = -np.inf
     for dec in sweep16.values():
         worst = max(worst, float((dec.eigenvalues - mu - 1e-8).max()))
@@ -138,10 +139,10 @@ def test_criterion_5_double_porosity_regression(inclusion):
     """Two distinct theta != 0 give identical Bloch lists to 1e-12 and the
     pure Bloch bands degenerate to points."""
     grid = classify_nodes(inclusion, 16)
-    d1 = bloch_eigs(inclusion, grid, (np.pi / 2, np.pi, 4.5), m_max=8)
-    d2 = bloch_eigs(inclusion, grid, (np.pi, np.pi / 3, 1.1), m_max=8)
+    d1 = bloch_eigs(grid, (np.pi / 2, np.pi, 4.5), m_max=8)
+    d2 = bloch_eigs(grid, (np.pi, np.pi / 3, 1.1), m_max=8)
     diff = float(np.abs(d1.eigenvalues - d2.eigenvalues).max())
-    sweep = theta_sweep(inclusion, grid, ThetaGrid(2), m_max=8)
+    sweep = theta_sweep(grid, ThetaGrid(2), m_max=8)
     width = max(b.hi - b.lo for b in pure_bloch_bands(sweep).branch_intervals)
     report(5, diff <= 1e-12 and width <= 1e-12, f"list diff={diff:.2e}, band width={width:.2e}")
 
@@ -157,23 +158,23 @@ def test_criterion_6_green_identity(single_fiber, two_fiber):
     ]
     for geom, n, theta in cases:
         grid = classify_nodes(geom, n)
-        asm = assemble_bloch(geom, grid, theta)
-        dec = bloch_eigs(geom, grid, theta, m_max=8, assembly=asm)
-        lifts = solve_lifts(geom, grid, dec, assembly=asm)
-        for row, axis in enumerate(lifts.active):
+        asm = assemble_bloch(grid, theta)
+        dec = bloch_eigs(grid, theta, m_max=8, assembly=asm)
+        lifts = solve_lifts(grid, dec, assembly=asm)
+        for row in range(len(lifts.active)):
             for m in range(dec.m_max):
-                T = flux(asm, dec.vectors[:, m], lifts.fields[row], axis)
+                T = flux(asm, dec.vectors[:, m], lifts.fields[row])
                 err = abs(T + dec.eigenvalues[m] * np.conjugate(lifts.coeffs[row][m]))
                 worst = max(worst, err / (1.0 + dec.eigenvalues[m]))
     report(6, worst <= 1e-12, f"worst scaled Green defect={worst:.2e}")
 
 
-def test_criterion_7_beta_properties(single_fiber, fiber16, deep_modes):
+def test_criterion_7_beta_properties(fiber16, deep_modes):
     """Hermiticity <= 1e-12 at 50 random lambda; strict diagonal
     monotonicity on a 10^3-point scan between consecutive poles."""
     asm, dec_all = deep_modes
     dec = truncate(dec_all, 10)
-    lifts = solve_lifts(single_fiber, fiber16, dec, assembly=asm)
+    lifts = solve_lifts(fiber16, dec, assembly=asm)
     rng = np.random.default_rng(2024)
     herm_worst = 0.0
     mono_ok = True
@@ -198,12 +199,12 @@ def test_criterion_7_beta_properties(single_fiber, fiber16, deep_modes):
            f"hermiticity defect={herm_worst:.2e}, monotone={mono_ok}")
 
 
-def test_criterion_8_spatial_certification(single_fiber, fiber16, deep_modes):
+def test_criterion_8_spatial_certification(fiber16, deep_modes):
     """Every root carries a sign-change bracket of width <= 1e-10 mu_1 and
     the root set is stable under doubling the pole-series truncation."""
     t0 = time.perf_counter()
     asm, dec_all = deep_modes
-    a_hom = effective_tensor([solve_cell_problem(single_fiber, fiber16, 1)])
+    a_hom = effective_tensor([solve_cell_problem(fiber16, 1)])
     mu1 = float(dec_all.eigenvalues[0])
     window = (0.0, float(dec_all.eigenvalues[4] * 0.98))
     k_modes = [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
@@ -211,11 +212,11 @@ def test_criterion_8_spatial_certification(single_fiber, fiber16, deep_modes):
     roots = {}
     for m in (160, 320):
         dec = truncate(dec_all, m)
-        lifts = solve_lifts(single_fiber, fiber16, dec, assembly=asm)
+        lifts = solve_lifts(fiber16, dec, assembly=asm)
         beta = lifts
         roots[m] = spatial_spectrum(beta, a_hom, k_modes, window)
 
-    beta320 = solve_lifts(single_fiber, fiber16, truncate(dec_all, 320), assembly=asm)
+    beta320 = solve_lifts(fiber16, truncate(dec_all, 320), assembly=asm)
 
     def F(k_index, lam):
         kk = 2 * np.pi * np.asarray(k_index, dtype=float)
@@ -249,16 +250,16 @@ def test_criterion_8_spatial_certification(single_fiber, fiber16, deep_modes):
     )
 
 
-def test_criterion_9_zero_map_rule(single_fiber, fiber16):
+def test_criterion_9_zero_map_rule(fiber16):
     """theta with all components nonzero: empty spatial spectrum and
     EmptyActiveSetError from the lift solver."""
     theta = (np.pi / 2, np.pi, 3 * np.pi / 2)
-    dec = bloch_eigs(single_fiber, fiber16, theta, m_max=4)
-    a_hom = effective_tensor([solve_cell_problem(single_fiber, fiber16, 1)])
-    pts = spatial_points(single_fiber, dec, a_hom, [(1, 0, 0)], (0.0, 60.0))
+    dec = bloch_eigs(fiber16, theta, m_max=4)
+    a_hom = effective_tensor([solve_cell_problem(fiber16, 1)])
+    pts = spatial_points(dec, a_hom, [(1, 0, 0)], (0.0, 60.0))
     raised = False
     try:
-        solve_lifts(single_fiber, fiber16, dec)
+        solve_lifts(fiber16, dec)
     except EmptyActiveSetError:
         raised = True
     report(9, pts == [] and raised, f"spatial points={len(pts)}, EmptyActiveSetError={raised}")
@@ -289,7 +290,7 @@ def test_criterion_11_spectral_semicontinuity(single_fiber):
     p = 8
     grid = classify_nodes(single_fiber, p)
     theta_star = (np.pi, np.pi, np.pi)  # on both Floquet grids
-    lam = float(bloch_eigs(single_fiber, grid, theta_star, m_max=1).eigenvalues[0])
+    lam = float(bloch_eigs(grid, theta_star, m_max=1).eigenvalues[0])
     dists = {}
     for K in (4, 8):
         dists[K] = spectral_distance(lam, composite_spectrum(single_fiber, p, K))

@@ -23,18 +23,18 @@ from hcbloch.geometry import classify_nodes
 def lift_setup(single_fiber):
     grid = classify_nodes(single_fiber, 10)
     theta = (0.0, np.pi / 2, np.pi)
-    asm = assemble_bloch(single_fiber, grid, theta)
-    dec = bloch_eigs(single_fiber, grid, theta, m_max=10, assembly=asm)
-    lifts = solve_lifts(single_fiber, grid, dec, assembly=asm)
+    asm = assemble_bloch(grid, theta)
+    dec = bloch_eigs(grid, theta, m_max=10, assembly=asm)
+    lifts = solve_lifts(grid, dec, assembly=asm)
     return single_fiber, grid, theta, asm, dec, lifts
 
 
 def test_empty_active_set_raises(single_fiber):
     grid = classify_nodes(single_fiber, 8)
     theta = (np.pi / 2, np.pi, np.pi / 3)
-    dec = bloch_eigs(single_fiber, grid, theta, m_max=2)
+    dec = bloch_eigs(grid, theta, m_max=2)
     with pytest.raises(EmptyActiveSetError):
-        solve_lifts(single_fiber, grid, dec)
+        solve_lifts(grid, dec)
 
 
 def test_lift_boundary_values_exact(lift_setup):
@@ -50,8 +50,8 @@ def test_lift_harmonicity(lift_setup):
 
 def test_lift_real_at_zero_theta(single_fiber):
     grid = classify_nodes(single_fiber, 8)
-    dec = bloch_eigs(single_fiber, grid, (0.0, 0.0, 0.0), m_max=5)
-    lifts = solve_lifts(single_fiber, grid, dec)
+    dec = bloch_eigs(grid, (0.0, 0.0, 0.0), m_max=5)
+    lifts = solve_lifts(grid, dec)
     assert not np.iscomplexobj(lifts.coeffs[0])
     # single fiber at theta = 0: harmonic extension of constant data is 1
     assert np.abs(lifts.fields[0] - 1.0).max() < 1e-10
@@ -69,14 +69,14 @@ def test_bessel_inequality(lift_setup):
 def test_green_identity(lift_setup):
     geom, grid, theta, asm, dec, lifts = lift_setup
     for m in range(dec.m_max):
-        T = flux(asm, dec.vectors[:, m], lifts.fields[0], 1)
+        T = flux(asm, dec.vectors[:, m], lifts.fields[0])
         err = abs(T + dec.eigenvalues[m] * np.conjugate(lifts.coeffs[0][m]))
         assert err <= 1e-12 * (1.0 + dec.eigenvalues[m])
 
 
 def test_flux_of_zero_field(lift_setup):
     geom, grid, theta, asm, dec, lifts = lift_setup
-    assert flux(asm, np.zeros(asm.dim), lifts.fields[0], 1) == 0.0
+    assert flux(asm, np.zeros(asm.dim), lifts.fields[0]) == 0.0
 
 
 def test_beta_hermitian(lift_setup):
@@ -125,17 +125,17 @@ def test_pole_proximity_error(lift_setup):
 def test_two_fiber_beta_cross_hermitian(two_fiber):
     grid = classify_nodes(two_fiber, 10)
     theta = (0.0, np.pi / 2, 0.0)  # both fiber axes active
-    asm = assemble_bloch(two_fiber, grid, theta)
-    dec = bloch_eigs(two_fiber, grid, theta, m_max=8, assembly=asm)
-    lifts = solve_lifts(two_fiber, grid, dec, assembly=asm)
+    asm = assemble_bloch(grid, theta)
+    dec = bloch_eigs(grid, theta, m_max=8, assembly=asm)
+    lifts = solve_lifts(grid, dec, assembly=asm)
     assert lifts.active == (1, 3)
     beta = lifts
     B = beta(3.0)
     assert B.shape == (2, 2)
     assert abs(B[0, 1] - np.conjugate(B[1, 0])) <= 1e-12
     for m in range(dec.m_max):
-        for row, axis in enumerate((1, 3)):
-            T = flux(asm, dec.vectors[:, m], lifts.fields[row], axis)
+        for row in range(len(lifts.active)):
+            T = flux(asm, dec.vectors[:, m], lifts.fields[row])
             coeff = lifts.coeffs[row][m]
             assert abs(T + dec.eigenvalues[m] * np.conjugate(coeff)) <= 1e-12 * (
                 1.0 + dec.eigenvalues[m]
@@ -164,11 +164,11 @@ def all_modes_setup(geom, theta):
     """n = 10 with every Bloch mode kept, so that the secular roots are the
     bordered pencil's eigenvalues themselves."""
     grid = classify_nodes(geom, 10)
-    asm = assemble_bloch(geom, grid, theta)
-    dec = bloch_eigs(geom, grid, theta, m_max=asm.dim, assembly=asm)
-    lifts = solve_lifts(geom, grid, dec, assembly=asm)
+    asm = assemble_bloch(grid, theta)
+    dec = bloch_eigs(grid, theta, m_max=asm.dim, assembly=asm)
+    lifts = solve_lifts(grid, dec, assembly=asm)
     beta = lifts
-    a_hom = effective_tensor([solve_cell_problem(geom, grid, axis) for axis in geom.active_axes])
+    a_hom = effective_tensor([solve_cell_problem(grid, axis) for axis in geom.active_axes])
     window = (0.0, float(dec.eigenvalues[6] * 0.99))
     return grid, asm, dec, beta, a_hom, window
 
@@ -223,7 +223,7 @@ def test_uncertified_root_raises(lift_setup, monkeypatch):
 
     geom, grid, theta, asm, dec, lifts = lift_setup
     beta = lifts
-    a_hom = effective_tensor([solve_cell_problem(geom, grid, 1)])
+    a_hom = effective_tensor([solve_cell_problem(grid, 1)])
     window = (0.0, 0.98 * float(dec.eigenvalues[-1]))
     roots = spatial_spectrum(beta, a_hom, [(1, 0, 0)], window)
     target = roots[0].lam
@@ -247,7 +247,7 @@ def test_root_certification_and_scan_oracle(lift_setup):
     per inter-pole interval matches a dense 10^4-point scan."""
     geom, grid, theta, asm, dec, lifts = lift_setup
     beta = lifts
-    a_hom = effective_tensor([solve_cell_problem(geom, grid, 1)])
+    a_hom = effective_tensor([solve_cell_problem(grid, 1)])
     window = (0.0, float(dec.eigenvalues[5] * 0.98))
     k = (2, 0, 0)
     roots = spatial_spectrum(beta, a_hom, [k], window)
@@ -284,24 +284,24 @@ def test_root_certification_and_scan_oracle(lift_setup):
 def test_spatial_zero_map(single_fiber):
     grid = classify_nodes(single_fiber, 8)
     theta = (np.pi, np.pi / 2, np.pi / 2)
-    dec = bloch_eigs(single_fiber, grid, theta, m_max=4)
-    a_hom = effective_tensor([solve_cell_problem(single_fiber, grid, 1)])
-    pts = spatial_points(single_fiber, dec, a_hom, [(1, 0, 0)], (0.0, 50.0))
+    dec = bloch_eigs(grid, theta, m_max=4)
+    a_hom = effective_tensor([solve_cell_problem(grid, 1)])
+    pts = spatial_points(dec, a_hom, [(1, 0, 0)], (0.0, 50.0))
     assert pts == []
 
 
 def test_spatial_points_need_lifts_at_active_theta(single_fiber):
     grid = classify_nodes(single_fiber, 8)
     theta = (0.0, np.pi, 0.0)
-    dec = bloch_eigs(single_fiber, grid, theta, m_max=4)
-    a_hom = effective_tensor([solve_cell_problem(single_fiber, grid, 1)])
+    dec = bloch_eigs(grid, theta, m_max=4)
+    a_hom = effective_tensor([solve_cell_problem(grid, 1)])
     with pytest.raises(ValueError, match="lift_tol"):
-        spatial_points(single_fiber, dec, a_hom, [(1, 0, 0)], (0.0, 50.0))
+        spatial_points(dec, a_hom, [(1, 0, 0)], (0.0, 50.0))
 
 
 def test_bands_single_point_sweep(single_fiber):
     grid = classify_nodes(single_fiber, 8)
-    dec = bloch_eigs(single_fiber, grid, (0.0, 0.0, 0.0), m_max=4)
+    dec = bloch_eigs(grid, (0.0, 0.0, 0.0), m_max=4)
     structure = pure_bloch_bands({(0.0, 0.0, 0.0): dec})
     for band in structure.branch_intervals:
         assert band.lo == band.hi
@@ -309,8 +309,8 @@ def test_bands_single_point_sweep(single_fiber):
 
 def test_bands_monotone_under_refinement(single_fiber):
     grid = classify_nodes(single_fiber, 8)
-    s2 = theta_sweep(single_fiber, grid, ThetaGrid(2), m_max=4)
-    s4 = theta_sweep(single_fiber, grid, ThetaGrid(4), m_max=4)
+    s2 = theta_sweep(grid, ThetaGrid(2), m_max=4)
+    s4 = theta_sweep(grid, ThetaGrid(4), m_max=4)
     b2 = pure_bloch_bands(s2).branch_intervals
     b4 = pure_bloch_bands(s4).branch_intervals
     for band2, band4 in zip(b2, b4):
@@ -320,7 +320,7 @@ def test_bands_monotone_under_refinement(single_fiber):
 
 def test_bands_inclusion_degenerate(inclusion):
     grid = classify_nodes(inclusion, 8)
-    sweep = theta_sweep(inclusion, grid, ThetaGrid(2), m_max=4)
+    sweep = theta_sweep(grid, ThetaGrid(2), m_max=4)
     structure = pure_bloch_bands(sweep)
     for band in structure.branch_intervals:
         assert band.hi - band.lo <= 1e-12
@@ -331,10 +331,12 @@ def test_band_merging_and_gaps():
     from hcbloch.bloch import BlochDecomposition
     from hcbloch.operators import QuasiMomentum
 
-    # synthetic two-point sweep with overlapping branches
+    # synthetic two-point sweep with overlapping branches; the flat third
+    # branch [3, 3] lies inside the band merged from the first two
     def dec(theta, vals):
         return BlochDecomposition(
             theta=QuasiMomentum(theta),
+            active=(),
             eigenvalues=np.asarray(vals, dtype=float),
             vectors=np.zeros((1, len(vals))),
             dofs=np.array([0]),
@@ -343,12 +345,19 @@ def test_band_merging_and_gaps():
         )
 
     sweep = {
-        (0.0, 0.0, 0.0): dec((0.0, 0.0, 0.0), [1.0, 2.0, 6.0]),
-        (np.pi, 0.0, 0.0): dec((np.pi, 0.0, 0.0), [2.5, 3.0, 7.0]),
+        (0.0, 0.0, 0.0): dec((0.0, 0.0, 0.0), [1.0, 2.0, 3.0, 6.0]),
+        (np.pi, 0.0, 0.0): dec((np.pi, 0.0, 0.0), [2.5, 3.0, 3.0, 7.0]),
     }
     structure = pure_bloch_bands(sweep, window=(0.0, 8.0))
-    assert len(structure.bands) == 2  # branches [1,2.5] and [2,3] merge; [6,7] stays
-    assert structure.bands[0].lo == 1.0 and structure.bands[0].hi == 3.0
+    assert structure.branch_intervals[2].theta_at_hi == (0.0, 0.0, 0.0)
+    # branches [1,2.5], [2,3] and [3,3] merge; [6,7] stays
+    assert len(structure.bands) == 2
+    low, high = structure.bands
+    assert (low.lo, low.hi, low.branches) == (1.0, 3.0, (0, 1, 2))
+    # the top stays that of branch [2,3], not of the nested [3,3]
+    assert low.theta_at_lo == (0.0, 0.0, 0.0) and low.theta_at_hi == (np.pi, 0.0, 0.0)
+    assert (high.lo, high.hi, high.branches) == (6.0, 7.0, (3,))
+    assert high.theta_at_hi == (np.pi, 0.0, 0.0)
     assert structure.gaps == [(0.0, 1.0), (3.0, 6.0), (7.0, 8.0)]
 
 
@@ -417,10 +426,10 @@ def scalar_scan_spatial_spectrum(beta, a_hom, k_modes, window, L=1.0,
 def two_fiber_setup(two_fiber):
     grid = classify_nodes(two_fiber, 10)
     theta = (0.0, np.pi / 2, 0.0)  # both fiber axes active
-    asm = assemble_bloch(two_fiber, grid, theta)
-    dec = bloch_eigs(two_fiber, grid, theta, m_max=8, assembly=asm)
-    lifts = solve_lifts(two_fiber, grid, dec, assembly=asm)
-    a_hom = effective_tensor([solve_cell_problem(two_fiber, grid, axis) for axis in (1, 3)])
+    asm = assemble_bloch(grid, theta)
+    dec = bloch_eigs(grid, theta, m_max=8, assembly=asm)
+    lifts = solve_lifts(grid, dec, assembly=asm)
+    a_hom = effective_tensor([solve_cell_problem(grid, axis) for axis in (1, 3)])
     return theta, dec, lifts, a_hom
 
 
@@ -457,7 +466,7 @@ def test_pencil_roots_match_scalar_scan_oracle(lift_setup, two_fiber_setup):
     inside the bracket the scan bisected for it."""
     k_modes = [(0, 0, 0), (1, 0, 0), (0, 0, 1)]
     geom, grid, theta1, asm, dec1, lifts1 = lift_setup
-    a_hom1 = effective_tensor([solve_cell_problem(geom, grid, 1)])
+    a_hom1 = effective_tensor([solve_cell_problem(grid, 1)])
     theta2, dec2, lifts2, a_hom2 = two_fiber_setup
     for theta, dec, lifts, a_hom in ((theta1, dec1, lifts1, a_hom1),
                                      (theta2, dec2, lifts2, a_hom2)):
@@ -497,7 +506,7 @@ def test_sweep_with_lifts_factors_once_per_theta(single_fiber, sparse_eigensolve
     monkeypatch.setattr(arpack, "splu", counting_splu)
     monkeypatch.setattr(hcbloch.beta, "linear_solve", counting_linear_solve)
     grid = classify_nodes(single_fiber, 8)
-    sweep = theta_sweep(single_fiber, grid, ThetaGrid(2), m_max=4, lift_tol=1e-10)
+    sweep = theta_sweep(grid, ThetaGrid(2), m_max=4, lift_tol=1e-10)
     active = [t for t in sweep if t[0] == 0.0]
     assert calls == {"splu": len(sweep), "linear_solve": len(active)}
     assert all((sweep[t].beta is not None) == (t in active) for t in sweep)
@@ -505,12 +514,12 @@ def test_sweep_with_lifts_factors_once_per_theta(single_fiber, sparse_eigensolve
 
 def test_sweep_lifts_match_standalone_solve(two_fiber, sparse_eigensolver):
     grid = classify_nodes(two_fiber, 8)
-    sweep = theta_sweep(two_fiber, grid, ThetaGrid(2), m_max=4, lift_tol=1e-10, threads=2)
+    sweep = theta_sweep(grid, ThetaGrid(2), m_max=4, lift_tol=1e-10, threads=2)
     checked = 0
     for dec in sweep.values():
         if dec.beta is None:
             continue
-        alone = solve_lifts(two_fiber, grid, dec)
+        alone = solve_lifts(grid, dec)
         attached = dec.beta
         assert attached.active == alone.active
         for row in range(len(alone.active)):
@@ -534,9 +543,9 @@ def test_zero_root_exact_at_theta_zero(geom_name, request):
     geom = request.getfixturevalue(geom_name)
     grid = classify_nodes(geom, 10)
     theta = (0.0, 0.0, 0.0)
-    dec = bloch_eigs(geom, grid, theta, m_max=8, lift_tol=1e-10)
+    dec = bloch_eigs(grid, theta, m_max=8, lift_tol=1e-10)
     beta = dec.beta
-    a_hom = effective_tensor([solve_cell_problem(geom, grid, axis) for axis in geom.active_axes])
+    a_hom = effective_tensor([solve_cell_problem(grid, axis) for axis in geom.active_axes])
     k_modes = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
     window = (0.0, 0.98 * float(dec.eigenvalues[-1]))
     roots = spatial_spectrum(beta, a_hom, k_modes, window)

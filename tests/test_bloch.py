@@ -7,8 +7,8 @@ from hcbloch.geometry import CellGeometry, build_geometry, classify_nodes
 
 def test_inclusion_theta_independent(inclusion):
     grid = classify_nodes(inclusion, 8)
-    d1 = bloch_eigs(inclusion, grid, (1.0, 2.0, 3.0), m_max=5)
-    d2 = bloch_eigs(inclusion, grid, (0.5, 4.4, 0.2), m_max=5)
+    d1 = bloch_eigs(grid, (1.0, 2.0, 3.0), m_max=5)
+    d2 = bloch_eigs(grid, (0.5, 4.4, 0.2), m_max=5)
     assert np.abs(d1.eigenvalues - d2.eigenvalues).max() < 1e-12
 
 
@@ -17,7 +17,7 @@ def test_inclusion_box_closed_form(inclusion):
     inclusion: tensor-product closed form is exact."""
     for n in (16, 32):
         grid = classify_nodes(inclusion, n)
-        dec = bloch_eigs(inclusion, grid, (1.0, 1.0, 1.0), m_max=1)
+        dec = bloch_eigs(grid, (1.0, 1.0, 1.0), m_max=1)
         m_interior = round(0.5 * n) - 1  # strictly inside (0.25, 0.75)
         pred = 3.0 * dirichlet_chain_lowest(m_interior, 1.0 / n)
         assert abs(dec.eigenvalues[0] - pred) < 1e-8 * pred
@@ -28,29 +28,29 @@ def test_coefficient_scaling_doubles_eigenvalues(single_fiber):
     geom2 = CellGeometry(fibers=single_fiber.fibers, a0=2.0, a1=1.0)
     grid2 = classify_nodes(geom2, 8)
     th = (0.0, 1.0, 2.0)
-    d1 = bloch_eigs(single_fiber, grid1, th, m_max=5)
-    d2 = bloch_eigs(geom2, grid2, th, m_max=5)
+    d1 = bloch_eigs(grid1, th, m_max=5)
+    d2 = bloch_eigs(grid2, th, m_max=5)
     assert np.abs(d2.eigenvalues - 2.0 * d1.eigenvalues).max() < 1e-9
 
 
 def test_positivity_at_zero_quasi_momentum(single_fiber):
     grid = classify_nodes(single_fiber, 8)
-    dec = bloch_eigs(single_fiber, grid, (0.0, 0.0, 0.0), m_max=1)
+    dec = bloch_eigs(grid, (0.0, 0.0, 0.0), m_max=1)
     assert dec.eigenvalues[0] > 1.0  # fibers anchor the periodic problem
 
 
 def test_orthonormality(single_fiber):
     grid = classify_nodes(single_fiber, 8)
-    dec = bloch_eigs(single_fiber, grid, (0.7, 0.0, 2.2), m_max=6)
+    dec = bloch_eigs(grid, (0.7, 0.0, 2.2), m_max=6)
     G = grid.h**3 * (dec.vectors.conj().T @ dec.vectors)
     assert np.abs(G - np.eye(6)).max() < 1e-10
 
 
 def test_dirichlet_domination(single_fiber):
     grid = classify_nodes(single_fiber, 8)
-    mu = dirichlet_baseline(single_fiber, grid, m_max=8)
+    mu = dirichlet_baseline(grid, m_max=8)
     for th in [(0.0, 0.0, 0.0), (0.0, np.pi / 2, np.pi), (1.0, 2.0, 3.0)]:
-        lam = bloch_eigs(single_fiber, grid, th, m_max=8).eigenvalues
+        lam = bloch_eigs(grid, th, m_max=8).eigenvalues
         assert np.all(lam <= mu + 1e-8)
 
 
@@ -58,8 +58,8 @@ def test_inclusion_baseline_equals_bloch(inclusion):
     """Interior soft phase: the Dirichlet baseline and any theta != 0
     Bloch problem are the same discrete operator."""
     grid = classify_nodes(inclusion, 8)
-    mu = dirichlet_baseline(inclusion, grid, m_max=5)
-    lam = bloch_eigs(inclusion, grid, (2.0, 1.0, 0.5), m_max=5).eigenvalues
+    mu = dirichlet_baseline(grid, m_max=5)
+    lam = bloch_eigs(grid, (2.0, 1.0, 0.5), m_max=5).eigenvalues
     assert np.abs(mu - lam).max() < 1e-11
 
 
@@ -73,7 +73,7 @@ def test_dirichlet_cube_continuum_limit():
     )
     grid = classify_nodes(geom, n)
     assert grid.matrix_mask.sum() == (n - 1) ** 3
-    mu = dirichlet_baseline(geom, grid, m_max=1)
+    mu = dirichlet_baseline(grid, m_max=1)
     assert abs(mu[0] - 3 * np.pi**2) < 0.01 * 3 * np.pi**2
 
 
@@ -93,8 +93,8 @@ def test_theta_grid_contents():
 def test_sweep_deterministic_and_parallel(single_fiber):
     grid = classify_nodes(single_fiber, 8)
     tg = ThetaGrid(2)
-    s1 = theta_sweep(single_fiber, grid, tg, m_max=3, threads=1)
-    s2 = theta_sweep(single_fiber, grid, tg, m_max=3, threads=4)
+    s1 = theta_sweep(grid, tg, m_max=3, threads=1)
+    s2 = theta_sweep(grid, tg, m_max=3, threads=4)
     assert list(s1) == sorted(s1)
     assert list(s1) == list(s2)
     for t in s1:
@@ -103,7 +103,7 @@ def test_sweep_deterministic_and_parallel(single_fiber):
 
 def test_sweep_conjugation_symmetry(single_fiber):
     grid = classify_nodes(single_fiber, 8)
-    sweep = theta_sweep(single_fiber, grid, ThetaGrid(4), m_max=4)
+    sweep = theta_sweep(grid, ThetaGrid(4), m_max=4)
     for t in sweep:
         t_conj = tuple((-v) % (2 * np.pi) for v in t)
         assert np.abs(sweep[t].eigenvalues - sweep[t_conj].eigenvalues).max() < 1e-9
@@ -111,7 +111,7 @@ def test_sweep_conjugation_symmetry(single_fiber):
 
 def test_sweep_inclusion_all_nonzero_identical(inclusion):
     grid = classify_nodes(inclusion, 8)
-    sweep = theta_sweep(inclusion, grid, ThetaGrid(2), m_max=4)
+    sweep = theta_sweep(grid, ThetaGrid(2), m_max=4)
     nonzero = [t for t in sweep if t != (0.0, 0.0, 0.0)]
     ref = sweep[nonzero[0]].eigenvalues
     for t in nonzero[1:]:
@@ -121,7 +121,7 @@ def test_sweep_inclusion_all_nonzero_identical(inclusion):
 def test_lipschitz_bound_small(single_fiber):
     grid = classify_nodes(single_fiber, 8)
     tg = ThetaGrid(3)
-    sweep = theta_sweep(single_fiber, grid, tg, m_max=5)
+    sweep = theta_sweep(grid, tg, m_max=5)
     a0_sup = 1.0
     slack = 10.0 * grid.h**2
     for t1, t2 in tg.adjacent_pairs():
@@ -133,14 +133,14 @@ def test_lipschitz_bound_small(single_fiber):
 
 def test_min_max_ordering(single_fiber):
     grid = classify_nodes(single_fiber, 8)
-    sweep = theta_sweep(single_fiber, grid, ThetaGrid(2), m_max=6)
+    sweep = theta_sweep(grid, ThetaGrid(2), m_max=6)
     for dec in sweep.values():
         assert np.all(np.diff(dec.eigenvalues) >= -1e-12)
 
 
 def test_mode_field_zero_on_stiff(single_fiber):
     grid = classify_nodes(single_fiber, 8)
-    dec = bloch_eigs(single_fiber, grid, (0.0, 1.0, 1.0), m_max=2)
+    dec = bloch_eigs(grid, (0.0, 1.0, 1.0), m_max=2)
     field = dec.mode_field(0)
     assert np.all(field[grid.stiff_mask] == 0.0)
     assert np.abs(field[grid.matrix_mask]).max() > 0.0

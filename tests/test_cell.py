@@ -96,7 +96,7 @@ def brute_force_fiber_solve(geom, grid, axis):
 def test_constant_coefficient_exact():
     geom = CellGeometry(fibers={1: FiberSpec(1, (0.3, 0.7, 0.3, 0.7))}, a1=2.5)
     grid = classify_nodes(geom, 16)
-    sol = solve_cell_problem(geom, grid, 1)
+    sol = solve_cell_problem(grid, 1)
     assert abs(sol.a_hom - 2.5 * sol.discrete_measure) < 1e-12
     assert np.abs(sol.corrector).max() < 1e-12
 
@@ -104,7 +104,7 @@ def test_constant_coefficient_exact():
 def test_axial_layering_harmonic_mean():
     geom = CellGeometry(fibers={1: FiberSpec(1, RECT_EXACT32)}, a1=axial_profile)
     grid = classify_nodes(geom, 32)
-    sol = solve_cell_problem(geom, grid, 1)
+    sol = solve_cell_problem(grid, 1)
     # independent 1D oracle along the fiber axis
     a_nodes = axial_profile(np.arange(32) / 32, 0, 0)
     oracle = periodic_1d_corrector_a_hom(a_nodes, 1.0 / 32)
@@ -118,7 +118,7 @@ def test_axial_layering_harmonic_mean():
 def test_transverse_layering_arithmetic_mean():
     geom = CellGeometry(fibers={1: FiberSpec(1, RECT_EXACT32)}, a1=transverse_profile)
     grid = classify_nodes(geom, 32)
-    sol = solve_cell_problem(geom, grid, 1)
+    sol = solve_cell_problem(grid, 1)
     assert np.abs(sol.corrector).max() < 1e-12  # gradient source in the kernel
     a1 = grid.a1_field()
     mean_disc = a1[grid.fiber_mask(1)].mean()
@@ -131,7 +131,7 @@ def test_brute_force_3d_oracle_n16():
         a1=lambda y1, y2, y3: 1.0 + 0.5 * np.sin(2 * np.pi * y2) + 0.25 * np.cos(2 * np.pi * y3),
     )
     grid = classify_nodes(geom, 16)
-    sol = solve_cell_problem(geom, grid, 2)
+    sol = solve_cell_problem(grid, 2)
     oracle, _ = brute_force_fiber_solve(geom, grid, 2)
     assert abs(sol.a_hom - oracle) < 1e-9
 
@@ -158,7 +158,7 @@ def test_positivity_and_voigt_bound():
         a1=lambda y1, y2, y3: 1.0 + 0.9 * np.sin(2 * np.pi * y1) ** 2,
     )
     grid = classify_nodes(geom, 16)
-    sol = solve_cell_problem(geom, grid, 1)
+    sol = solve_cell_problem(grid, 1)
     assert sol.a_hom > 0.0
     # Voigt bound: energy at N = 0, i.e. the edge-coefficient sum
     from hcbloch.cell import _fiber_edges
@@ -175,16 +175,16 @@ def test_off_axis_flux_vanishes():
         a1=lambda y1, y2, y3: 1.0 + 0.7 * np.cos(2 * np.pi * y1) ** 2 + 0.2 * y2 * (1 - y2),
     )
     grid = classify_nodes(geom, 16)
-    sol = solve_cell_problem(geom, grid, 1)
+    sol = solve_cell_problem(grid, 1)
     for j in (2, 3):
-        assert abs(axial_flux(geom, grid, sol, j)) < 1e-8
-    assert abs(axial_flux(geom, grid, sol, 1) - sol.a_hom) < 1e-12
+        assert abs(axial_flux(grid, sol, j)) < 1e-8
+    assert abs(axial_flux(grid, sol, 1) - sol.a_hom) < 1e-12
 
 
 def test_mean_zero_corrector():
     geom = CellGeometry(fibers={1: FiberSpec(1, (0.3, 0.7, 0.3, 0.7))}, a1=axial_profile)
     grid = classify_nodes(geom, 16)
-    sol = solve_cell_problem(geom, grid, 1)
+    sol = solve_cell_problem(grid, 1)
     fiber_vals = sol.corrector[grid.fiber_mask(1)]
     assert abs(fiber_vals.mean()) < 1e-12
     assert np.abs(fiber_vals).max() > 0.0  # genuinely nontrivial corrector
@@ -197,7 +197,7 @@ def test_grid_convergence_layered():
         geom = CellGeometry(fibers={1: FiberSpec(1, (0.25, 0.75, 0.25, 0.75))},
                             a1=lambda y1, y2, y3: 2.0 + np.sin(2 * np.pi * y1))
         grid = classify_nodes(geom, n)
-        sol = solve_cell_problem(geom, grid, 1)
+        sol = solve_cell_problem(grid, 1)
         vals[n] = sol.a_hom / sol.discrete_measure  # per-area coefficient
     errs = [abs(vals[8] - vals[16]), abs(vals[16] - vals[32])]
     assert errs[1] < errs[0]
@@ -205,7 +205,7 @@ def test_grid_convergence_layered():
 
 def test_effective_tensor_layout(two_fiber):
     grid = classify_nodes(two_fiber, 16)
-    sols = [solve_cell_problem(two_fiber, grid, a) for a in (1, 3)]
+    sols = [solve_cell_problem(grid, a) for a in (1, 3)]
     T = effective_tensor(sols)
     assert T[0, 0] > 0 and T[2, 2] > 0
     assert T[1, 1] == 0.0

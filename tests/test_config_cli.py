@@ -75,9 +75,20 @@ def test_integral_float_values_accepted():
          "geometry.fibers.rect"),
         (INCLUSION.replace("0.75, 0.25, 0.75]", "0.75, 0.25, x]"), "ValidationError",
          "geometry.inclusion_box"),
+        (MINIMAL.replace("  fibers:", "  a1: .inf\n  fibers:"), "ValidationError", "geometry.a1"),
+        (MINIMAL + "tolerances:\n  eigen: .inf\n", "ValidationError", "tolerances.eigen"),
+        (MINIMAL + "tolerances:\n  linear: .inf\n", "ValidationError", "tolerances.linear"),
+        (MINIMAL + "tolerances:\n  pole_guard: .inf\n", "ValidationError",
+         "tolerances.pole_guard"),
+        (MINIMAL + "validate:\n  residual_factor: .inf\n", "ValidationError",
+         "validate.residual_factor"),
+        (MINIMAL + "spectrum:\n  torus_period: .inf\n", "ValidationError",
+         "spectrum.torus_period"),
     ],
     ids=["non_numeric_n", "fiber_without_rect", "non_numeric_a0", "non_numeric_axis",
-         "non_numeric_rect", "non_numeric_inclusion_box"],
+         "non_numeric_rect", "non_numeric_inclusion_box", "infinite_a1", "infinite_tol_eigen",
+         "infinite_tol_linear", "infinite_pole_guard", "infinite_residual_factor",
+         "infinite_torus_period"],
 )
 def test_cli_malformed_value_exit2(tmp_path, capsys, text, error, key):
     path = tmp_path / "c.yml"

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -154,3 +156,33 @@ def test_layered_coefficient_field_sampling():
     grid = classify_nodes(layered, 8)
     field = grid.a1_field()
     assert field[0, 0, 0] == 1.0 and field[4, 0, 0] == 4.0
+
+
+def _annotation_names(fn) -> dict[str, str]:
+    params = inspect.signature(fn).parameters.values()
+    return {p.name: getattr(p.annotation, "__name__", p.annotation) for p in params}
+
+
+def _functions(module):
+    for _, obj in inspect.getmembers(module):
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield obj
+        elif inspect.isclass(obj):
+            yield from (f for _, f in inspect.getmembers(obj, inspect.isfunction))
+
+
+def test_grid_carries_its_geometry():
+    """A function that gets a Grid reads the geometry from it, never from a second argument."""
+    import hcbloch.beta
+    import hcbloch.bloch
+    import hcbloch.cell
+    import hcbloch.validation
+
+    for module in (hcbloch.bloch, hcbloch.beta, hcbloch.cell, hcbloch.validation):
+        for fn in _functions(module):
+            kinds = set(_annotation_names(fn).values())
+            assert not {"CellGeometry", "Grid"} <= kinds, fn.__qualname__
+    names = _annotation_names(hcbloch.beta.spatial_points)
+    assert "CellGeometry" not in names.values() and "geom" not in names

@@ -154,7 +154,7 @@ def dense_constrained_oracle(geom, grid, k_index, g):
     spatial = np.zeros(len(dofs) + len(active))
     k = 2 * np.pi * np.asarray(k_index, dtype=float)
     for j, axis in enumerate(active):
-        a_hom = solve_cell_problem(geom, grid, axis).a_hom
+        a_hom = solve_cell_problem(grid, axis).a_hom
         spatial[len(dofs) + j] = a_hom * k[axis - 1] ** 2
     rhs = h3 * (Z.T @ g.ravel())
     x = np.linalg.solve(S + np.diag(mass + spatial), rhs)
@@ -164,7 +164,7 @@ def dense_constrained_oracle(geom, grid, k_index, g):
 def test_homogenized_against_dense_oracle(single_fiber):
     grid = classify_nodes(single_fiber, 8)
     g = np.ones((8, 8, 8))
-    hom = solve_homogenized(single_fiber, grid, (0.0, 0.0, 0.0), k_index=(0, 0, 0), g_cell=g)
+    hom = solve_homogenized(grid, (0.0, 0.0, 0.0), k_index=(0, 0, 0), g_cell=g)
     oracle = dense_constrained_oracle(single_fiber, grid, (0, 0, 0), g)
     assert np.abs(hom.w_full - oracle).max() < 1e-10
     assert hom.residual < 1e-12
@@ -178,7 +178,7 @@ def test_homogenized_inactive_fibers_dirichlet(single_fiber):
     g = rng.standard_normal((8, 8, 8))
     g[grid.stiff_mask] = 0.0
     theta = (np.pi, np.pi / 2, np.pi)
-    hom = solve_homogenized(single_fiber, grid, theta, k_index=(0, 0, 0), g_cell=g)
+    hom = solve_homogenized(grid, theta, k_index=(0, 0, 0), g_cell=g)
     assert hom.w_fiber == {}
     full = full_stiffness(8, grid.a0_field(), theta)
     dofs = np.flatnonzero(grid.matrix_mask.ravel())
@@ -193,8 +193,8 @@ def test_homogenized_inactive_fibers_dirichlet(single_fiber):
 def test_homogenized_linearity(single_fiber):
     grid = classify_nodes(single_fiber, 8)
     g = np.ones((8, 8, 8))
-    h1 = solve_homogenized(single_fiber, grid, (0.0, 0.0, 0.0), k_index=(1, 0, 0), g_cell=g)
-    h2 = solve_homogenized(single_fiber, grid, (0.0, 0.0, 0.0), k_index=(1, 0, 0), g_cell=2 * g)
+    h1 = solve_homogenized(grid, (0.0, 0.0, 0.0), k_index=(1, 0, 0), g_cell=g)
+    h2 = solve_homogenized(grid, (0.0, 0.0, 0.0), k_index=(1, 0, 0), g_cell=2 * g)
     assert np.abs(h2.w_full - 2 * h1.w_full).max() < 1e-12
 
 
@@ -224,6 +224,21 @@ def test_report_structure_and_pass(single_fiber):
     assert set(d["apriori"]) == {"2", "4"}
 
 
+def test_report_passes_linear_tolerance_to_lift_solve(fat_fiber, monkeypatch):
+    import hcbloch.validation as validation
+
+    seen = []
+    solve_lifts = validation.solve_lifts
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs.get("tol"))
+        return solve_lifts(*args, **kwargs)
+
+    monkeypatch.setattr(validation, "solve_lifts", recording)
+    convergence_report(fat_fiber, 4, [2], theta=(0.0, 0.0, 0.0), tol=1e-8)
+    assert seen == [1e-8]
+
+
 def test_spectral_distance():
     assert spectral_distance(5.0, np.array([1.0, 4.5, 9.0])) == 0.5
 
@@ -241,8 +256,8 @@ def test_inclusion_homogenized_theta_independent(inclusion):
     grid = classify_nodes(inclusion, 8)
     g = np.zeros(grid.shape)
     g[grid.matrix_mask] = 1.0
-    h0 = solve_homogenized(inclusion, grid, (0.0, 0.0, 0.0), g_cell=g)
-    h1 = solve_homogenized(inclusion, grid, (1.1, 2.2, 0.7), g_cell=g)
+    h0 = solve_homogenized(grid, (0.0, 0.0, 0.0), g_cell=g)
+    h1 = solve_homogenized(grid, (1.1, 2.2, 0.7), g_cell=g)
     assert np.abs(h0.w_full - h1.w_full).max() < 1e-12
 
 
@@ -307,7 +322,7 @@ def test_separable_pairings_match_fine_grid(single_fiber):
         assert abs(separable_pairing(sol, phi_axes, psi, theta) - fine) <= 1e-12 * max(1.0, abs(fine))
 
     grid = classify_nodes(single_fiber, p)
-    hom = solve_homogenized(single_fiber, grid, (0.0, 0.0, 0.0), k_index=k_index, g_cell=g)
+    hom = solve_homogenized(grid, (0.0, 0.0, 0.0), k_index=k_index, g_cell=g)
     x1, x2, x3 = np.meshgrid(*(np.arange(n) / n,) * 3, indexing="ij")
     macro = np.mean(np.exp(2j * np.pi * (x1 + 2 * x2)) * np.conjugate(phi))
     limit = macro * (1.0 / p) ** 3 * np.vdot(psi.ravel(), hom.w_full)
