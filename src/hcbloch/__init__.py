@@ -11,7 +11,6 @@ from .beta import (
     BandStructure,
     BetaMatrix,
     SpatialRoot,
-    flux,
     pure_bloch_bands,
     solve_lifts,
     spatial_points,
@@ -22,7 +21,6 @@ from .bloch import (
     ThetaGrid,
     assemble_bloch,
     bloch_eigs,
-    dirichlet_baseline,
     theta_sweep,
 )
 from .cell import CellSolution, effective_tensor, solve_cell_problem
@@ -46,11 +44,9 @@ from .operators import QuasiMomentum, eigensolve, linear_solve
 from .validation import (
     EpsProblem,
     TwoScaleReport,
-    composite_spectrum,
     convergence_report,
     solve_eps,
     solve_homogenized,
-    spectral_distance,
     two_scale_pairing,
 )
 

@@ -34,7 +34,6 @@ __all__ = [
     "BandStructure",
     "SpatialRoot",
     "solve_lifts",
-    "flux",
     "pure_bloch_bands",
     "spatial_spectrum",
     "spatial_points",
@@ -172,20 +171,9 @@ def solve_lifts(
     )
 
 
-def flux(asm: BlochAssembly, v: np.ndarray, lift_field: np.ndarray) -> complex:
-    """Discrete surface flux of v through the fiber boundary of the lift ``lift_field``.
-
-    Summation-by-parts form: T(v) = q(v, b) - <A0 v, b>, with q the full
-    Dirichlet form including the stiff-boundary links and A0 the
-    interior operator.  For a Bloch eigenpair (mu, v) this satisfies the
-    Green identity T(v) = -mu * conj(<b, v>) to machine precision.
-
-    ``v`` is a soft-phase DOF vector; ``lift_field`` a full-grid field.
-    """
-    v_full = asm.embed(v)
-    q_form = np.vdot(lift_field, asm.full @ v_full)
-    interior = np.vdot(lift_field[asm.dofs], asm.interior @ v)
-    return complex(q_form - interior)
+# A branch attains its extreme at the first theta, in sorted order, whose value
+# lies within this relative distance of it: rounding does not pick the theta.
+EXTREME_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -220,8 +208,9 @@ def pure_bloch_bands(sweep, window=None) -> BandStructure:
     """Aggregate a theta sweep into per-branch intervals, bands and gaps.
 
     Branch m (up to the smallest m_max in the sweep) spans
-    [min_theta mu_m, max_theta mu_m]; overlapping branch intervals merge
-    into maximal bands, and gaps are the complement inside the window
+    [min_theta mu_m, max_theta mu_m], attained at the first theta whose
+    value ties the extreme to EXTREME_TIE_RTOL; overlapping branch intervals
+    merge into maximal bands, and gaps are the complement inside the window
     [0, lambda_max].
     """
     if not sweep:
@@ -230,15 +219,12 @@ def pure_bloch_bands(sweep, window=None) -> BandStructure:
     branch_intervals = []
     for m in range(min(sweep[t].m_max for t in thetas)):
         vals = np.array([sweep[t].eigenvalues[m] for t in thetas])
-        i_lo, i_hi = int(np.argmin(vals)), int(np.argmax(vals))
+        lo, hi = vals.min(), vals.max()
+        i_lo = int(np.argmax(vals <= lo + EXTREME_TIE_RTOL * abs(lo)))
+        i_hi = int(np.argmax(vals >= hi - EXTREME_TIE_RTOL * abs(hi)))
         branch_intervals.append(
-            Band(
-                lo=float(vals[i_lo]),
-                hi=float(vals[i_hi]),
-                branches=(m,),
-                theta_at_lo=thetas[i_lo],
-                theta_at_hi=thetas[i_hi],
-            )
+            Band(lo=float(lo), hi=float(hi), branches=(m,),
+                 theta_at_lo=thetas[i_lo], theta_at_hi=thetas[i_hi])
         )
 
     lam_max = window[1] if window is not None else max(b.hi for b in branch_intervals)

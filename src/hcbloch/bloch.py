@@ -39,7 +39,6 @@ __all__ = [
     "ThetaGrid",
     "assemble_bloch",
     "bloch_eigs",
-    "dirichlet_baseline",
     "theta_sweep",
 ]
 
@@ -72,12 +71,6 @@ class BlochAssembly:
     @cached_property
     def factor(self) -> spla.SuperLU:
         return factorize(self.interior)
-
-    def embed(self, values: np.ndarray) -> np.ndarray:
-        """Extend a DOF vector by zero to the full node grid (flat)."""
-        out = np.zeros(self.grid.n**3, dtype=np.result_type(values.dtype, self.full.dtype))
-        out[self.dofs] = values
-        return out
 
 
 def assemble_bloch(grid: Grid, theta) -> BlochAssembly:
@@ -155,31 +148,6 @@ def bloch_eigs(
     return replace(dec, beta=solve_lifts(grid, dec, tol=lift_tol, assembly=asm))
 
 
-def dirichlet_baseline(
-    grid: Grid,
-    m_max: int = 10,
-    tol: float = 1e-8,
-    seed: int = 0,
-) -> np.ndarray:
-    """Eigenvalues of the full Dirichlet operator on the soft phase.
-
-    Zero trace on the stiff closures and on the cell boundary: the periodic
-    stiffness is restricted to the soft nodes off the grid planes with a
-    zero coordinate, which thereby carry the boundary value 0.  These
-    dominate every Bloch branch: lambda_n(theta) <= mu_n.
-    """
-    n = grid.n
-    full = full_stiffness(n, grid.a0_field())
-    inner = np.ones((n, n, n), dtype=bool)
-    for ax in range(3):
-        sl = [slice(None)] * 3
-        sl[ax] = 0
-        inner[tuple(sl)] = False
-    interior, _ = restrict_to(full, grid.matrix_mask & inner)
-    vals, _, _ = eigensolve(interior, grid.h**3, m_max=m_max, tol=tol, seed=seed)
-    return vals
-
-
 @dataclass(frozen=True)
 class ThetaGrid:
     """Uniform g^3 grid over [0, 2pi)^3, lexicographically ordered.
@@ -204,24 +172,6 @@ class ThetaGrid:
             for t2 in vals
             for t3 in vals
         ]
-
-    def adjacent_pairs(self):
-        """Pairs of grid points differing by one step in one component."""
-        step = 2.0 * np.pi / self.g
-        vals = [k * step for k in range(self.g)]
-        pairs = []
-        pts = {}
-        for i1, t1 in enumerate(vals):
-            for i2, t2 in enumerate(vals):
-                for i3, t3 in enumerate(vals):
-                    pts[(i1, i2, i3)] = (t1, t2, t3)
-        for (i1, i2, i3), t in pts.items():
-            for d, i in enumerate((i1, i2, i3)):
-                if i + 1 < self.g:
-                    nb = list((i1, i2, i3))
-                    nb[d] += 1
-                    pairs.append((t, pts[tuple(nb)]))
-        return pairs
 
 
 def theta_sweep(

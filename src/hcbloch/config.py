@@ -11,16 +11,25 @@ from .errors import ParseError, ValidationError
 
 SCHEMA_VERSION = 1
 
-# section -> allowed keys
-_SCHEMA: dict[str, set[str]] = {
-    "geometry": {"variant", "fibers", "a0", "a1", "inclusion_box"},
-    "grid": {"n"},
-    "theta_grid": {"g"},
-    "spectrum": {"m_max", "lambda_max", "k_modes", "torus_period"},
-    "validate": {"eps", "p", "k_mode", "contrast", "residual_factor", "monotone_slack"},
-    "tolerances": {"eigen", "linear", "pole_guard"},
-    "output": {"dir"},
-    "run": {"threads", "seed"},
+# The config file layout: section -> key -> (RunConfig field, kind).  It drives
+# the schema check, the parse and RunConfig.to_dict.  The geometry section is
+# kept as written in one mapping; of its keys only the reals a0 and a1 are checked.
+_KEYS: dict[str, dict[str, tuple[str, str | None]]] = {
+    "geometry": {"variant": ("geometry", None), "fibers": ("geometry", None),
+                 "a0": ("geometry", "real"), "a1": ("geometry", "real"),
+                 "inclusion_box": ("geometry", None)},
+    "grid": {"n": ("n", "int")},
+    "theta_grid": {"g": ("theta_g", "int")},
+    "spectrum": {"m_max": ("m_max", "int"), "lambda_max": ("lambda_max", "real"),
+                 "k_modes": ("k_modes", "int triples"), "torus_period": ("torus_period", "real")},
+    "validate": {"eps": ("eps_K", "ints"), "p": ("p_cell", "int"),
+                 "k_mode": ("validate_k_index", "ints"), "contrast": ("contrast", "text"),
+                 "residual_factor": ("residual_factor", "real"),
+                 "monotone_slack": ("monotone_slack", "real")},
+    "tolerances": {"eigen": ("tol_eigen", "real"), "linear": ("tol_linear", "real"),
+                   "pole_guard": ("pole_guard", "real")},
+    "output": {"dir": ("out_dir", "text")},
+    "run": {"threads": ("threads", "int"), "seed": ("seed", "int")},
 }
 _FIBER_KEYS = {"axis", "rect"}
 
@@ -51,33 +60,9 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         """Nested mapping in the config-file layout (round-trips exactly)."""
-        geometry = {k: v for k, v in self.geometry.items()}
-        return {
-            "geometry": geometry,
-            "grid": {"n": self.n},
-            "theta_grid": {"g": self.theta_g},
-            "spectrum": {
-                "m_max": self.m_max,
-                "lambda_max": self.lambda_max,
-                "k_modes": [list(k) for k in self.k_modes],
-                "torus_period": self.torus_period,
-            },
-            "validate": {
-                "eps": list(self.eps_K),
-                "p": self.p_cell,
-                "k_mode": list(self.validate_k_index),
-                "contrast": self.contrast,
-                "residual_factor": self.residual_factor,
-                "monotone_slack": self.monotone_slack,
-            },
-            "tolerances": {
-                "eigen": self.tol_eigen,
-                "linear": self.tol_linear,
-                "pole_guard": self.pole_guard,
-            },
-            "output": {"dir": self.out_dir},
-            "run": {"threads": self.threads, "seed": self.seed},
-        }
+        out = {section: {key: _plain(getattr(self, name)) for key, (name, _) in keys.items()}
+               for section, keys in _KEYS.items() if section != "geometry"}
+        return {"geometry": dict(self.geometry), **out}
 
     def to_yaml(self) -> str:
         return yaml.safe_dump(self.to_dict(), sort_keys=True)
@@ -114,16 +99,19 @@ def parse_config_text(text: str) -> RunConfig:
         raise ParseError("config root must be a mapping of sections")
 
     for section, content in raw.items():
-        if section not in _SCHEMA:
+        if section not in _KEYS:
             raise ParseError(f"unknown section {section!r}")
         if content is None:
             continue
         if not isinstance(content, dict):
             raise ParseError(f"section {section!r} must be a mapping")
         for key in content:
-            if key not in _SCHEMA[section]:
+            if key not in _KEYS[section]:
                 raise ParseError(f"unknown key {key!r} in section {section!r}")
-    for entry in (raw.get("geometry") or {}).get("fibers") or []:
+    fibers = (raw.get("geometry") or {}).get("fibers") or []
+    if not isinstance(fibers, list):
+        raise ParseError(f"geometry.fibers must be a list of fiber mappings, got {fibers!r}")
+    for entry in fibers:
         if not isinstance(entry, dict):
             raise ParseError("each fiber must be a mapping with keys 'axis' and 'rect'")
         for key in entry:
@@ -133,46 +121,39 @@ def parse_config_text(text: str) -> RunConfig:
         if missing:
             raise ParseError(f"fiber entry lacks key {min(missing)!r}")
 
-    def sect(name):
-        return raw.get(name) or {}
-
     violations: list[str] = []
-
-    def get(kind, section, key, default):
-        value = sect(section).get(key, default)
-        if value is None and default is None:  # an optional value left unset
-            return None
-        return _convert(kind, value, f"{section}.{key}", violations, default)
-
-    for key in ("a0", "a1"):  # checked only: the geometry mapping is kept as written
-        _convert(float, sect("geometry").get(key, 1.0), f"geometry.{key}", violations)
-    modes = sect("spectrum").get("k_modes", [list(k) for k in RunConfig.k_modes])
-    cfg = RunConfig(
-        geometry=sect("geometry") or {"variant": "fibered", "fibers": []},
-        n=get(int, "grid", "n", RunConfig.n),
-        theta_g=get(int, "theta_grid", "g", RunConfig.theta_g),
-        m_max=get(int, "spectrum", "m_max", RunConfig.m_max),
-        lambda_max=get(float, "spectrum", "lambda_max", None),
-        k_modes=tuple(_integers(k, "spectrum.k_modes", violations)
-                      for k in (modes if isinstance(modes, (list, tuple)) else [modes])),
-        torus_period=get(float, "spectrum", "torus_period", RunConfig.torus_period),
-        eps_K=_integers(sect("validate").get("eps", list(RunConfig.eps_K)), "validate.eps",
-                        violations),
-        p_cell=get(int, "validate", "p", RunConfig.p_cell),
-        validate_k_index=_integers(sect("validate").get("k_mode", list(RunConfig.validate_k_index)),
-                                   "validate.k_mode", violations),
-        contrast=str(sect("validate").get("contrast", RunConfig.contrast)),
-        residual_factor=get(float, "validate", "residual_factor", RunConfig.residual_factor),
-        monotone_slack=get(float, "validate", "monotone_slack", RunConfig.monotone_slack),
-        tol_eigen=get(float, "tolerances", "eigen", RunConfig.tol_eigen),
-        tol_linear=get(float, "tolerances", "linear", RunConfig.tol_linear),
-        pole_guard=get(float, "tolerances", "pole_guard", RunConfig.pole_guard),
-        out_dir=str(sect("output").get("dir", RunConfig.out_dir)),
-        threads=get(int, "run", "threads", RunConfig.threads),
-        seed=get(int, "run", "seed", RunConfig.seed),
-    )
+    fields = {"geometry": raw.get("geometry") or {"variant": "fibered", "fibers": []}}
+    for section, keys in _KEYS.items():
+        content = raw.get(section) or {}
+        for key, (name, kind) in keys.items():
+            if name != "geometry":
+                default = getattr(RunConfig, name)
+                fields[name] = _read(kind, content.get(key, default), f"{section}.{key}",
+                                     violations, default)
+            elif kind:  # checked only: the geometry mapping is kept as written
+                _read(kind, content.get(key, 1.0), f"{section}.{key}", violations, 1.0)
+    cfg = RunConfig(**fields)
     _validate(cfg, violations)
     return cfg
+
+
+def _read(kind: str, value, name: str, violations: list[str], default):
+    """The RunConfig value of a config value of the given _KEYS kind."""
+    if kind == "text":
+        return str(value)
+    if kind == "ints":
+        return _integers(value, name, violations)
+    if kind == "int triples":
+        modes = value if isinstance(value, (list, tuple)) else [value]
+        return tuple(_integers(k, name, violations) for k in modes)
+    if value is None and default is None:  # an optional value left unset
+        return None
+    return _convert(int if kind == "int" else float, value, name, violations, default)
+
+
+def _plain(value):
+    """Tuples as lists, for the file layout."""
+    return [_plain(v) for v in value] if isinstance(value, (list, tuple)) else value
 
 
 def _convert(kind, value, name: str, violations: list[str], default=0):
@@ -202,21 +183,15 @@ def _integers(values, name: str, violations: list[str]) -> tuple[int, ...]:
 def _validate(cfg: RunConfig, violations=()) -> None:
     """Raise one ValidationError listing ``violations`` and every invariant cfg breaks."""
     violations = list(violations)
-    if cfg.n < 4:
-        violations.append(f"grid.n must be >= 4, got {cfg.n}")
-    if cfg.theta_g < 1:
-        violations.append(f"theta_grid.g must be >= 1, got {cfg.theta_g}")
-    if cfg.m_max < 1:
-        violations.append(f"spectrum.m_max must be >= 1, got {cfg.m_max}")
+    for name, value, least in (("grid.n", cfg.n, 4), ("theta_grid.g", cfg.theta_g, 1),
+                               ("spectrum.m_max", cfg.m_max, 1)):
+        if value < least:
+            violations.append(f"{name} must be >= {least}, got {value}")
     if cfg.lambda_max is not None and not 0.0 < cfg.lambda_max < float("inf"):
         violations.append(f"spectrum.lambda_max must be finite and > 0, got {cfg.lambda_max}")
-    if cfg.torus_period <= 0.0:
-        violations.append(f"spectrum.torus_period must be > 0, got {cfg.torus_period}")
-    for name, value in (
-        ("tolerances.eigen", cfg.tol_eigen),
-        ("tolerances.linear", cfg.tol_linear),
-        ("tolerances.pole_guard", cfg.pole_guard),
-    ):
+    for name, value in (("spectrum.torus_period", cfg.torus_period),
+                        ("tolerances.eigen", cfg.tol_eigen), ("tolerances.linear", cfg.tol_linear),
+                        ("tolerances.pole_guard", cfg.pole_guard)):
         if value <= 0.0:
             violations.append(f"{name} must be > 0, got {value}")
     if any(K < 1 for K in cfg.eps_K) or not cfg.eps_K:

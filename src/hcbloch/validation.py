@@ -25,7 +25,7 @@ import scipy.sparse as sp
 from .beta import solve_lifts
 from .bloch import assemble_bloch, bloch_eigs
 from .cell import solve_cell_problem
-from .geometry import MATRIX, CellGeometry, Grid, classify_nodes
+from .geometry import CellGeometry, Grid, classify_nodes
 from .operators import QuasiMomentum, as_quasi_momentum, full_stiffness, linear_solve
 
 __all__ = [
@@ -38,8 +38,6 @@ __all__ = [
     "two_scale_pairing",
     "separable_pairing",
     "convergence_report",
-    "composite_spectrum",
-    "spectral_distance",
 ]
 
 
@@ -99,16 +97,8 @@ def _outer(f1: np.ndarray, f2: np.ndarray, f3: np.ndarray) -> np.ndarray:
 
 def _cell_coefficient(prob: EpsProblem, grid_cell: Grid) -> np.ndarray:
     """a_eps on one cell: a1 on stiff nodes, eps^2 a0 on soft (a0 with contrast off)."""
-    y1, y2, y3 = grid_cell.coords()
-    a0 = prob.geom.a0_values(y1, y2, y3)
-    a1 = prob.geom.a1_values(y1, y2, y3)
     scale = prob.eps**2 if prob.contrast == "double_porosity" else 1.0
-    return np.where(grid_cell.node_class == MATRIX, scale * a0, a1)
-
-
-def eps_coefficient(prob: EpsProblem, grid_cell: Grid) -> np.ndarray:
-    """a_eps on the fine grid: a1(x/eps) on stiff nodes, eps^2 a0(x/eps) on soft."""
-    return _tile(_cell_coefficient(prob, grid_cell), prob.K)
+    return np.where(grid_cell.matrix_mask, scale * grid_cell.a0_field(), grid_cell.a1_field())
 
 
 def forcing(prob: EpsProblem, cells: int | None = None) -> np.ndarray:
@@ -135,11 +125,6 @@ class EpsSolution:
     stiffness: sp.csr_matrix = field(repr=False)  # cell form of a_eps at Theta
     residual: float
 
-    @property
-    def u(self) -> np.ndarray:
-        """u on the whole (K p)^3 fine grid, flat; built on each access."""
-        return quasi_periodic_extension(self.u_cell, self.theta, self.problem.K).ravel()
-
     def l2_norm(self, values: np.ndarray | None = None) -> float:
         """Torus L2 norm of the Bloch wave with cell-0 values ``values`` (default U)."""
         v = self.u_cell if values is None else values
@@ -161,7 +146,7 @@ class EpsSolution:
         """The three uniform a priori norms and the forcing norm."""
         prob = self.problem
         grid_cell = prob.cell_grid()
-        a1_cell = np.where(grid_cell.stiff_mask, prob.geom.a1_values(*grid_cell.coords()), 0.0)
+        a1_cell = np.where(grid_cell.stiff_mask, grid_cell.a1_field(), 0.0)
         return {
             "stiff_energy": float(np.sqrt(self.energy(a1_cell))),
             "eps_gradient": float(prob.eps * np.sqrt(self.energy())),
@@ -223,7 +208,7 @@ def two_scale_pairing(u_fine: np.ndarray, phi_fine: np.ndarray, psi_cell: np.nda
 
 
 def separable_pairing(sol: EpsSolution, phi_axes, psi_cell: np.ndarray, theta) -> complex:
-    """``two_scale_pairing(sol.u, phi, psi_cell, theta, K)`` for phi = prod_d phi_axes[d](x_d).
+    """``two_scale_pairing`` of the fine-grid u of ``sol`` for phi = prod_d phi_axes[d](x_d).
 
     The sum over cells then factorizes per axis into
     G_d(y_d) = sum_c conj(phi_d(c p + y_d)) exp(i (Theta_d - theta_d) c).
@@ -494,37 +479,3 @@ def _psi_battery(grid_cell: Grid, qm, tol: float):
         beta = solve_lifts(grid_cell, dec, tol=tol, assembly=asm)
         battery.append((f"fiber_profile_{dec.active[0]}", beta.fields[0].reshape(grid_cell.shape)))
     return battery
-
-
-def composite_spectrum(geom: CellGeometry, p: int, K: int) -> np.ndarray:
-    """Full spectrum of the discrete eps-operator A_eps (no +I shift).
-
-    A_eps commutes with shifts by one cell, so it block-diagonalizes
-    exactly over the K^3 discrete quasi-momenta Theta = 2 pi z / K into
-    cell operators with coefficients (a1/eps^2 on the stiff phase, a0 on
-    the soft phase).  Blocks z and -z mod K are complex conjugates with the
-    same eigenvalues, so one block of each pair is solved densely and
-    counted twice.
-    """
-    from scipy.linalg import eigvalsh
-
-    grid_cell = classify_nodes(geom, p)
-    y1, y2, y3 = grid_cell.coords()
-    a0 = geom.a0_values(y1, y2, y3)
-    a1 = geom.a1_values(y1, y2, y3)
-    coeff = np.where(grid_cell.node_class == MATRIX, a0, a1 * K**2)
-    h3 = grid_cell.h**3
-    vals = []
-    step = 2.0 * np.pi / K
-    for z in np.ndindex(K, K, K):
-        z_conj = tuple(-v % K for v in z)
-        if z_conj < z:
-            continue
-        A = full_stiffness(p, coeff, tuple(v * step for v in z))
-        ev = eigvalsh(A.toarray() / h3)
-        vals.extend([ev] if z_conj == z else [ev, ev])
-    return np.sort(np.concatenate(vals))
-
-
-def spectral_distance(lam: float, spectrum: np.ndarray) -> float:
-    return float(np.min(np.abs(np.asarray(spectrum) - lam)))

@@ -9,19 +9,19 @@ import time
 import numpy as np
 import pytest
 
-from hcbloch.beta import flux, pure_bloch_bands, solve_lifts, spatial_points, spatial_spectrum
+from hcbloch.beta import pure_bloch_bands, solve_lifts, spatial_points, spatial_spectrum
 from hcbloch.bloch import (
     BlochDecomposition,
     ThetaGrid,
     assemble_bloch,
     bloch_eigs,
-    dirichlet_baseline,
     theta_sweep,
 )
 from hcbloch.cell import effective_tensor, solve_cell_problem
 from hcbloch.errors import EmptyActiveSetError
 from hcbloch.geometry import CellGeometry, FiberSpec, classify_nodes
-from hcbloch.validation import composite_spectrum, convergence_report, spectral_distance
+from hcbloch.validation import convergence_report
+from oracles import adjacent_pairs, composite_spectrum, dirichlet_baseline, flux, spectral_distance
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -116,7 +116,7 @@ def test_criterion_3_lipschitz_bound(sweep16, fiber16):
     t0 = time.perf_counter()
     slack = 10.0 * fiber16.h**2
     worst = -np.inf
-    for t1, t2 in ThetaGrid(4).adjacent_pairs():
+    for t1, t2 in adjacent_pairs(ThetaGrid(4)):
         l1 = sweep16[t1].eigenvalues[:5]
         l2 = sweep16[t2].eigenvalues[:5]
         dist = float(np.linalg.norm(np.asarray(t1) - np.asarray(t2)))

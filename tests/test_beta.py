@@ -7,7 +7,6 @@ from scipy.linalg import eigh as dense_eigh
 
 from hcbloch.beta import (
     SpatialRoot,
-    flux,
     pure_bloch_bands,
     solve_lifts,
     spatial_points,
@@ -17,6 +16,7 @@ from hcbloch.bloch import ThetaGrid, assemble_bloch, bloch_eigs, theta_sweep
 from hcbloch.cell import effective_tensor, solve_cell_problem
 from hcbloch.errors import ConvergenceError, EmptyActiveSetError, PoleProximityError
 from hcbloch.geometry import classify_nodes
+from oracles import flux
 
 
 @pytest.fixture(scope="module")
@@ -359,6 +359,22 @@ def test_band_merging_and_gaps():
     assert (high.lo, high.hi, high.branches) == (6.0, 7.0, (3,))
     assert high.theta_at_hi == (np.pi, 0.0, 0.0)
     assert structure.gaps == [(0.0, 1.0), (3.0, 6.0), (7.0, 8.0)]
+
+
+def test_band_extreme_ties_go_to_the_first_theta():
+    """A later theta that beats the extreme by one ulp, a rounding-level
+    tie, does not take the reported theta; the extreme value stays exact."""
+    from types import SimpleNamespace
+
+    top, bottom = np.nextafter(1.0, 2.0), np.nextafter(5.0, 0.0)
+    first, later = (0.0, 0.0, np.pi), (np.pi, 0.0, 0.0)
+    sweep = {
+        first: SimpleNamespace(m_max=2, eigenvalues=np.array([1.0, 5.0])),
+        later: SimpleNamespace(m_max=2, eigenvalues=np.array([top, bottom])),
+    }
+    low, high = pure_bloch_bands(sweep).branch_intervals
+    assert (low.hi, low.theta_at_hi) == (top, first)
+    assert (high.lo, high.theta_at_lo) == (bottom, first)
 
 
 def _bisect(fn, lo, hi, f_lo, f_hi, width):

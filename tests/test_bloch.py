@@ -1,8 +1,9 @@
 import numpy as np
 
 from conftest import dirichlet_chain_lowest
-from hcbloch.bloch import ThetaGrid, bloch_eigs, dirichlet_baseline, theta_sweep
+from hcbloch.bloch import ThetaGrid, bloch_eigs, theta_sweep
 from hcbloch.geometry import CellGeometry, build_geometry, classify_nodes
+from oracles import adjacent_pairs, dirichlet_baseline
 
 
 def test_inclusion_theta_independent(inclusion):
@@ -87,7 +88,7 @@ def test_theta_grid_contents():
         p.theta[0] == 0.0 and p.theta[1] != 0.0 and p.theta[2] != 0.0 for p in pts
     )
     assert has_axis_zero
-    assert len(tg.adjacent_pairs()) == 3 * 4 * 4 * 3  # 3 directions, 3 steps each line
+    assert len(adjacent_pairs(tg)) == 3 * 4 * 4 * 3  # 3 directions, 3 steps each line
 
 
 def test_sweep_deterministic_and_parallel(single_fiber):
@@ -124,7 +125,7 @@ def test_lipschitz_bound_small(single_fiber):
     sweep = theta_sweep(grid, tg, m_max=5)
     a0_sup = 1.0
     slack = 10.0 * grid.h**2
-    for t1, t2 in tg.adjacent_pairs():
+    for t1, t2 in adjacent_pairs(tg):
         l1, l2 = sweep[t1].eigenvalues, sweep[t2].eigenvalues
         dist = np.linalg.norm(np.asarray(t1) - np.asarray(t2))
         bound = np.sqrt(a0_sup) * dist * (l1 + l2) + slack

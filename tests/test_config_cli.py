@@ -3,7 +3,7 @@ import json
 import pytest
 
 from hcbloch.cli import main
-from hcbloch.config import parse_config_text
+from hcbloch.config import RunConfig, parse_config_text
 from hcbloch.errors import ParseError, ValidationError
 
 MINIMAL = """\
@@ -85,11 +85,12 @@ def test_integral_float_values_accepted():
         (MINIMAL + "spectrum:\n  torus_period: .inf\n", "ValidationError",
          "spectrum.torus_period"),
         (MINIMAL + "run:\n  seed: -3\n", "ValidationError", "run.seed"),
+        ("geometry:\n  variant: fibered\n  fibers: 5\n", "ParseError", "geometry.fibers"),
     ],
     ids=["non_numeric_n", "fiber_without_rect", "non_numeric_a0", "non_numeric_axis",
          "non_numeric_rect", "non_numeric_inclusion_box", "infinite_a1", "infinite_tol_eigen",
          "infinite_tol_linear", "infinite_pole_guard", "infinite_residual_factor",
-         "infinite_torus_period", "negative_seed"],
+         "infinite_torus_period", "negative_seed", "fibers_not_a_list"],
 )
 def test_cli_malformed_value_exit2(tmp_path, capsys, text, error, key):
     path = tmp_path / "c.yml"
@@ -148,6 +149,49 @@ def test_round_trip_identity(tmp_path):
     cfg = parse_config_text(MINIMAL)
     again = parse_config_text(cfg.to_yaml())
     assert again == cfg
+
+
+def test_every_key_maps_to_its_field():
+    """Each of the 18 keys, set to a value no other key or default has,
+    lands in its own RunConfig field and round-trips."""
+    text = MINIMAL.replace("n: 16", "n: 12") + """\
+theta_grid:
+  g: 3
+spectrum:
+  m_max: 7
+  lambda_max: 55.5
+  k_modes: [[1, 2, 3], [0, 0, 4]]
+  torus_period: 2.5
+validate:
+  eps: [9, 13]
+  p: 6
+  k_mode: [0, 2, 1]
+  contrast: "off"
+  residual_factor: 0.3
+  monotone_slack: 0.05
+tolerances:
+  eigen: 1.0e-7
+  linear: 1.0e-9
+  pole_guard: 1.0e-5
+output:
+  dir: elsewhere
+run:
+  threads: 5
+  seed: 11
+"""
+    expected = {
+        "n": 12, "theta_g": 3, "m_max": 7, "lambda_max": 55.5,
+        "k_modes": ((1, 2, 3), (0, 0, 4)), "torus_period": 2.5, "eps_K": (9, 13), "p_cell": 6,
+        "validate_k_index": (0, 2, 1), "contrast": "off", "residual_factor": 0.3,
+        "monotone_slack": 0.05, "tol_eigen": 1e-7, "tol_linear": 1e-9, "pole_guard": 1e-5,
+        "out_dir": "elsewhere", "threads": 5, "seed": 11,
+    }
+    assert set(expected) == set(RunConfig.__dataclass_fields__) - {"geometry"}
+    cfg = parse_config_text(text)
+    for name, value in expected.items():
+        assert value != getattr(RunConfig, name), name
+        assert getattr(cfg, name) == value, name
+    assert parse_config_text(cfg.to_yaml()) == cfg
 
 
 def test_cli_geom_check_ok(tmp_path, capsys):

@@ -3,22 +3,20 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import eigvalsh
 
-from hcbloch.errors import SingularSystemError
-from hcbloch.geometry import build_geometry, classify_nodes
+from hcbloch.errors import CoefficientError, SingularSystemError
+from hcbloch.geometry import CellGeometry, build_geometry, classify_nodes
 from hcbloch.operators import full_stiffness, linear_solve
 from hcbloch.validation import (
     EpsProblem,
-    composite_spectrum,
     convergence_report,
-    eps_coefficient,
     forcing,
     quasi_periodic_extension,
     separable_pairing,
     solve_eps,
     solve_homogenized,
-    spectral_distance,
     two_scale_pairing,
 )
+from oracles import composite_spectrum, eps_coefficient, fine_field, spectral_distance
 
 
 @pytest.fixture(scope="module")
@@ -44,13 +42,23 @@ def test_uniform_unit_solution(fat_fiber):
     prob = EpsProblem(geom=fat_fiber, p=4, K=2, contrast="off")
     sol = solve_eps(prob)
     assert not np.iscomplexobj(sol.u_cell)  # k = 0 with real g: one real solve
-    assert np.abs(sol.u - 1.0).max() < 1e-11
+    assert np.abs(fine_field(sol) - 1.0).max() < 1e-11
 
 
 def test_zero_forcing(fat_fiber):
     prob = EpsProblem(geom=fat_fiber, p=4, K=2, g_cell=np.zeros((4, 4, 4)))
     sol = solve_eps(prob)
-    assert np.all(sol.u == 0.0)
+    assert np.all(fine_field(sol) == 0.0)
+
+
+def test_nonpositive_soft_coefficient_rejected(single_fiber):
+    """The eps-problem checks a0 > 0 on its cell nodes, as the limit side does."""
+    def a0(y1, y2, y3):
+        return np.where(y1 < 0.2, -1.0, 1.0)
+
+    geom = CellGeometry(fibers=single_fiber.fibers, a0=a0)
+    with pytest.raises(CoefficientError):
+        solve_eps(EpsProblem(geom=geom, p=8, K=2, k_index=(1, 0, 0)))
 
 
 def test_energy_identity(single_fiber):
@@ -109,8 +117,8 @@ def test_pairing_with_unit_psi_is_plain_inner_product(fat_fiber):
     rng = np.random.default_rng(0)
     phi = rng.standard_normal((n, n, n))
     psi = np.ones((4, 4, 4))
-    pairing = two_scale_pairing(sol.u, phi, psi, (0.0, 0.0, 0.0), K=2)
-    plain = (1.0 / n) ** 3 * np.vdot(phi, sol.u.reshape((n, n, n)))
+    pairing = two_scale_pairing(fine_field(sol), phi, psi, (0.0, 0.0, 0.0), K=2)
+    plain = (1.0 / n) ** 3 * np.vdot(phi, fine_field(sol).reshape((n, n, n)))
     assert abs(pairing - plain) < 1e-12
 
 
@@ -294,7 +302,7 @@ def test_bloch_reduction_matches_direct_solve(request, geom_name, p, K, k_index,
     prob = EpsProblem(geom=geom, p=p, K=K, k_index=k_index, g_cell=g, contrast=contrast)
     u_ref = direct_solve_eps(prob)
     sol = solve_eps(prob)
-    assert np.linalg.norm(sol.u - u_ref) <= 1e-9 * np.linalg.norm(u_ref)
+    assert np.linalg.norm(fine_field(sol) - u_ref) <= 1e-9 * np.linalg.norm(u_ref)
     n = prob.n_fine
     fine_energy = np.real(np.vdot(u_ref, full_stiffness(n, np.ones((n, n, n)), None) @ u_ref))
     assert abs(sol.energy() - fine_energy) <= 1e-9 * fine_energy
@@ -316,7 +324,7 @@ def test_separable_pairings_match_fine_grid(single_fiber):
     phi_axes = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(3)]
     phi = _outer(*phi_axes)
     sol = solve_eps(EpsProblem(geom=single_fiber, p=p, K=K, k_index=k_index, g_cell=g))
-    u = sol.u
+    u = fine_field(sol)
     for theta in [(0.0, 0.0, 0.0), (np.pi / 2, np.pi, 0.0), (1.0, 2.0, 3.0)]:
         fine = two_scale_pairing(u, phi, psi, theta, K)
         assert abs(separable_pairing(sol, phi_axes, psi, theta) - fine) <= 1e-12 * max(1.0, abs(fine))
