@@ -124,9 +124,11 @@ def bloch_eigs(
     With ``lift_tol`` set and a fiber axis active at theta, the harmonic
     lifts are solved too and their coupling matrix attached as ``beta``;
     the eigensolve and the lifts share one factorization of the interior
-    operator.
+    operator.  An ``assembly`` at another theta raises ValueError.
     """
     asm = assembly if assembly is not None else assemble_bloch(grid, theta)
+    if asm.theta != as_quasi_momentum(theta):
+        raise ValueError(f"assembly was built at theta={asm.theta.theta}, not at {theta}")
     sparse = eigen_method(asm.dim, m_max) == "sparse"
     vals, vectors, res = eigensolve(
         asm.interior, asm.h**3, m_max=m_max, tol=tol, seed=seed,

@@ -255,8 +255,6 @@ def cmd_validate(cfg: RunConfig, out_dir: Path, eps_override=None) -> int:
         theta=probe_theta,
         k_index=cfg.validate_k_index,
         contrast=cfg.contrast,
-        residual_factor=cfg.residual_factor,
-        monotone_slack=cfg.monotone_slack,
         tol=cfg.tol_linear,
     )
     payload = _meta(cfg, geom)

@@ -23,9 +23,7 @@ _KEYS: dict[str, dict[str, tuple[str, str | None]]] = {
     "spectrum": {"m_max": ("m_max", "int"), "lambda_max": ("lambda_max", "real"),
                  "k_modes": ("k_modes", "int triples"), "torus_period": ("torus_period", "real")},
     "validate": {"eps": ("eps_K", "ints"), "p": ("p_cell", "int"),
-                 "k_mode": ("validate_k_index", "ints"), "contrast": ("contrast", "text"),
-                 "residual_factor": ("residual_factor", "real"),
-                 "monotone_slack": ("monotone_slack", "real")},
+                 "k_mode": ("validate_k_index", "ints"), "contrast": ("contrast", "text")},
     "tolerances": {"eigen": ("tol_eigen", "real"), "linear": ("tol_linear", "real"),
                    "pole_guard": ("pole_guard", "real")},
     "output": {"dir": ("out_dir", "text")},
@@ -49,8 +47,6 @@ class RunConfig:
     p_cell: int = 8
     validate_k_index: tuple[int, int, int] = (1, 0, 0)
     contrast: str = "double_porosity"
-    residual_factor: float = 0.1
-    monotone_slack: float = 0.1
     tol_eigen: float = 1e-8
     tol_linear: float = 1e-10
     pole_guard: float = 1e-6
@@ -140,7 +136,12 @@ def parse_config_text(text: str) -> RunConfig:
 def _read(kind: str, value, name: str, violations: list[str], default):
     """The RunConfig value of a config value of the given _KEYS kind."""
     if kind == "text":
-        return str(value)
+        if isinstance(value, str):
+            return value
+        hint = ' (quote it, as in "off": YAML reads a bare off, on, no or yes as a boolean)'
+        violations.append(f"{name} must be a string, got {value!r}"
+                          + (hint if isinstance(value, bool) else ""))
+        return default
     if kind == "ints":
         return _integers(value, name, violations)
     if kind == "int triples":
@@ -160,11 +161,12 @@ def _convert(kind, value, name: str, violations: list[str], default=0):
     """value as kind (int or float); else default, with a violation recorded.
 
     An int must be integral: 1.7 is reported, not truncated to 1.  A real
-    must be finite: .inf and .nan are reported.
+    must be finite: .inf and .nan are reported.  A YAML boolean is neither,
+    though Python counts True as 1.
     """
     try:
         out = kind(value)
-        if out == float(value) and math.isfinite(out):
+        if not isinstance(value, bool) and out == float(value) and math.isfinite(out):
             return out
     except (TypeError, ValueError, OverflowError):
         pass
@@ -200,10 +202,6 @@ def _validate(cfg: RunConfig, violations=()) -> None:
         violations.append(f"validate.p must be >= 4, got {cfg.p_cell}")
     if cfg.contrast not in ("double_porosity", "off"):
         violations.append(f"validate.contrast must be double_porosity or off, got {cfg.contrast}")
-    if cfg.residual_factor <= 0.0:
-        violations.append(f"validate.residual_factor must be > 0, got {cfg.residual_factor}")
-    if cfg.monotone_slack < 0.0:
-        violations.append(f"validate.monotone_slack must be >= 0, got {cfg.monotone_slack}")
     if cfg.threads < 1:
         violations.append(f"run.threads must be >= 1, got {cfg.threads}")
     if cfg.seed < 0:

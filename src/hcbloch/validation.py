@@ -36,7 +36,6 @@ __all__ = [
     "solve_eps",
     "solve_homogenized",
     "two_scale_pairing",
-    "separable_pairing",
     "convergence_report",
 ]
 
@@ -45,24 +44,28 @@ __all__ = [
 class EpsProblem:
     """One finite-cell-size resolvent problem on the macro torus.
 
-    eps = 1/K; the forcing is separable, f(x, y) = exp(i k.x) g(y) with
-    k = 2 pi z and g a cell profile sampled on the p-grid.  With
-    contrast="off" the soft coefficient is not scaled by eps^2 (classical
-    homogenization control).
+    eps = 1/K; ``grid`` is the unit cell resolved by p nodes per axis.
+    The forcing is separable, f(x, y) = exp(i k.x) g(y) with k = 2 pi z
+    and g a cell profile sampled on the cell grid.  With contrast="off"
+    the soft coefficient is not scaled by eps^2 (classical homogenization
+    control).
     """
 
-    geom: CellGeometry
-    p: int
+    grid: Grid
     K: int
     k_index: tuple[int, int, int] = (0, 0, 0)
     g_cell: np.ndarray | None = None
     contrast: str = "double_porosity"
 
     def __post_init__(self):
-        if self.K < 1 or self.p < 4:
-            raise ValueError("need K >= 1 and p >= 4")
+        if self.K < 1:
+            raise ValueError(f"need K >= 1, got {self.K}")
         if self.contrast not in ("double_porosity", "off"):
             raise ValueError(f"unknown contrast mode {self.contrast!r}")
+
+    @property
+    def p(self) -> int:
+        return self.grid.n
 
     @property
     def eps(self) -> float:
@@ -77,13 +80,6 @@ class EpsProblem:
         """Theta = 2 pi z / K mod 2 pi; z = K/2 mod K gives exactly pi (a real operator)."""
         return QuasiMomentum(tuple(2.0 * np.pi * ((int(z) % self.K) / self.K) for z in self.k_index))
 
-    def cell_grid(self) -> Grid:
-        return classify_nodes(self.geom, self.p)
-
-
-def _tile(cell_values: np.ndarray, K: int) -> np.ndarray:
-    return np.tile(cell_values, (K, K, K))
-
 
 def _axis_waves(k_index, n: int, m: int | None = None) -> list[np.ndarray]:
     """exp(2 pi i z_d x_d) at x_d = j / n for j < m (default n), one factor per axis."""
@@ -95,20 +91,20 @@ def _outer(f1: np.ndarray, f2: np.ndarray, f3: np.ndarray) -> np.ndarray:
     return f1[:, None, None] * f2[None, :, None] * f3[None, None, :]
 
 
-def _cell_coefficient(prob: EpsProblem, grid_cell: Grid) -> np.ndarray:
+def _cell_coefficient(prob: EpsProblem) -> np.ndarray:
     """a_eps on one cell: a1 on stiff nodes, eps^2 a0 on soft (a0 with contrast off)."""
+    grid = prob.grid
     scale = prob.eps**2 if prob.contrast == "double_porosity" else 1.0
-    return np.where(grid_cell.matrix_mask, scale * grid_cell.a0_field(), grid_cell.a1_field())
+    return np.where(grid.matrix_mask, scale * grid.a0_field(), grid.a1_field())
 
 
-def forcing(prob: EpsProblem, cells: int | None = None) -> np.ndarray:
-    """f_eps on the first ``cells`` cells per axis (default all K; 1 gives cell 0)."""
+def forcing(prob: EpsProblem) -> np.ndarray:
+    """f_eps on cell 0; cell c carries exp(i Theta.c) times it."""
     p = prob.p
-    m = prob.K if cells is None else cells
     g = np.ones((p, p, p)) if prob.g_cell is None else np.asarray(prob.g_cell).reshape((p, p, p))
     if not any(prob.k_index):  # k = 0: no wave factor, and real g stays real
-        return _tile(g, m)
-    return _outer(*_axis_waves(prob.k_index, prob.n_fine, m * p)) * _tile(g, m)
+        return g
+    return _outer(*_axis_waves(prob.k_index, prob.n_fine, p)) * g
 
 
 @dataclass(frozen=True)
@@ -120,7 +116,6 @@ class EpsSolution:
 
     problem: EpsProblem
     u_cell: np.ndarray = field(repr=False)  # (p, p, p)
-    theta: QuasiMomentum
     f_cell: np.ndarray = field(repr=False)  # f_eps on cell 0, (p, p, p)
     stiffness: sp.csr_matrix = field(repr=False)  # cell form of a_eps at Theta
     residual: float
@@ -140,13 +135,12 @@ class EpsSolution:
         p = self.problem.p
         c = np.ones((p, p, p)) if coeff_cell is None else coeff_cell
         # a semidefinite form; rounding can take it below zero when u is constant
-        return self.problem.K**2 * max(self._form(full_stiffness(p, c, self.theta)), 0.0)
+        return self.problem.K**2 * max(self._form(full_stiffness(p, c, self.problem.theta)), 0.0)
 
     def apriori_norms(self) -> dict[str, float]:
         """The three uniform a priori norms and the forcing norm."""
         prob = self.problem
-        grid_cell = prob.cell_grid()
-        a1_cell = np.where(grid_cell.stiff_mask, grid_cell.a1_field(), 0.0)
+        a1_cell = np.where(prob.grid.stiff_mask, prob.grid.a1_field(), 0.0)
         return {
             "stiff_energy": float(np.sqrt(self.energy(a1_cell))),
             "eps_gradient": float(prob.eps * np.sqrt(self.energy())),
@@ -168,56 +162,31 @@ def solve_eps(prob: EpsProblem, tol: float = 1e-10) -> EpsSolution:
     scaled by the edge-length ratio 1/K, so U solves the p^3 system
     (A(a_eps, Theta) / K + h^3 I) U = h^3 F, h = 1/(K p), F = f_eps on cell 0.
     """
-    grid_cell = prob.cell_grid()
-    qm = prob.theta
-    A = full_stiffness(prob.p, _cell_coefficient(prob, grid_cell), qm)
+    A = full_stiffness(prob.p, _cell_coefficient(prob), prob.theta)
     h3 = (1.0 / prob.n_fine) ** 3
     system = (A / prob.K + h3 * sp.identity(prob.p**3, format="csr")).tocsr()
-    f_cell = forcing(prob, 1)
+    f_cell = forcing(prob)
     rhs = h3 * f_cell.ravel()
     u = linear_solve(system, rhs, tol=tol)
     rhs_norm = float(np.linalg.norm(rhs))
     residual = 0.0 if rhs_norm == 0.0 else float(np.linalg.norm(system @ u - rhs) / rhs_norm)
-    return EpsSolution(prob, u.reshape(grid_cell.shape), qm, f_cell, A, residual)
+    return EpsSolution(prob, u.reshape(prob.grid.shape), f_cell, A, residual)
 
 
-def quasi_periodic_extension(psi_cell: np.ndarray, theta, K: int) -> np.ndarray:
-    """Extend a cell field to the fine grid with per-cell phase factors."""
-    qm = as_quasi_momentum(theta)
-    p = psi_cell.shape[0]
-    fine = _tile(np.asarray(psi_cell).reshape((p, p, p)), K)
-    if qm.is_zero:
-        return fine
-    cell_idx = np.arange(K * p) // p
-    return fine * _outer(*(np.exp(1j * t * cell_idx) for t in qm.theta))
+def two_scale_pairing(sol: EpsSolution, phi_axes, psi_cell: np.ndarray, theta) -> complex:
+    """Discrete pairing  integral u(x) conj(phi(x) psi(x/eps)) dx  of the eps-solution.
 
-
-def two_scale_pairing(u_fine: np.ndarray, phi_fine: np.ndarray, psi_cell: np.ndarray, theta, K: int) -> complex:
-    """Discrete pairing  integral u(x) conj(phi(x) psi(x/eps)) dx.
-
-    ``psi_cell`` is sampled on the cell grid; its quasi-periodic
-    extension to the torus is exact because the fine grid nests the cell
-    grid (x/eps sampling lands on cell nodes).
-    """
-    p = np.asarray(psi_cell).shape[0]
-    n = K * p
-    h3 = (1.0 / n) ** 3
-    psi_fine = quasi_periodic_extension(psi_cell, theta, K)
-    test = np.asarray(phi_fine).reshape((n, n, n)) * psi_fine
-    return complex(h3 * np.vdot(test, np.asarray(u_fine).reshape((n, n, n))))
-
-
-def separable_pairing(sol: EpsSolution, phi_axes, psi_cell: np.ndarray, theta) -> complex:
-    """``two_scale_pairing`` of the fine-grid u of ``sol`` for phi = prod_d phi_axes[d](x_d).
-
-    The sum over cells then factorizes per axis into
+    phi = prod_d phi_axes[d](x_d) is sampled on the (K p)^3 grid and psi on
+    the cell grid, extended quasi-periodically with ``theta``; the
+    extension is exact because the fine grid nests the cell grid.  On the
+    Bloch wave u the sum over cells factorizes per axis into
     G_d(y_d) = sum_c conj(phi_d(c p + y_d)) exp(i (Theta_d - theta_d) c).
     """
     K, p = sol.problem.K, sol.problem.p
     c = np.arange(K)
     G = [
         np.exp(1j * (T - t) * c) @ np.conjugate(np.asarray(f).reshape(K, p))
-        for f, T, t in zip(phi_axes, sol.theta.theta, as_quasi_momentum(theta).theta)
+        for f, T, t in zip(phi_axes, sol.problem.theta.theta, as_quasi_momentum(theta).theta)
     ]
     cell = np.conjugate(np.asarray(psi_cell).reshape((p, p, p))) * sol.u_cell
     return complex(np.einsum("ijk,i,j,k->", cell, *G) / (K * p) ** 3)
@@ -367,6 +336,13 @@ def _theory_bound_constant(grid: Grid) -> float:
     return float(max(1.0, np.sqrt(1.0 / a0.min() + 1.0 / a1.min())))
 
 
+# The PASS bounds on the pairing residuals: growth from one eps to the next
+# by at most the factor 1 + MONOTONE_SLACK, and a final residual of at most
+# RESIDUAL_FACTOR * ||f|| * ||phi psi||.
+RESIDUAL_FACTOR = 0.1
+MONOTONE_SLACK = 0.1
+
+
 def convergence_report(
     geom: CellGeometry,
     p: int,
@@ -375,14 +351,12 @@ def convergence_report(
     k_index=(1, 0, 0),
     g_cell: np.ndarray | None = None,
     contrast: str = "double_porosity",
-    residual_factor: float = 0.1,
-    monotone_slack: float = 0.1,
     tol: float = 1e-10,
 ) -> TwoScaleReport:
     """Run the two-scale convergence battery over a decreasing eps list.
 
     PASS requires, for every test pair: residuals nonincreasing within
-    the slack, final residual below residual_factor * ||f|| * ||phi psi||,
+    MONOTONE_SLACK, final residual below RESIDUAL_FACTOR * ||f|| * ||phi psi||,
     and the three a priori norms within the theoretical constant.
     """
     eps_K = sorted(int(K) for K in eps_K)
@@ -404,7 +378,7 @@ def convergence_report(
 
     solutions: dict[int, EpsSolution] = {}
     for K in eps_K:
-        prob = EpsProblem(geom=geom, p=p, K=K, k_index=tuple(k_index), g_cell=g, contrast=contrast)
+        prob = EpsProblem(grid=grid_cell, K=K, k_index=tuple(k_index), g_cell=g, contrast=contrast)
         solutions[K] = solve_eps(prob, tol=tol)
     apriori = {K: sol.apriori_norms() for K, sol in solutions.items()}
     energy_defect = {K: sol.energy_identity_defect() for K, sol in solutions.items()}
@@ -424,7 +398,7 @@ def convergence_report(
         phi_ref = phi_builder(eps_K[-1] * p)
         phi_norm = float(np.sqrt(np.prod([np.mean(np.abs(f) ** 2) for f in phi_ref])))
         for psi_name, psi in psi_battery:
-            pairings = [separable_pairing(solutions[K], phi_builder(K * p), psi, qm) for K in eps_K]
+            pairings = [two_scale_pairing(solutions[K], phi_builder(K * p), psi, qm) for K in eps_K]
             # quasi-periodic probes of the classical control decay to zero
             limit = 0.0 + 0.0j if hom is None else hom.limit_pairing(phi_ref, psi)
             res = [abs(z - limit) for z in pairings]
@@ -435,15 +409,15 @@ def convergence_report(
 
     for case in cases:
         for j in range(len(case.residuals) - 1):
-            if case.residuals[j + 1] > (1.0 + monotone_slack) * case.residuals[j] + 1e-14 * case.scale:
+            if case.residuals[j + 1] > (1.0 + MONOTONE_SLACK) * case.residuals[j] + 1e-14 * case.scale:
                 failures.append(
                     f"{case.name}: residual increased {case.residuals[j]:.3e} -> "
                     f"{case.residuals[j + 1]:.3e}"
                 )
-        if case.residuals[-1] > residual_factor * case.scale:
+        if case.residuals[-1] > RESIDUAL_FACTOR * case.scale:
             failures.append(
                 f"{case.name}: final residual {case.residuals[-1]:.3e} above "
-                f"{residual_factor} * scale {case.scale:.3e}"
+                f"{RESIDUAL_FACTOR} * scale {case.scale:.3e}"
             )
 
     return TwoScaleReport(
@@ -452,8 +426,8 @@ def convergence_report(
         apriori=apriori,
         energy_defect=energy_defect,
         bound_constant=bound_c,
-        monotone_slack=monotone_slack,
-        residual_factor=residual_factor,
+        monotone_slack=MONOTONE_SLACK,
+        residual_factor=RESIDUAL_FACTOR,
         passed=not failures,
         failures=failures,
     )

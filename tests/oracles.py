@@ -11,8 +11,8 @@ from scipy.linalg import eigvalsh
 
 from hcbloch.bloch import BlochAssembly, ThetaGrid
 from hcbloch.geometry import MATRIX, CellGeometry, Grid, classify_nodes
-from hcbloch.operators import eigensolve, full_stiffness, restrict_to
-from hcbloch.validation import EpsProblem, EpsSolution, _cell_coefficient, quasi_periodic_extension
+from hcbloch.operators import as_quasi_momentum, eigensolve, full_stiffness, restrict_to
+from hcbloch.validation import EpsProblem, EpsSolution, _axis_waves, _cell_coefficient, _outer
 
 
 def dirichlet_baseline(
@@ -71,14 +71,53 @@ def flux(asm: BlochAssembly, v: np.ndarray, lift_field: np.ndarray) -> complex:
     return complex(q_form - interior)
 
 
-def eps_coefficient(prob: EpsProblem, grid_cell: Grid) -> np.ndarray:
+def _tile(cell_values: np.ndarray, K: int) -> np.ndarray:
+    return np.tile(cell_values, (K, K, K))
+
+
+def eps_coefficient(prob: EpsProblem) -> np.ndarray:
     """a_eps on the fine grid: a1(x/eps) on stiff nodes, eps^2 a0(x/eps) on soft."""
-    return np.tile(_cell_coefficient(prob, grid_cell), (prob.K,) * 3)
+    return _tile(_cell_coefficient(prob), prob.K)
+
+
+def fine_forcing(prob: EpsProblem) -> np.ndarray:
+    """f_eps(x) = exp(i k.x) g(x/eps) on the whole (K p)^3 fine grid."""
+    p = prob.p
+    g = np.ones((p, p, p)) if prob.g_cell is None else np.asarray(prob.g_cell).reshape((p, p, p))
+    if not any(prob.k_index):  # k = 0: no wave factor, and real g stays real
+        return _tile(g, prob.K)
+    return _outer(*_axis_waves(prob.k_index, prob.n_fine)) * _tile(g, prob.K)
+
+
+def quasi_periodic_extension(psi_cell: np.ndarray, theta, K: int) -> np.ndarray:
+    """Extend a cell field to the fine grid with per-cell phase factors."""
+    qm = as_quasi_momentum(theta)
+    p = psi_cell.shape[0]
+    fine = _tile(np.asarray(psi_cell).reshape((p, p, p)), K)
+    if qm.is_zero:
+        return fine
+    cell_idx = np.arange(K * p) // p
+    return fine * _outer(*(np.exp(1j * t * cell_idx) for t in qm.theta))
 
 
 def fine_field(sol: EpsSolution) -> np.ndarray:
     """The eps-solution u on the whole (K p)^3 fine grid, flat."""
-    return quasi_periodic_extension(sol.u_cell, sol.theta, sol.problem.K).ravel()
+    return quasi_periodic_extension(sol.u_cell, sol.problem.theta, sol.problem.K).ravel()
+
+
+def fine_pairing(u_fine: np.ndarray, phi_fine: np.ndarray, psi_cell: np.ndarray, theta, K: int) -> complex:
+    """The two-scale pairing  integral u(x) conj(phi(x) psi(x/eps)) dx  as a fine-grid sum.
+
+    ``psi_cell`` is sampled on the cell grid; its quasi-periodic
+    extension to the torus is exact because the fine grid nests the cell
+    grid (x/eps sampling lands on cell nodes).
+    """
+    p = np.asarray(psi_cell).shape[0]
+    n = K * p
+    h3 = (1.0 / n) ** 3
+    psi_fine = quasi_periodic_extension(psi_cell, theta, K)
+    test = np.asarray(phi_fine).reshape((n, n, n)) * psi_fine
+    return complex(h3 * np.vdot(test, np.asarray(u_fine).reshape((n, n, n))))
 
 
 def composite_spectrum(geom: CellGeometry, p: int, K: int) -> np.ndarray:

@@ -1,7 +1,8 @@
 import numpy as np
+import pytest
 
 from conftest import dirichlet_chain_lowest
-from hcbloch.bloch import ThetaGrid, bloch_eigs, theta_sweep
+from hcbloch.bloch import ThetaGrid, assemble_bloch, bloch_eigs, theta_sweep
 from hcbloch.geometry import CellGeometry, build_geometry, classify_nodes
 from oracles import adjacent_pairs, dirichlet_baseline
 
@@ -145,3 +146,9 @@ def test_mode_field_zero_on_stiff(single_fiber):
     field = dec.mode_field(0)
     assert np.all(field[grid.stiff_mask] == 0.0)
     assert np.abs(field[grid.matrix_mask]).max() > 0.0
+
+
+def test_assembly_at_another_theta_rejected(single_fiber):
+    grid = classify_nodes(single_fiber, 8)
+    with pytest.raises(ValueError):
+        bloch_eigs(grid, (0.0, 0.0, 0.0), m_max=2, assembly=assemble_bloch(grid, (np.pi, 0.0, 0.0)))

@@ -46,15 +46,15 @@ def test_validation_collects_all_violations():
     assert any("n" in v for v in err.value.violations)
 
 
-def test_validation_rejects_negative_slack_and_non_integer_modes():
+def test_validation_rejects_small_p_and_non_integer_modes():
     bad = MINIMAL + (
         "spectrum:\n  k_modes: [[1.7, 0, 0]]\n"
-        "validate:\n  k_mode: [0, 0.5, 0]\n  monotone_slack: -0.1\n"
+        "validate:\n  k_mode: [0, 0.5, 0]\n  p: 2\n"
     )
     with pytest.raises(ValidationError) as err:
         parse_config_text(bad)
     assert len(err.value.violations) == 3
-    for key in ("spectrum.k_modes", "validate.k_mode", "validate.monotone_slack"):
+    for key in ("spectrum.k_modes", "validate.k_mode", "validate.p"):
         assert any(v.startswith(key) for v in err.value.violations), key
 
 
@@ -80,8 +80,10 @@ def test_integral_float_values_accepted():
         (MINIMAL + "tolerances:\n  linear: .inf\n", "ValidationError", "tolerances.linear"),
         (MINIMAL + "tolerances:\n  pole_guard: .inf\n", "ValidationError",
          "tolerances.pole_guard"),
-        (MINIMAL + "validate:\n  residual_factor: .inf\n", "ValidationError",
-         "validate.residual_factor"),
+        (MINIMAL + "validate:\n  residual_factor: 0.1\n", "ParseError", "residual_factor"),
+        (MINIMAL + "validate:\n  monotone_slack: 0.1\n", "ParseError", "monotone_slack"),
+        (MINIMAL + "output:\n  dir: null\n", "ValidationError", "output.dir"),
+        (MINIMAL + "validate:\n  contrast: off\n", "ValidationError", "validate.contrast"),
         (MINIMAL + "spectrum:\n  torus_period: .inf\n", "ValidationError",
          "spectrum.torus_period"),
         (MINIMAL + "run:\n  seed: -3\n", "ValidationError", "run.seed"),
@@ -89,7 +91,8 @@ def test_integral_float_values_accepted():
     ],
     ids=["non_numeric_n", "fiber_without_rect", "non_numeric_a0", "non_numeric_axis",
          "non_numeric_rect", "non_numeric_inclusion_box", "infinite_a1", "infinite_tol_eigen",
-         "infinite_tol_linear", "infinite_pole_guard", "infinite_residual_factor",
+         "infinite_tol_linear", "infinite_pole_guard", "removed_residual_factor",
+         "removed_monotone_slack", "null_output_dir", "bare_off_contrast",
          "infinite_torus_period", "negative_seed", "fibers_not_a_list"],
 )
 def test_cli_malformed_value_exit2(tmp_path, capsys, text, error, key):
@@ -126,6 +129,29 @@ def test_cli_bad_flag_or_m_max_exit2(tmp_path, capsys, argv, extra, keys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        (MINIMAL.replace("  fibers:", "  a0: true\n  fibers:"), "geometry.a0"),
+        (MINIMAL + "theta_grid:\n  g: true\n", "theta_grid.g"),
+        (MINIMAL + "spectrum:\n  m_max: yes\n", "spectrum.m_max"),
+        (MINIMAL + "run:\n  threads: on\n", "run.threads"),
+    ],
+    ids=["a0", "theta_grid_g", "m_max", "threads"],
+)
+def test_yaml_boolean_is_not_a_number(text, key):
+    with pytest.raises(ValidationError) as err:
+        parse_config_text(text)
+    assert any(v.startswith(key) for v in err.value.violations), err.value.violations
+
+
+def test_bare_off_contrast_asks_for_quotes():
+    with pytest.raises(ValidationError) as err:
+        parse_config_text(MINIMAL + "validate:\n  contrast: off\n")
+    [violation] = err.value.violations
+    assert violation.startswith("validate.contrast") and '"off"' in violation
+
+
 def test_unknown_key_rejected():
     bad = MINIMAL.replace("fibers:", "fibres:")
     with pytest.raises(ParseError) as err:
@@ -152,7 +178,7 @@ def test_round_trip_identity(tmp_path):
 
 
 def test_every_key_maps_to_its_field():
-    """Each of the 18 keys, set to a value no other key or default has,
+    """Each of the 16 keys, set to a value no other key or default has,
     lands in its own RunConfig field and round-trips."""
     text = MINIMAL.replace("n: 16", "n: 12") + """\
 theta_grid:
@@ -167,8 +193,6 @@ validate:
   p: 6
   k_mode: [0, 2, 1]
   contrast: "off"
-  residual_factor: 0.3
-  monotone_slack: 0.05
 tolerances:
   eigen: 1.0e-7
   linear: 1.0e-9
@@ -182,8 +206,7 @@ run:
     expected = {
         "n": 12, "theta_g": 3, "m_max": 7, "lambda_max": 55.5,
         "k_modes": ((1, 2, 3), (0, 0, 4)), "torus_period": 2.5, "eps_K": (9, 13), "p_cell": 6,
-        "validate_k_index": (0, 2, 1), "contrast": "off", "residual_factor": 0.3,
-        "monotone_slack": 0.05, "tol_eigen": 1e-7, "tol_linear": 1e-9, "pole_guard": 1e-5,
+        "validate_k_index": (0, 2, 1), "contrast": "off", "tol_eigen": 1e-7, "tol_linear": 1e-9, "pole_guard": 1e-5,
         "out_dir": "elsewhere", "threads": 5, "seed": 11,
     }
     assert set(expected) == set(RunConfig.__dataclass_fields__) - {"geometry"}

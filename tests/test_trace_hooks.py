@@ -36,3 +36,19 @@ def test_tracer_install_restore_leaves_attributes_identical():
         tracer.restore()
     after = [getattr(owner, attr) for owner, attr in owners]
     assert all(a is b for a, b in zip(after, before))
+
+
+def test_report_calls_each_hook(single_fiber):
+    """A report classifies its cell grid once, pairs each case once per eps,
+    and solves one eps-problem per eps and one homogenized problem."""
+    validation = importlib.import_module("hcbloch.validation")
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        report = validation.convergence_report(single_fiber, 8, [4, 8])
+    finally:
+        tracer.restore()
+    assert tracer.calls["classify"] == 1
+    assert tracer.calls["pairing"] == 2 * len(report.cases)
+    assert tracer.calls["eps_solve"] == 2
+    assert tracer.calls["homogenized"] == 1

@@ -9,14 +9,19 @@ from hcbloch.operators import full_stiffness, linear_solve
 from hcbloch.validation import (
     EpsProblem,
     convergence_report,
-    forcing,
-    quasi_periodic_extension,
-    separable_pairing,
     solve_eps,
     solve_homogenized,
     two_scale_pairing,
 )
-from oracles import composite_spectrum, eps_coefficient, fine_field, spectral_distance
+from oracles import (
+    composite_spectrum,
+    eps_coefficient,
+    fine_field,
+    fine_forcing,
+    fine_pairing,
+    quasi_periodic_extension,
+    spectral_distance,
+)
 
 
 @pytest.fixture(scope="module")
@@ -31,22 +36,22 @@ def test_residual_check_is_the_only_size_gate(single_fiber):
     """K p = 256 solves to the fixed 1e-10 * ||rhs|| residual; at K p = 8192
     the cell system's condition, ~(K p)^2, defeats that check and
     linear_solve refuses the solution."""
-    sol = solve_eps(EpsProblem(geom=single_fiber, p=8, K=32, k_index=(1, 0, 0)))
+    sol = solve_eps(EpsProblem(grid=classify_nodes(single_fiber, 8), K=32, k_index=(1, 0, 0)))
     assert sol.residual < 1e-10
     with pytest.raises(SingularSystemError):
-        solve_eps(EpsProblem(geom=single_fiber, p=8, K=1024, k_index=(1, 0, 0)))
+        solve_eps(EpsProblem(grid=classify_nodes(single_fiber, 8), K=1024, k_index=(1, 0, 0)))
 
 
 def test_uniform_unit_solution(fat_fiber):
     """Contrast off, a0 = a1 = 1, f = 1: constants solve (-Lap + 1) u = 1."""
-    prob = EpsProblem(geom=fat_fiber, p=4, K=2, contrast="off")
+    prob = EpsProblem(grid=classify_nodes(fat_fiber, 4), K=2, contrast="off")
     sol = solve_eps(prob)
     assert not np.iscomplexobj(sol.u_cell)  # k = 0 with real g: one real solve
     assert np.abs(fine_field(sol) - 1.0).max() < 1e-11
 
 
 def test_zero_forcing(fat_fiber):
-    prob = EpsProblem(geom=fat_fiber, p=4, K=2, g_cell=np.zeros((4, 4, 4)))
+    prob = EpsProblem(grid=classify_nodes(fat_fiber, 4), K=2, g_cell=np.zeros((4, 4, 4)))
     sol = solve_eps(prob)
     assert np.all(fine_field(sol) == 0.0)
 
@@ -58,17 +63,17 @@ def test_nonpositive_soft_coefficient_rejected(single_fiber):
 
     geom = CellGeometry(fibers=single_fiber.fibers, a0=a0)
     with pytest.raises(CoefficientError):
-        solve_eps(EpsProblem(geom=geom, p=8, K=2, k_index=(1, 0, 0)))
+        solve_eps(EpsProblem(grid=classify_nodes(geom, 8), K=2, k_index=(1, 0, 0)))
 
 
 def test_energy_identity(single_fiber):
-    prob = EpsProblem(geom=single_fiber, p=8, K=2, k_index=(1, 0, 0))
+    prob = EpsProblem(grid=classify_nodes(single_fiber, 8), K=2, k_index=(1, 0, 0))
     sol = solve_eps(prob)
     assert sol.energy_identity_defect() < 1e-9
 
 
 def test_apriori_bounds(single_fiber):
-    prob = EpsProblem(geom=single_fiber, p=8, K=4, k_index=(1, 0, 0))
+    prob = EpsProblem(grid=classify_nodes(single_fiber, 8), K=4, k_index=(1, 0, 0))
     sol = solve_eps(prob)
     norms = sol.apriori_norms()
     C = np.sqrt(1.0 / 1.0 + 1.0 / 1.0)
@@ -77,9 +82,9 @@ def test_apriori_bounds(single_fiber):
 
 
 def test_eps_coefficient_layout(single_fiber):
-    prob = EpsProblem(geom=single_fiber, p=8, K=2)
     grid_cell = classify_nodes(single_fiber, 8)
-    a = eps_coefficient(prob, grid_cell)
+    prob = EpsProblem(grid=grid_cell, K=2)
+    a = eps_coefficient(prob)
     assert a.shape == (16, 16, 16)
     # soft nodes carry eps^2 a0, stiff nodes a1, tiled per cell
     cell = np.where(grid_cell.node_class == 0, 0.25, 1.0)
@@ -92,9 +97,8 @@ def test_floquet_factorization_vs_brute_force(fat_fiber):
     eigensolve of the assembled fine operator."""
     p, K = 4, 2
     spec = composite_spectrum(fat_fiber, p, K)
-    grid_cell = classify_nodes(fat_fiber, p)
-    prob = EpsProblem(geom=fat_fiber, p=p, K=K)
-    a_fine = eps_coefficient(prob, grid_cell)
+    prob = EpsProblem(grid=classify_nodes(fat_fiber, p), K=K)
+    a_fine = eps_coefficient(prob)
     n_f = p * K
     A = full_stiffness(n_f, a_fine, None)
     brute = eigvalsh(A.toarray() / (1.0 / n_f) ** 3)
@@ -111,13 +115,13 @@ def test_quasi_periodic_extension_phases():
 
 
 def test_pairing_with_unit_psi_is_plain_inner_product(fat_fiber):
-    prob = EpsProblem(geom=fat_fiber, p=4, K=2, k_index=(1, 0, 0))
+    prob = EpsProblem(grid=classify_nodes(fat_fiber, 4), K=2, k_index=(1, 0, 0))
     sol = solve_eps(prob)
     n = prob.n_fine
     rng = np.random.default_rng(0)
     phi = rng.standard_normal((n, n, n))
     psi = np.ones((4, 4, 4))
-    pairing = two_scale_pairing(fine_field(sol), phi, psi, (0.0, 0.0, 0.0), K=2)
+    pairing = fine_pairing(fine_field(sol), phi, psi, (0.0, 0.0, 0.0), K=2)
     plain = (1.0 / n) ** 3 * np.vdot(phi, fine_field(sol).reshape((n, n, n)))
     assert abs(pairing - plain) < 1e-12
 
@@ -210,7 +214,7 @@ def test_contrast_off_quasi_periodic_pairings_decay(fat_fiber):
     """Classical control: theta != 0 oscillating pairings tend to zero."""
     report = convergence_report(
         fat_fiber, 4, [2, 4], theta=(np.pi, np.pi, np.pi), contrast="off",
-        k_index=(0, 0, 0), residual_factor=0.5,
+        k_index=(0, 0, 0),
     )
     for case in report.cases:
         assert case.limit == 0.0
@@ -254,7 +258,7 @@ def test_spectral_distance():
 def test_pairing_of_zero_field_is_zero(fat_fiber):
     psi = np.ones((4, 4, 4))
     phi = np.ones((8, 8, 8))
-    val = two_scale_pairing(np.zeros(8**3), phi, psi, (0.0, 0.0, 0.0), K=2)
+    val = fine_pairing(np.zeros(8**3), phi, psi, (0.0, 0.0, 0.0), K=2)
     assert val == 0.0
 
 
@@ -271,11 +275,11 @@ def test_inclusion_homogenized_theta_independent(inclusion):
 
 def direct_solve_eps(prob):
     """Oracle: the eps-problem assembled and solved on the whole (K p)^3 torus grid."""
-    a_fine = eps_coefficient(prob, prob.cell_grid())
+    a_fine = eps_coefficient(prob)
     n = prob.n_fine
     h3 = (1.0 / n) ** 3
     system = full_stiffness(n, a_fine, None) + h3 * sp.identity(n**3, format="csr")
-    return linear_solve(system.tocsr(), h3 * forcing(prob).ravel())
+    return linear_solve(system.tocsr(), h3 * fine_forcing(prob).ravel())
 
 
 def _outer(f1, f2, f3):
@@ -299,7 +303,7 @@ def test_bloch_reduction_matches_direct_solve(request, geom_name, p, K, k_index,
         rng = np.random.default_rng(5)
         g = rng.standard_normal((p, p, p)) + 1j * rng.standard_normal((p, p, p))
     geom = request.getfixturevalue(geom_name)
-    prob = EpsProblem(geom=geom, p=p, K=K, k_index=k_index, g_cell=g, contrast=contrast)
+    prob = EpsProblem(grid=classify_nodes(geom, p), K=K, k_index=k_index, g_cell=g, contrast=contrast)
     u_ref = direct_solve_eps(prob)
     sol = solve_eps(prob)
     assert np.linalg.norm(fine_field(sol) - u_ref) <= 1e-9 * np.linalg.norm(u_ref)
@@ -310,8 +314,8 @@ def test_bloch_reduction_matches_direct_solve(request, geom_name, p, K, k_index,
 
 
 def test_bloch_quasi_momentum_wraps_onto_real_pi(single_fiber):
-    sol = solve_eps(EpsProblem(geom=single_fiber, p=8, K=2, k_index=(3, 0, 0)))
-    assert sol.theta.theta == (np.pi, 0.0, 0.0)
+    sol = solve_eps(EpsProblem(grid=classify_nodes(single_fiber, 8), K=2, k_index=(3, 0, 0)))
+    assert sol.problem.theta.theta == (np.pi, 0.0, 0.0)
     assert not np.iscomplexobj(sol.stiffness.data)
 
 
@@ -323,11 +327,11 @@ def test_separable_pairings_match_fine_grid(single_fiber):
     psi = rng.standard_normal((p, p, p)) + 1j * rng.standard_normal((p, p, p))
     phi_axes = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(3)]
     phi = _outer(*phi_axes)
-    sol = solve_eps(EpsProblem(geom=single_fiber, p=p, K=K, k_index=k_index, g_cell=g))
+    sol = solve_eps(EpsProblem(grid=classify_nodes(single_fiber, p), K=K, k_index=k_index, g_cell=g))
     u = fine_field(sol)
     for theta in [(0.0, 0.0, 0.0), (np.pi / 2, np.pi, 0.0), (1.0, 2.0, 3.0)]:
-        fine = two_scale_pairing(u, phi, psi, theta, K)
-        assert abs(separable_pairing(sol, phi_axes, psi, theta) - fine) <= 1e-12 * max(1.0, abs(fine))
+        fine = fine_pairing(u, phi, psi, theta, K)
+        assert abs(two_scale_pairing(sol, phi_axes, psi, theta) - fine) <= 1e-12 * max(1.0, abs(fine))
 
     grid = classify_nodes(single_fiber, p)
     hom = solve_homogenized(grid, (0.0, 0.0, 0.0), k_index=k_index, g_cell=g)
