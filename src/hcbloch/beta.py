@@ -125,47 +125,30 @@ def solve_lifts(
     if asm.theta != bloch.theta:
         raise ValueError("Bloch decomposition was computed at a different theta")
 
-    h3 = asm.h**3
-    fields, coeffs, residuals = [], [], []
-    boundaries = np.zeros((grid.n**3, len(active)), dtype=asm.full.dtype)
-    for jj, axis in enumerate(active):
-        boundaries[grid.fiber_mask(axis).ravel(), jj] = 1.0
-    rhs_all = -(asm.full @ boundaries)[asm.dofs]
+    h3, dim, bordered = asm.h**3, asm.dim, asm.bordered
+    rhs = -bordered[:dim, dim:].toarray()
     # every axis with the interior factor the eigensolve used
-    solutions = linear_solve(asm.interior, rhs_all, tol=tol, factor=asm.factor)
-    for jj in range(len(active)):
-        # contiguous columns: the per-axis arithmetic below is that of a vector
-        rhs = np.ascontiguousarray(rhs_all[:, jj])
-        values = np.ascontiguousarray(solutions[:, jj])
-        residuals.append(
-            np.linalg.norm(asm.interior @ values - rhs) / max(np.linalg.norm(rhs), 1e-300)
-        )
-        lift = boundaries[:, jj].astype(values.dtype)
-        lift[asm.dofs] = values
-        fields.append(lift)
-        coeffs.append(h3 * (bloch.vectors.conj().T @ values))
-
-    na = len(active)
-    flux_gram = np.zeros((na, na), dtype=complex)
-    mass_gram = np.zeros((na, na), dtype=complex)
-    for jj in range(na):
-        applied = asm.full @ fields[jj]
-        for ii, ax_i in enumerate(active):
-            flux_gram[ii, jj] = np.sum(applied[grid.fiber_mask(ax_i).ravel()])
-            mass_gram[ii, jj] = h3 * np.vdot(fields[ii][asm.dofs], fields[jj][asm.dofs])
+    X = linear_solve(asm.interior, rhs, tol=tol, factor=asm.factor)
+    residuals = np.linalg.norm(asm.interior @ X - rhs, axis=0) / np.maximum(
+        np.linalg.norm(rhs, axis=0), 1e-300
+    )
+    # flux of lift j through fiber i: row dim+i of bordered applied to [x_j; e_j]
+    flux_gram = bordered[dim:, :dim] @ X + bordered[dim:, dim:].toarray()
+    mass_gram = h3 * (X.conj().T @ X)
     # Hermitian in exact arithmetic (Dirichlet-form Grams); symmetrize away
     # the solver-residual defect.
     flux_gram = 0.5 * (flux_gram + flux_gram.conj().T)
     mass_gram = 0.5 * (mass_gram + mass_gram.conj().T)
+    fields = asm.border @ np.vstack([X, np.eye(len(active), dtype=X.dtype)])
 
     return BetaMatrix(
         theta=asm.theta.theta,
         active=active,
         poles=np.asarray(bloch.eigenvalues, dtype=float),
-        fields=np.vstack(fields),
-        residuals=np.array(residuals),
-        coeffs=np.vstack(coeffs),
-        measures=np.array([grid.fiber_measure(axis) for axis in active]),
+        fields=np.ascontiguousarray(fields.T),
+        residuals=residuals,
+        coeffs=h3 * (X.T @ bloch.vectors.conj()),
+        measures=asm.border_mass[dim:],
         flux_gram=flux_gram,
         mass_gram=mass_gram,
     )

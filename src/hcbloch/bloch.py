@@ -48,10 +48,17 @@ class BlochAssembly:
     """Discrete Bloch operator context at one quasi-momentum.
 
     ``full`` is the unrestricted cell stiffness (all n^3 nodes) and
-    ``interior`` its restriction to the soft-phase DOFs; both are needed
-    again for harmonic lifts and surface fluxes.  ``factor``, the sparse
-    LU of ``interior``, is computed on first use and shared by the
+    ``interior`` its restriction to the soft-phase DOFs.  ``factor``, the
+    sparse LU of ``interior``, is computed on first use and shared by the
     eigensolve and the lift solve.
+
+    The border Z spans the fields of the limit operator at theta: free on
+    the soft phase, constant on each ``active`` fiber (theta_i = 0), zero
+    on the other stiff nodes.  Its columns are the soft-phase unit vectors,
+    then one indicator per active fiber.  ``bordered`` = Z^H full Z is the
+    stiffness of that space and ``border_mass`` its diagonal mass, h^3
+    times the node count of each column; the lifts, the coupling matrix and
+    the homogenized solve all read them.
     """
 
     grid: Grid = field(repr=False)
@@ -71,6 +78,28 @@ class BlochAssembly:
     @cached_property
     def factor(self) -> spla.SuperLU:
         return factorize(self.interior)
+
+    @cached_property
+    def active(self) -> tuple[int, ...]:
+        return self.theta.active_set(self.grid.geometry.active_axes)
+
+    @cached_property
+    def border(self) -> sp.csr_matrix:
+        fibers = [np.flatnonzero(self.grid.fiber_mask(axis)) for axis in self.active]
+        rows = np.concatenate([self.dofs, *fibers])
+        cols = np.concatenate(
+            [np.arange(self.dim), *(np.full(f.size, self.dim + j) for j, f in enumerate(fibers))]
+        )
+        shape = (self.grid.n**3, self.dim + len(fibers))
+        return sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=shape)
+
+    @cached_property
+    def bordered(self) -> sp.csr_matrix:
+        return (self.border.T @ self.full @ self.border).tocsr()
+
+    @cached_property
+    def border_mass(self) -> np.ndarray:
+        return self.h**3 * np.asarray(self.border.sum(axis=0)).ravel()
 
 
 def assemble_bloch(grid: Grid, theta) -> BlochAssembly:
@@ -136,7 +165,7 @@ def bloch_eigs(
     )
     dec = BlochDecomposition(
         theta=asm.theta,
-        active=asm.theta.active_set(grid.geometry.active_axes),
+        active=asm.active,
         eigenvalues=vals,
         vectors=vectors,
         dofs=asm.dofs,

@@ -60,10 +60,16 @@ def _meta(cfg: RunConfig, geom) -> dict:
 
 
 def _auto_window(cfg: RunConfig, sweep) -> tuple[float, float]:
-    if cfg.lambda_max is not None:
-        return (0.0, float(cfg.lambda_max))
-    top = max(dec.eigenvalues[-1] for dec in sweep.values())
-    return (0.0, float(0.999 * top))
+    # above the highest computed eigenvalue, uncomputed branches may fill a "gap"
+    top = float(max(dec.eigenvalues[-1] for dec in sweep.values()))
+    if cfg.lambda_max is None:
+        return (0.0, float(0.999 * top))
+    if cfg.lambda_max > top:
+        raise ValidationError(
+            f"spectrum.lambda_max={cfg.lambda_max} exceeds the highest computed Bloch "
+            f"eigenvalue {top}; raise spectrum.m_max or lower lambda_max"
+        )
+    return (0.0, float(cfg.lambda_max))
 
 
 def cmd_geom_check(cfg: RunConfig, out_dir: Path) -> int:

@@ -259,27 +259,23 @@ def _check_positive(vals: np.ndarray, name: str) -> None:
         raise CoefficientError(f"coefficient field {name} must be > 0 on all nodes")
 
 
-def _interval_mask(coords: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    return (coords >= lo) & (coords <= hi)
-
-
 def classify_nodes(geom: CellGeometry, n: int) -> Grid:
     """Tag every grid node as matrix, fiber or stiff-complement.
 
     Closure convention: nodes on a fiber boundary belong to the fiber.
     Raises ResolutionError when some stiff region is so thin that it has
-    no interior node (a node whose transverse neighbors all lie in the
-    region too); such a region cannot carry a meaningful cell problem.
+    no interior node (a node whose neighbors all lie in the region too);
+    such a region cannot carry a meaningful cell problem.
     """
     if n < 4:
         raise ValidationError(f"grid resolution n must be >= 4, got {n}")
     vals = np.arange(n) / n
+    coords = np.meshgrid(vals, vals, vals, indexing="ij")
     node_class = np.full((n, n, n), MATRIX, dtype=np.int8)
 
     if geom.variant == "compact_inclusion":
         box = geom.inclusion_box
         inside = np.ones((n, n, n), dtype=bool)
-        coords = np.meshgrid(vals, vals, vals, indexing="ij")
         for k in range(3):
             inside &= (coords[k] > box[2 * k]) & (coords[k] < box[2 * k + 1])
         node_class[~inside] = STIFF_COMPLEMENT
@@ -290,17 +286,15 @@ def classify_nodes(geom: CellGeometry, n: int) -> Grid:
     else:
         for axis in geom.active_axes:
             spec = geom.fibers[axis]
-            t1, t2 = transverse_axes(axis)
-            l1, r1, l2, r2 = spec.rect
-            m1 = _interval_mask(vals, l1, r1)
-            m2 = _interval_mask(vals, l2, r2)
-            cross = np.outer(m1, m2)
-            if not _has_interior_cross_section(m1, m2):
+            mask = np.ones((n, n, n), dtype=bool)
+            for t in transverse_axes(axis):
+                lo, hi = spec.range_on(t)
+                mask &= (coords[t - 1] >= lo) & (coords[t - 1] <= hi)
+            if not _has_interior_node(mask):
                 raise ResolutionError(
                     f"fiber axis {axis}: cross-section {spec.rect} has no "
                     f"interior node at resolution n={n}"
                 )
-            mask = _extrude(cross, axis, n)
             if np.any(node_class[mask] != MATRIX):
                 raise OverlapError(
                     f"discrete fiber node sets intersect at resolution n={n}"
@@ -309,28 +303,6 @@ def classify_nodes(geom: CellGeometry, n: int) -> Grid:
 
     node_class.flags.writeable = False
     return Grid(n=n, node_class=node_class, geometry=geom)
-
-
-def _extrude(cross: np.ndarray, axis: int, n: int) -> np.ndarray:
-    """Extrude a transverse 2D mask along the fiber axis.
-
-    ``cross`` is indexed by the cyclic transverse axes (t1, t2); the
-    result is indexed by (y1, y2, y3).
-    """
-    mask = np.broadcast_to(cross, (n, n, n))  # axes (i, t1, t2) with i the fiber axis
-    t1, t2 = transverse_axes(axis)
-    order = np.argsort([axis, t1, t2])
-    return np.transpose(mask, axes=order).copy()
-
-
-def _has_interior_cross_section(m1: np.ndarray, m2: np.ndarray) -> bool:
-    # Interior = node whose transverse neighbors stay inside the closed
-    # rectangle; equivalent to each 1D mask surviving a one-step erosion.
-    def eroded(m):
-        return m & np.roll(m, 1) & np.roll(m, -1)
-
-    # Cross-sections never wrap (compact containment), so roll is safe.
-    return bool(np.any(eroded(m1))) and bool(np.any(eroded(m2)))
 
 
 def _has_interior_node(mask: np.ndarray) -> bool:

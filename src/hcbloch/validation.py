@@ -226,60 +226,36 @@ def solve_homogenized(
 ) -> HomogenizedSolution:
     """Solve the Fourier-reduced homogenized system for one macro mode.
 
-    Unknowns are the soft-phase values of w plus one constant per active
-    fiber; the bordered Hermitian system is the Galerkin restriction of
-    stiffness + mass to fields constant on active fibers and zero on
-    inactive stiff nodes, with the spatial term a_hom_i k_i^2 on the
-    fiber constants.
+    Unknowns are the coefficients of w in the border of the Bloch assembly:
+    the soft-phase values plus one constant per active fiber.  The system
+    is the bordered stiffness plus the border mass, with the spatial term
+    a_hom_i k_i^2 on the fiber constants.
     """
-    qm = as_quasi_momentum(theta)
-    asm = assemble_bloch(grid, qm)
-    active = qm.active_set(grid.geometry.active_axes)
-    n = grid.n
-    N = n**3
-    h3 = grid.h**3
-    dofs = asm.dofs
-    n_dof = dofs.size
-
+    asm = assemble_bloch(grid, theta)
+    active, n_dof, Z = asm.active, asm.dim, asm.border
+    N = grid.n**3
     a_hom = {axis: solve_cell_problem(grid, axis, tol=tol).a_hom for axis in active}
 
-    # Constraint basis Z: soft-phase unit vectors, then fiber indicators.
-    cols_rows = [dofs]
-    cols_cols = [np.arange(n_dof, dtype=np.int64)]
-    for j, axis in enumerate(active):
-        fiber_nodes = np.flatnonzero(grid.fiber_mask(axis).ravel())
-        cols_rows.append(fiber_nodes)
-        cols_cols.append(np.full(fiber_nodes.size, n_dof + j, dtype=np.int64))
-    Z = sp.coo_matrix(
-        (
-            np.ones(sum(len(r) for r in cols_rows)),
-            (np.concatenate(cols_rows), np.concatenate(cols_cols)),
-        ),
-        shape=(N, n_dof + len(active)),
-    ).tocsr()
-
-    S = (Z.getH() @ asm.full @ Z).tocsr()
-    mass_diag = h3 * np.asarray((Z.multiply(Z)).sum(axis=0)).ravel()
-    spatial_diag = np.zeros(n_dof + len(active))
+    spatial_diag = np.zeros(Z.shape[1])
     k = 2.0 * np.pi * np.asarray(k_index, dtype=float)
     for j, axis in enumerate(active):
         spatial_diag[n_dof + j] = a_hom[axis] * k[axis - 1] ** 2
-    system = (S + sp.diags(mass_diag + spatial_diag)).tocsr()
+    system = (asm.bordered + sp.diags(asm.border_mass + spatial_diag)).tocsr()
 
     g = np.ones(N) if g_cell is None else np.asarray(g_cell).reshape(N).astype(complex)
-    rhs = h3 * (Z.getH() @ g)
+    rhs = grid.h**3 * (Z.T @ g)
     x = linear_solve(system, rhs, tol=tol)
     residual = float(np.linalg.norm(system @ x - rhs) / max(np.linalg.norm(rhs), 1e-300))
 
     w_full = np.asarray(Z @ x)
     w_fiber = {axis: complex(x[n_dof + j]) for j, axis in enumerate(active)}
     return HomogenizedSolution(
-        theta=qm.theta,
+        theta=asm.theta.theta,
         k_index=tuple(int(v) for v in k_index),
         w_full=w_full,
         w_fiber=w_fiber,
         a_hom=a_hom,
-        grid_n=n,
+        grid_n=grid.n,
         residual=residual,
     )
 

@@ -71,6 +71,16 @@ def flux(asm: BlochAssembly, v: np.ndarray, lift_field: np.ndarray) -> complex:
     return complex(q_form - interior)
 
 
+def dense_border(grid: Grid, dofs: np.ndarray, active) -> np.ndarray:
+    """Dense constraint basis of the bordered Galerkin space: one unit
+    vector per soft-phase DOF, then the indicator of each active fiber."""
+    Z = np.zeros((grid.n**3, len(dofs) + len(active)))
+    Z[dofs, np.arange(len(dofs))] = 1.0
+    for j, axis in enumerate(active):
+        Z[grid.fiber_mask(axis).ravel(), len(dofs) + j] = 1.0
+    return Z
+
+
 def _tile(cell_values: np.ndarray, K: int) -> np.ndarray:
     return np.tile(cell_values, (K, K, K))
 

@@ -2,7 +2,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.linalg import eigh as dense_eigh
 
 from hcbloch.beta import (
@@ -16,7 +15,7 @@ from hcbloch.bloch import ThetaGrid, assemble_bloch, bloch_eigs, theta_sweep
 from hcbloch.cell import effective_tensor, solve_cell_problem
 from hcbloch.errors import ConvergenceError, EmptyActiveSetError, PoleProximityError
 from hcbloch.geometry import classify_nodes
-from oracles import flux
+from oracles import dense_border, flux
 
 
 @pytest.fixture(scope="module")
@@ -145,18 +144,12 @@ def test_two_fiber_beta_cross_hermitian(two_fiber):
 def bordered_pencil(grid, asm, a_hom, active, k):
     """Eigenvalues of the dense bordered spatial pencil: the soft DOFs plus
     one constant per active fiber."""
-    n, dim = grid.n, asm.dim
-    rows, cols = [asm.dofs], [np.arange(dim)]
-    for j, axis in enumerate(active):
-        fiber_nodes = np.flatnonzero(grid.fiber_mask(axis).ravel())
-        rows.append(fiber_nodes)
-        cols.append(np.full(fiber_nodes.size, dim + j))
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    Z = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n**3, dim + len(active))).tocsr()
-    A_Z = (Z.getH() @ asm.full @ Z).toarray()
+    dim = asm.dim
+    Z = dense_border(grid, asm.dofs, active)
+    A_Z = Z.T @ (asm.full @ Z)
     for j, axis in enumerate(active):
         A_Z[dim + j, dim + j] += a_hom[axis - 1, axis - 1] * (2 * np.pi * k[axis - 1]) ** 2
-    M_Z = grid.h**3 * np.asarray((Z.multiply(Z)).sum(axis=0)).ravel()
+    M_Z = grid.h**3 * (Z * Z).sum(axis=0)
     return dense_eigh(A_Z, np.diag(M_Z), eigvals_only=True)
 
 

@@ -4,7 +4,7 @@ import pytest
 from conftest import dirichlet_chain_lowest
 from hcbloch.bloch import ThetaGrid, assemble_bloch, bloch_eigs, theta_sweep
 from hcbloch.geometry import CellGeometry, build_geometry, classify_nodes
-from oracles import adjacent_pairs, dirichlet_baseline
+from oracles import adjacent_pairs, dense_border, dirichlet_baseline
 
 
 def test_inclusion_theta_independent(inclusion):
@@ -152,3 +152,27 @@ def test_assembly_at_another_theta_rejected(single_fiber):
     grid = classify_nodes(single_fiber, 8)
     with pytest.raises(ValueError):
         bloch_eigs(grid, (0.0, 0.0, 0.0), m_max=2, assembly=assemble_bloch(grid, (np.pi, 0.0, 0.0)))
+
+
+@pytest.mark.parametrize(
+    "geom_name, theta, active",
+    [
+        ("single_fiber", (0.0, 0.0, 0.0), (1,)),
+        ("single_fiber", (0.0, 0.7, np.pi), (1,)),
+        ("two_fiber", (0.0, np.pi, 0.0), (1, 3)),
+        ("two_fiber", (0.0, 0.7, 1.1), (1,)),
+    ],
+    ids=["single_fiber_zero", "single_fiber_complex", "two_fiber_real", "two_fiber_axis3_inactive"],
+)
+def test_border_matches_dense_oracle(geom_name, theta, active, request):
+    """The assembly's border is the dense constraint basis: soft unit
+    vectors, then one indicator per active fiber; the bordered form and
+    mass follow from it."""
+    grid = classify_nodes(request.getfixturevalue(geom_name), 8)
+    asm = assemble_bloch(grid, theta)
+    assert asm.active == active
+    Z = dense_border(grid, asm.dofs, active)
+    assert np.array_equal(asm.border.toarray(), Z)
+    dense = Z.T @ asm.full.toarray() @ Z
+    assert np.abs(asm.bordered.toarray() - dense).max() <= 1e-12 * np.abs(dense).max()
+    assert np.array_equal(asm.border_mass, grid.h**3 * Z.sum(axis=0))

@@ -15,6 +15,7 @@ from hcbloch.validation import (
 )
 from oracles import (
     composite_spectrum,
+    dense_border,
     eps_coefficient,
     fine_field,
     fine_forcing,
@@ -152,15 +153,11 @@ def dense_constrained_oracle(geom, grid, k_index, g):
     from hcbloch.cell import solve_cell_problem
 
     n = grid.n
-    N = n**3
     h3 = grid.h**3
     F = full_stiffness(n, grid.a0_field(), None).toarray()
     dofs = np.flatnonzero(grid.matrix_mask.ravel())
     active = list(geom.active_axes)
-    Z = np.zeros((N, len(dofs) + len(active)))
-    Z[dofs, np.arange(len(dofs))] = 1.0
-    for j, axis in enumerate(active):
-        Z[grid.fiber_mask(axis).ravel(), len(dofs) + j] = 1.0
+    Z = dense_border(grid, dofs, active)
     S = Z.T @ F @ Z
     mass = h3 * (Z * Z).sum(axis=0)
     spatial = np.zeros(len(dofs) + len(active))
