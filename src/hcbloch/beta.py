@@ -155,7 +155,8 @@ def solve_lifts(
 
 
 # A branch attains its extreme at the first theta, in sorted order, whose value
-# lies within this relative distance of it: rounding does not pick the theta.
+# lies within this relative distance of it, and branch intervals this close
+# merge into one band: rounding picks no theta and opens no gap.
 EXTREME_TIE_RTOL = 1e-12
 
 
@@ -192,9 +193,10 @@ def pure_bloch_bands(sweep, window=None) -> BandStructure:
 
     Branch m (up to the smallest m_max in the sweep) spans
     [min_theta mu_m, max_theta mu_m], attained at the first theta whose
-    value ties the extreme to EXTREME_TIE_RTOL; overlapping branch intervals
-    merge into maximal bands, and gaps are the complement inside the window
-    [0, lambda_max].
+    value ties the extreme to EXTREME_TIE_RTOL; branch intervals that overlap
+    or lie within EXTREME_TIE_RTOL of each other (the copies of a multiple
+    eigenvalue) merge into maximal bands, and gaps are the complement inside
+    the window [0, lambda_max].
     """
     if not sweep:
         raise ValueError("empty theta sweep")
@@ -213,7 +215,7 @@ def pure_bloch_bands(sweep, window=None) -> BandStructure:
     lam_max = window[1] if window is not None else max(b.hi for b in branch_intervals)
     merged: list[Band] = []
     for band in sorted(branch_intervals, key=lambda b: (b.lo, b.hi)):
-        if merged and band.lo <= merged[-1].hi:
+        if merged and band.lo <= merged[-1].hi + EXTREME_TIE_RTOL * abs(merged[-1].hi):
             prev = merged[-1]
             top = band if band.hi > prev.hi else prev
             merged[-1] = replace(prev, hi=top.hi, branches=prev.branches + band.branches,

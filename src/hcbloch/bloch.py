@@ -9,9 +9,8 @@ the min-max principle.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -216,27 +215,43 @@ def theta_sweep(
 ) -> dict[tuple[float, float, float], BlochDecomposition]:
     """Bloch eigenvalues over the whole theta grid.
 
-    The result map is keyed by theta tuples in lexicographic order and is
-    deterministic regardless of the parallel schedule; per-point failures
-    are aggregated into a single ConvergenceError naming each theta.
-    ``lift_tol`` attaches the coupling matrix as in ``bloch_eigs``.  Each
-    point's factorization is dropped when its step ends, so at most
-    ``threads`` factors are alive at once.
+    The thetas are independent, so with ``threads`` > 1 they are solved in
+    min(threads, #thetas) forked worker processes (ARPACK's loop and the
+    Python around each sparse solve hold the GIL, so threads would overlap
+    only in part); with one they are solved in a plain loop.  Every point
+    uses the same ``seed``, so the result does not depend on the schedule.
+    The result map is keyed by theta tuples in lexicographic order;
+    per-point failures are aggregated into a single ConvergenceError naming
+    each theta.  ``lift_tol`` attaches the coupling matrix as in
+    ``bloch_eigs``.  Each point's factorization is dropped when its step
+    ends, so at most ``threads`` factors are alive at once.  Every worker
+    has exited when this returns or raises.  Forking is safe only from a
+    process that runs no other threads, as the CLI does.
     """
+    attempt = partial(_attempt, partial(bloch_eigs, grid, m_max=m_max, tol=tol, seed=seed,
+                                        lift_tol=lift_tol))
+    points = tgrid.points
+    workers = min(threads, len(points))
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    def solve(qm: QuasiMomentum):
-        return bloch_eigs(grid, qm, m_max=m_max, tol=tol, seed=seed, lift_tol=lift_tol)
-
-    results: dict[tuple[float, float, float], BlochDecomposition] = {}
-    failures: list[tuple[tuple[float, float, float], Exception]] = []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [(qm, pool.submit(solve, qm)) for qm in tgrid.points]
-    for qm, fut in futures:
-        try:
-            results[qm.theta] = fut.result()
-        except Exception as exc:  # aggregate below
-            failures.append((qm.theta, exc))
+        # fork: the workers inherit the imported modules instead of importing them again
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
+            outcomes = list(pool.map(attempt, points))
+    else:
+        outcomes = list(map(attempt, points))
+    failures = [(qm.theta, out) for qm, out in zip(points, outcomes) if isinstance(out, Exception)]
     if failures:
         summary = "; ".join(f"theta={t}: {e}" for t, e in failures)
         raise ConvergenceError(f"theta sweep failed at {len(failures)} point(s): {summary}")
-    return {t: results[t] for t in sorted(results)}
+    return dict(sorted((qm.theta, dec) for qm, dec in zip(points, outcomes)))
+
+
+def _attempt(solve, qm: QuasiMomentum):
+    """solve(qm), or the exception it raised (for the sweep to aggregate)."""
+    try:
+        return solve(qm)
+    except Exception as exc:
+        return exc

@@ -304,7 +304,8 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="YAML config file")
         p.add_argument("--out", default=None, help="output directory (default from config)")
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None,
+                       help="worker processes of the theta sweep (overrides run.threads)")
         p.add_argument("--seed", type=int, default=None)
         if name in ("bloch", "beta"):
             p.add_argument("--theta", default=None, help="single quasi-momentum 't1,t2,t3'")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import yaml
@@ -31,6 +32,11 @@ _KEYS: dict[str, dict[str, tuple[str, str | None]]] = {
 }
 _FIBER_KEYS = {"axis", "rect"}
 
+# run.threads counts the sweep's worker processes; by default one per CPU this
+# process may run on, where workers can be forked, and 1 elsewhere.
+_USABLE_CPUS = (len(os.sched_getaffinity(0))
+               if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -51,7 +57,7 @@ class RunConfig:
     tol_linear: float = 1e-10
     pole_guard: float = 1e-6
     out_dir: str = "out"
-    threads: int = 1
+    threads: int = _USABLE_CPUS
     seed: int = 0
 
     def to_dict(self) -> dict:

@@ -1,7 +1,8 @@
 import os
 
-# One BLAS thread per process: theta_sweep(threads=2) would otherwise
-# oversubscribe the cores.  Set before numpy loads its BLAS.
+# One BLAS thread per process: the worker processes of theta_sweep(threads=2)
+# and of the CLI's default sweep would otherwise oversubscribe the cores.  Set
+# before numpy loads its BLAS; forked workers inherit it.
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("MKL_NUM_THREADS", "1")

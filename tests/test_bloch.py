@@ -1,8 +1,13 @@
+import dataclasses
+import multiprocessing
+
 import numpy as np
 import pytest
 
+import hcbloch.bloch
 from conftest import dirichlet_chain_lowest
 from hcbloch.bloch import ThetaGrid, assemble_bloch, bloch_eigs, theta_sweep
+from hcbloch.errors import ConvergenceError
 from hcbloch.geometry import CellGeometry, build_geometry, classify_nodes
 from oracles import adjacent_pairs, dense_border, dirichlet_baseline
 
@@ -92,7 +97,9 @@ def test_theta_grid_contents():
     assert len(adjacent_pairs(tg)) == 3 * 4 * 4 * 3  # 3 directions, 3 steps each line
 
 
-def test_sweep_deterministic_and_parallel(single_fiber):
+def test_sweep_deterministic_and_parallel(single_fiber, two_fiber):
+    """Worker processes return the serial sweep bit for bit, coupling
+    matrices included; 16 workers are capped at the 8 thetas."""
     grid = classify_nodes(single_fiber, 8)
     tg = ThetaGrid(2)
     s1 = theta_sweep(grid, tg, m_max=3, threads=1)
@@ -101,6 +108,50 @@ def test_sweep_deterministic_and_parallel(single_fiber):
     assert list(s1) == list(s2)
     for t in s1:
         assert np.array_equal(s1[t].eigenvalues, s2[t].eigenvalues)
+
+    grid = classify_nodes(two_fiber, 8)
+    serial, *parallel = [theta_sweep(grid, tg, m_max=4, lift_tol=1e-10, threads=threads)
+                         for threads in (1, 2, 16)]
+    assert sum(dec.beta is not None for dec in serial.values()) == 6
+    for sweep in parallel:
+        assert list(sweep) == list(serial)
+        for t, dec in serial.items():
+            other = sweep[t]
+            for name in ("eigenvalues", "vectors", "residuals"):
+                assert np.array_equal(getattr(other, name), getattr(dec, name)), (t, name)
+            assert (other.beta is None) == (dec.beta is None)
+            if dec.beta is None:
+                continue
+            assert (other.beta.theta, other.beta.active) == (dec.beta.theta, dec.beta.active)
+            for f in dataclasses.fields(dec.beta):
+                value = getattr(dec.beta, f.name)
+                if isinstance(value, np.ndarray):
+                    assert np.array_equal(getattr(other.beta, f.name), value), (t, f.name)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_failures_aggregated(single_fiber, monkeypatch, threads):
+    """A theta whose eigensolve fails is named in one ConvergenceError, in
+    the serial loop and from a worker process alike, and no worker is left."""
+    grid = classify_nodes(single_fiber, 8)
+    bad = ThetaGrid(2).points[2].theta  # (0, pi, 0)
+    target = assemble_bloch(grid, bad).interior
+    eigensolve = hcbloch.bloch.eigensolve
+
+    def failing(A, *args, **kwargs):
+        if (A != target).nnz == 0:
+            raise ConvergenceError("ARPACK did not converge")
+        return eigensolve(A, *args, **kwargs)
+
+    monkeypatch.setattr(hcbloch.bloch, "eigensolve", failing)
+    with pytest.raises(ConvergenceError) as info:
+        theta_sweep(grid, ThetaGrid(2), m_max=3, threads=threads)
+    message = str(info.value)
+    assert message.startswith("theta sweep failed at 1 point(s): ")
+    assert message.count("theta=") == 1
+    assert f"theta={bad}: ARPACK did not converge" in message
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_conjugation_symmetry(single_fiber):

@@ -1,4 +1,6 @@
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +38,8 @@ def test_minimal_config_defaults():
     assert cfg.tol_eigen == 1e-8
     assert cfg.tol_linear == 1e-10
     assert cfg.pole_guard == 1e-6
+    # one sweep worker process per usable CPU
+    assert cfg.threads == (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
 
 
 def test_validation_collects_all_violations():
@@ -334,6 +338,17 @@ def test_cli_spectrum_inclusion_point_bands(tmp_path):
     for band in payload["branch_intervals"]:
         assert band["hi"] - band["lo"] <= 1e-12
     assert payload["gaps"]
+
+
+def test_cli_spectrum_multiple_eigenvalue_is_one_band(tmp_path):
+    """The copies of a triple eigenvalue, equal up to rounding, form one
+    band with no gap inside it (double_porosity as shipped, g=2)."""
+    config = Path(__file__).resolve().parents[1] / "configs" / "double_porosity.yml"
+    assert main(["spectrum", "--config", str(config), "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "spectrum.json").read_text())
+    assert [b["branches"] for b in payload["bands"]] == [[1], [2, 3, 4], [5, 6, 7], [8]]
+    assert len(payload["gaps"]) == 4
+    assert all(hi - lo > 1.0 for lo, hi in payload["gaps"])
 
 
 def test_cli_validate_writes_report(tmp_path):
