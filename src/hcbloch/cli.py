@@ -4,6 +4,10 @@ Every subcommand reads one YAML config (plus a few flag overrides),
 writes machine-readable artifacts into the output directory, and exits
 0 on success, 1 on a failed validation verdict, 2 on errors (with a
 JSON error payload on stderr).
+
+The scipy-backed names the commands call (``_DEFERRED``) are imported on
+first access, and every subcommand but ``geom-check`` binds them all before
+it runs, so ``geom-check``, ``--help`` and config errors load no scipy.
 """
 
 from __future__ import annotations
@@ -15,16 +19,27 @@ from pathlib import Path
 
 import numpy as np
 
-from .beta import pure_bloch_bands, spatial_points
-from .bloch import ThetaGrid, bloch_eigs, theta_sweep
-from .cell import axial_flux, effective_tensor, solve_cell_problem
+from . import _lazy
 from .config import SCHEMA_VERSION, RunConfig, parse_config, with_overrides
 from .errors import EmptyActiveSetError, HcBlochError, ValidationError
 from .geometry import build_geometry, classify_nodes
-from .operators import QuasiMomentum, as_quasi_momentum
-from .validation import convergence_report
 
 __all__ = ["main", "run_subcommand"]
+
+_DEFERRED = {
+    "ThetaGrid": "bloch", "bloch_eigs": "bloch", "theta_sweep": "bloch", "axial_flux": "cell",
+    "solve_cell_problem": "cell", "effective_tensor": "cell", "pure_bloch_bands": "beta",
+    "spatial_points": "beta", "convergence_report": "validation", "QuasiMomentum": "operators",
+    "as_quasi_momentum": "operators",
+}
+__getattr__ = _lazy(globals(), _DEFERRED)
+
+
+def _import_numerics() -> None:
+    """Bind each deferred name not bound yet (a tracer's wrapper stays), before any sweep forks."""
+    for name in _DEFERRED:
+        if name not in globals():
+            __getattr__(name)
 
 
 def _json_default(obj):
@@ -51,12 +66,8 @@ def _write_csv(path: Path, header: list[str], rows, meta: str) -> None:
 
 
 def _meta(cfg: RunConfig, geom) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "geometry_hash": geom.content_hash(),
-        "seed": cfg.seed,
-        "config": cfg.to_dict(),
-    }
+    return {"schema_version": SCHEMA_VERSION, "geometry_hash": geom.content_hash(),
+            "seed": cfg.seed, "config": cfg.to_dict()}
 
 
 def _auto_window(cfg: RunConfig, sweep) -> tuple[float, float]:
@@ -91,10 +102,7 @@ def cmd_geom_check(cfg: RunConfig, out_dir: Path) -> int:
 def cmd_cell(cfg: RunConfig, out_dir: Path) -> int:
     geom = build_geometry(cfg.geometry)
     grid = classify_nodes(geom, cfg.n)
-    solutions = [
-        solve_cell_problem(grid, axis, tol=cfg.tol_linear)
-        for axis in geom.active_axes
-    ]
+    solutions = [solve_cell_problem(grid, axis, tol=cfg.tol_linear) for axis in geom.active_axes]
     tensor = effective_tensor(solutions)
     payload = _meta(cfg, geom)
     payload["solutions"] = [
@@ -103,11 +111,7 @@ def cmd_cell(cfg: RunConfig, out_dir: Path) -> int:
             "a_hom": sol.a_hom,
             "discrete_measure": sol.discrete_measure,
             "residual": sol.residual,
-            "off_axis_flux": {
-                str(j): axial_flux(grid, sol, j)
-                for j in (1, 2, 3)
-                if j != sol.axis
-            },
+            "off_axis_flux": {str(j): axial_flux(grid, sol, j) for j in (1, 2, 3) if j != sol.axis},
         }
         for sol in solutions
     ]
@@ -237,16 +241,8 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
         }
     )
     _write_json(out_dir / "spectrum.json", payload)
-    print(
-        json.dumps(
-            {
-                "written": str(out_dir / "spectrum.json"),
-                "bands": len(structure.bands),
-                "gaps": len(structure.gaps),
-                "spatial_points": len(spatial),
-            }
-        )
-    )
+    print(json.dumps({"written": str(out_dir / "spectrum.json"), "bands": len(structure.bands),
+                      "gaps": len(structure.gaps), "spatial_points": len(spatial)}))
     return 0
 
 
@@ -273,6 +269,7 @@ def cmd_validate(cfg: RunConfig, out_dir: Path, eps_override=None) -> int:
 def _parse_theta(text: str | None):
     if text is None:
         return None
+    _import_numerics()  # QuasiMomentum checks the range
     try:
         parts = tuple(float(v) for v in text.split(","))
         if len(parts) != 3:
@@ -343,6 +340,7 @@ def main(argv=None) -> int:
 def run_subcommand(command: str, cfg: RunConfig, out_dir: Path, theta=None, eps=None) -> int:
     if command == "geom-check":
         return cmd_geom_check(cfg, out_dir)
+    _import_numerics()
     if command == "cell":
         return cmd_cell(cfg, out_dir)
     if command == "bloch":

@@ -10,7 +10,12 @@ import importlib
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import yaml
+
+import hcbloch.cli
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
 import layers  # noqa: E402
 
 
@@ -52,3 +57,41 @@ def test_report_calls_each_hook(single_fiber):
     assert tracer.calls["pairing"] == 2 * len(report.cases)
     assert tracer.calls["eps_solve"] == 2
     assert tracer.calls["homogenized"] == 1
+
+
+def _cli_config(tmp_path, shipped, **sections):
+    cfg = yaml.safe_load((ROOT / "configs" / shipped).read_text())
+    for section, values in sections.items():
+        cfg.setdefault(section, {}).update(values)
+    cfg["output"] = {"dir": str(tmp_path / "out")}
+    path = tmp_path / shipped
+    path.write_text(yaml.safe_dump(cfg))
+    return str(path)
+
+
+def _traced_main(argv):
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        code = hcbloch.cli.main(argv)
+    finally:
+        tracer.restore()
+    return code, tracer.calls
+
+
+def test_cli_spans_fire(tmp_path):
+    """The CLI's calls go through the module attributes the tracer patches: one
+    sweep, one cell problem per fiber and one spatial_points call per theta, and
+    one report and one cell problem for validate."""
+    config = _cli_config(tmp_path, "two_fibers.yml", grid={"n": 8}, theta_grid={"g": 2})
+    code, calls = _traced_main(["spectrum", "--config", config, "--threads", "1"])
+    assert code == 0
+    assert calls["sweep"] == 1
+    assert calls["cell"] == 2
+    assert calls["spatial_points"] == 8
+
+    config = _cli_config(tmp_path, "single_fiber.yml")
+    code, calls = _traced_main(["validate", "--config", config, "--eps", "4"])
+    assert code == 0
+    assert calls["report"] == 1
+    assert calls["cell"] == 1
