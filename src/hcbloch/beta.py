@@ -82,19 +82,26 @@ class BetaMatrix:
     def pole_guard_width(self, pole_guard: float) -> float:
         return pole_guard * float(self.poles[0])
 
+    def off_poles(self, lam, pole_guard: float = 1e-6) -> np.ndarray:
+        """True where lam is at least the pole guard width from every pole."""
+        lam = np.asarray(lam, dtype=float)
+        guard = self.pole_guard_width(pole_guard)
+        return np.all(np.abs(self.poles - lam[..., None]) >= guard, axis=-1)
+
     def __call__(self, lam, pole_guard: float = 1e-6) -> np.ndarray:
         """Hermitian coupling matrix at spectral parameter lam.
 
         A scalar lam gives one (n_active, n_active) matrix; a 1-D array of
         S values gives the (S, n_active, n_active) stack, entry for entry
-        the same numbers as S scalar calls.  A value within the pole guard
-        of a pole raises PoleProximityError.
+        the same numbers as S scalar calls.  A value not ``off_poles``
+        raises PoleProximityError.
         """
         lam = np.asarray(lam, dtype=float)
-        guard = self.pole_guard_width(pole_guard)
-        near = np.any(np.abs(self.poles - lam[..., None]) < guard, axis=-1)
-        if np.any(near):
-            raise PoleProximityError(f"lambda={lam[near]} within {guard:.3e} of a pole")
+        off = self.off_poles(lam, pole_guard)
+        if not np.all(off):
+            raise PoleProximityError(
+                f"lambda={lam[~off]} within {self.pole_guard_width(pole_guard):.3e} of a pole"
+            )
         col = lam[..., None]  # broadcasts against the poles
         weights = col**2 / (self.poles - col)
         out = (self.coeffs.conj() * weights[..., None, :]) @ self.coeffs.T
@@ -264,7 +271,8 @@ def spatial_spectrum(
     the Schur complement of K - lam G on the fiber block is S - beta(lam):
     det(K - lam G) = prod_m (mu_m - lam) F(lam).  One small eigensolve per
     mode gives every root with its multiplicity, double roots included.
-    Eigenvalues within guard + d of a pole (decoupled modes) are dropped.
+    An eigenvalue is dropped unless both ends of its bracket (below) are
+    ``beta.off_poles``: within guard + d of a pole it is a decoupled mode.
 
     Each root has the bracket [lam - d, lam + d], d just under 5e-11 mu_1,
     certified by inertia (Haynsworth): between poles the negative
@@ -279,13 +287,10 @@ def spatial_spectrum(
     form annihilates constants, so flux_gram 1 = 0 and beta(0) 1 = 0.  The
     eigenvalue nearest 0 is reported as lam = 0.0 with bracket (0, 0).
 
-    Returns [] when the active set is empty (zero-map rule).  The roots
-    carry the theta of ``beta``.
+    The roots carry the theta of ``beta``, whose active set is never empty
+    (``solve_lifts`` applies the zero-map rule).
     """
-    if not beta.active:
-        return []
     a_diag = np.array([a_hom[i - 1, i - 1] for i in beta.active])
-    guard = beta.pole_guard_width(pole_guard)
     # brackets of width just under 1e-10 mu_1 after rounding
     half = 4.9e-11 * float(beta.poles[0])
     lo_w, hi_w = window
@@ -295,9 +300,6 @@ def spatial_spectrum(
     gram = np.block([[np.eye(M), C.T], [C.conj(), beta.mass_gram + np.diag(beta.measures)]])
     stiff = np.zeros_like(gram)
     stiff[:M, :M] = np.diag(beta.poles)
-
-    def pole_distance(lam):
-        return np.abs(beta.poles - lam[:, None]).min(axis=1)
 
     roots: list[SpatialRoot] = []
     theta_t = tuple(beta.theta)
@@ -313,7 +315,7 @@ def spatial_spectrum(
             pencil[np.argmin(np.abs(pencil))] = 0.0
         lo, hi = pencil - half, pencil + half
         keep = (lo_w <= pencil) & (pencil <= hi_w)
-        keep &= (pole_distance(lo) >= guard) & (pole_distance(hi) >= guard)
+        keep &= beta.off_poles(lo, pole_guard) & beta.off_poles(hi, pole_guard)
         lams, lo, hi = pencil[keep], lo[keep], hi[keep]
 
         # one beta call for the residuals and both bracket ends

@@ -112,30 +112,24 @@ def assemble_bloch(grid: Grid, theta) -> BlochAssembly:
 class BlochDecomposition:
     """Lowest Bloch eigenpairs at one theta, L^2(Q_0)-orthonormal.
 
-    ``active`` lists the fiber axes i with theta_i = 0.  ``beta`` holds the
-    coupling matrix of theta when its lifts were solved with the eigenpairs
-    (``bloch_eigs(..., lift_tol=...)`` at a theta with an active fiber
-    axis), else None.
+    ``vectors`` holds soft-phase node values; ``asm.border[:, :asm.dim] @ v``
+    maps a column v to the full grid of the assembly ``asm``, zero on the
+    stiff phase.  ``active`` lists the fiber axes i with theta_i = 0.
+    ``beta`` holds the coupling matrix of theta when its lifts were solved
+    with the eigenpairs (``bloch_eigs(..., lift_tol=...)`` at a theta with
+    an active fiber axis), else None.
     """
 
     theta: QuasiMomentum
     active: tuple[int, ...]
     eigenvalues: np.ndarray
     vectors: np.ndarray  # (dim, m_max), columns orthonormal in h^3 inner product
-    dofs: np.ndarray = field(repr=False)
-    grid_n: int
     residuals: np.ndarray = field(repr=False)
     beta: BetaMatrix | None = field(default=None, repr=False)
 
     @property
     def m_max(self) -> int:
         return len(self.eigenvalues)
-
-    def mode_field(self, m: int) -> np.ndarray:
-        """Eigenfunction m as an (n,n,n) array, zero on the stiff phase."""
-        out = np.zeros(self.grid_n**3, dtype=self.vectors.dtype)
-        out[self.dofs] = self.vectors[:, m]
-        return out.reshape((self.grid_n,) * 3)
 
 
 def bloch_eigs(
@@ -167,8 +161,6 @@ def bloch_eigs(
         active=asm.active,
         eigenvalues=vals,
         vectors=vectors,
-        dofs=asm.dofs,
-        grid_n=grid.n,
         residuals=res,
     )
     if lift_tol is None or not dec.active:

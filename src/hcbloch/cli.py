@@ -169,9 +169,8 @@ def cmd_beta(cfg: RunConfig, out_dir: Path, theta_override=None) -> int:
             f"no active fiber axis at theta={qm.theta}; spatial operator is the zero map"
         )
     _, lam_hi = _auto_window(cfg, sweep)
-    guard = beta.pole_guard_width(cfg.pole_guard)
     samples = np.linspace(0.0, lam_hi, 400)
-    samples = samples[np.all(np.abs(beta.poles - samples[:, None]) >= guard, axis=1)]
+    samples = samples[beta.off_poles(samples, cfg.pole_guard)]
     header = ["lambda"]
     for i in beta.active:
         for j in beta.active:
@@ -246,14 +245,13 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def cmd_validate(cfg: RunConfig, out_dir: Path, eps_override=None) -> int:
+def cmd_validate(cfg: RunConfig, out_dir: Path) -> int:
     geom = build_geometry(cfg.geometry)
-    eps_K = list(eps_override) if eps_override is not None else list(cfg.eps_K)
     probe_theta = (0.0, 0.0, 0.0) if cfg.contrast == "double_porosity" else (np.pi, np.pi, np.pi)
     report = convergence_report(
         geom,
         cfg.p_cell,
-        eps_K,
+        cfg.eps_K,
         theta=probe_theta,
         k_index=cfg.validate_k_index,
         contrast=cfg.contrast,
@@ -279,15 +277,13 @@ def _parse_theta(text: str | None):
         raise ValidationError(f"--theta {text!r}: {exc}") from None
 
 
-def _parse_eps(text: str | None, cfg: RunConfig):
+def _parse_eps(text: str | None):
     if text is None:
         return None
     try:
-        eps = [int(v) for v in text.split(",")]
+        return tuple(int(v) for v in text.split(","))
     except ValueError as exc:
         raise ValidationError(f"--eps {text!r}: {exc}") from None
-    with_overrides(cfg, eps_K=tuple(eps))  # held to the rules of validate.eps
-    return eps
 
 
 def main(argv=None) -> int:
@@ -319,16 +315,12 @@ def main(argv=None) -> int:
             threads=args.threads,
             seed=args.seed,
             lambda_max=getattr(args, "lambda_max", None),
+            eps_K=_parse_eps(getattr(args, "eps", None)),
             out_dir=args.out,
         )
         out_dir = Path(cfg.out_dir)
-        return run_subcommand(
-            args.command,
-            cfg,
-            out_dir,
-            theta=_parse_theta(getattr(args, "theta", None)),
-            eps=_parse_eps(getattr(args, "eps", None), cfg),
-        )
+        return run_subcommand(args.command, cfg, out_dir,
+                              theta=_parse_theta(getattr(args, "theta", None)))
     except HcBlochError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         if hasattr(exc, "violations"):
@@ -337,7 +329,7 @@ def main(argv=None) -> int:
         return 2
 
 
-def run_subcommand(command: str, cfg: RunConfig, out_dir: Path, theta=None, eps=None) -> int:
+def run_subcommand(command: str, cfg: RunConfig, out_dir: Path, theta=None) -> int:
     if command == "geom-check":
         return cmd_geom_check(cfg, out_dir)
     _import_numerics()
@@ -350,7 +342,7 @@ def run_subcommand(command: str, cfg: RunConfig, out_dir: Path, theta=None, eps=
     if command == "spectrum":
         return cmd_spectrum(cfg, out_dir)
     if command == "validate":
-        return cmd_validate(cfg, out_dir, eps_override=eps)
+        return cmd_validate(cfg, out_dir)
     raise HcBlochError(f"unknown subcommand {command!r}")
 
 

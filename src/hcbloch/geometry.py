@@ -140,15 +140,12 @@ class CellGeometry:
         """Sorted fiber axes (the index set of stiff cylinders)."""
         return tuple(sorted(self.fibers))
 
-    def a0_values(self, y1, y2, y3):
-        if callable(self.a0):
-            return np.broadcast_to(self.a0(y1, y2, y3), np.broadcast(y1, y2, y3).shape).astype(float)
-        return np.full(np.broadcast(y1, y2, y3).shape, float(self.a0))
-
-    def a1_values(self, y1, y2, y3):
-        if callable(self.a1):
-            return np.broadcast_to(self.a1(y1, y2, y3), np.broadcast(y1, y2, y3).shape).astype(float)
-        return np.full(np.broadcast(y1, y2, y3).shape, float(self.a1))
+    def coefficient_values(self, name: str, y1, y2, y3):
+        """Coefficient ``name`` ("a0" or "a1") at broadcast coordinates."""
+        value, shape = getattr(self, name), np.broadcast(y1, y2, y3).shape
+        if callable(value):
+            return np.broadcast_to(value(y1, y2, y3), shape).astype(float)
+        return np.full(shape, float(value))
 
     def content_hash(self) -> str:
         """Stable hash of the geometry description (callables by repr)."""
@@ -239,24 +236,20 @@ class Grid:
         """Discrete fiber volume h^3 * (#nodes in the closed cylinder)."""
         return float(np.count_nonzero(self.fiber_mask(axis))) * self.h**3
 
-    def a0_field(self) -> np.ndarray:
-        """Soft coefficient sampled on every node (extension is harmless:
-        values on stiff nodes only feed boundary-edge harmonic means)."""
-        y1, y2, y3 = self.coords()
-        vals = self.geometry.a0_values(y1, y2, y3)
-        _check_positive(vals, "a0")
+    def coefficient_field(self, name: str) -> np.ndarray:
+        """Coefficient ``name`` ("a0" or "a1") sampled on every node.  The soft
+        a0 is extended to the stiff nodes too, harmlessly: values there only
+        feed boundary-edge harmonic means."""
+        vals = self.geometry.coefficient_values(name, *self.coords())
+        if not np.all(vals > 0.0):
+            raise CoefficientError(f"coefficient field {name} must be > 0 on all nodes")
         return vals
+
+    def a0_field(self) -> np.ndarray:
+        return self.coefficient_field("a0")
 
     def a1_field(self) -> np.ndarray:
-        y1, y2, y3 = self.coords()
-        vals = self.geometry.a1_values(y1, y2, y3)
-        _check_positive(vals, "a1")
-        return vals
-
-
-def _check_positive(vals: np.ndarray, name: str) -> None:
-    if not np.all(vals > 0.0):
-        raise CoefficientError(f"coefficient field {name} must be > 0 on all nodes")
+        return self.coefficient_field("a1")
 
 
 def classify_nodes(geom: CellGeometry, n: int) -> Grid:

@@ -142,8 +142,8 @@ def composite_spectrum(geom: CellGeometry, p: int, K: int) -> np.ndarray:
     """
     grid_cell = classify_nodes(geom, p)
     y1, y2, y3 = grid_cell.coords()
-    a0 = geom.a0_values(y1, y2, y3)
-    a1 = geom.a1_values(y1, y2, y3)
+    a0 = geom.coefficient_values("a0", y1, y2, y3)
+    a1 = geom.coefficient_values("a1", y1, y2, y3)
     coeff = np.where(grid_cell.node_class == MATRIX, a0, a1 * K**2)
     h3 = grid_cell.h**3
     vals = []

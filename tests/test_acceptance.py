@@ -57,8 +57,6 @@ def truncate(dec, m):
         active=dec.active,
         eigenvalues=dec.eigenvalues[:m],
         vectors=dec.vectors[:, :m],
-        dofs=dec.dofs,
-        grid_n=dec.grid_n,
         residuals=dec.residuals[:m],
     )
 

@@ -332,8 +332,6 @@ def test_band_merging_and_gaps():
             active=(),
             eigenvalues=np.asarray(vals, dtype=float),
             vectors=np.zeros((1, len(vals))),
-            dofs=np.array([0]),
-            grid_n=4,
             residuals=np.zeros(len(vals)),
         )
 
@@ -468,6 +466,29 @@ def test_beta_array_pole_guard(lift_setup):
     xs[len(xs) // 2] = dec.eigenvalues[2] + 0.5 * beta.pole_guard_width(1e-6)
     with pytest.raises(PoleProximityError):
         beta(xs)
+
+
+def test_off_poles_is_the_one_pole_test(lift_setup):
+    """off_poles is False exactly where beta(lam) raises PoleProximityError,
+    and spatial_spectrum keeps only roots whose bracket ends are off_poles."""
+    geom, grid, theta, asm, dec, lifts = lift_setup
+    beta = lifts
+    guard = beta.pole_guard_width(1e-6)
+    xs = float(beta.poles[2]) + np.linspace(-2 * guard, 2 * guard, 401)
+    off = beta.off_poles(xs)
+    assert off.any() and not off.all()
+    for x, x_off in zip(xs, off):
+        if x_off:
+            beta(x)
+        else:
+            with pytest.raises(PoleProximityError):
+                beta(x)
+
+    a_hom = effective_tensor([solve_cell_problem(grid, 1)])
+    window = (0.0, 0.98 * float(dec.eigenvalues[-1]))
+    roots = spatial_spectrum(beta, a_hom, [(0, 0, 0), (1, 0, 0), (2, 0, 0)], window)
+    assert roots
+    assert all(beta.off_poles(r.bracket).all() for r in roots)
 
 
 def test_pencil_roots_match_scalar_scan_oracle(lift_setup, two_fiber_setup):

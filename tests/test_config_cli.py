@@ -377,6 +377,7 @@ def test_cli_validate_eps_override(tmp_path):
     rc = main(["validate", "--config", str(path), "--eps", "2"])
     payload = json.loads((tmp_path / "out" / "validate.json").read_text())
     assert len(payload["report"]["eps"]) == 1
+    assert payload["config"]["validate"]["eps"] == [2]
     assert rc in (0, 1)  # single-eps run may fail the final-threshold gate
 
 

@@ -3,16 +3,20 @@
 ``perfbench/layers.py`` replaces functions at the module attributes through
 which hcbloch looks them up.  A renamed or deleted attribute would make
 ``--trace 1`` fail only when the benchmark runs, so the lookups are checked
-here against the current package.
+here against the current package, as are the config fields that
+``perfbench/make_reference.py`` reads.
 """
 
+import ast
 import importlib
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import yaml
 
 import hcbloch.cli
+from hcbloch.config import RunConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -26,6 +30,17 @@ def _lookups():
 def test_every_span_hook_resolves():
     for module, attr in _lookups():
         assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+
+
+def test_reference_config_reads_resolve():
+    """``perfbench/make_reference.py`` reads these ``cfg.<name>`` fields of the
+    parsed config; removing one would break only the next reference run."""
+    tree = ast.parse((ROOT / "perfbench" / "make_reference.py").read_text())
+    reads = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id == "cfg"}
+    assert {"tol_eigen", "tol_linear", "pole_guard"} <= reads
+    assert reads <= {f.name for f in fields(RunConfig)}
 
 
 def test_tracer_install_restore_leaves_attributes_identical():
