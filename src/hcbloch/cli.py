@@ -13,6 +13,7 @@ it runs, so ``geom-check``, ``--help`` and config errors load no scipy.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -24,7 +25,7 @@ from .config import SCHEMA_VERSION, RunConfig, parse_config, with_overrides
 from .errors import EmptyActiveSetError, HcBlochError, ValidationError
 from .geometry import build_geometry, classify_nodes
 
-__all__ = ["main", "run_subcommand"]
+__all__ = ["main", "run", "run_subcommand"]
 
 _DEFERRED = {
     "ThetaGrid": "bloch", "bloch_eigs": "bloch", "theta_sweep": "bloch", "axial_flux": "cell",
@@ -346,5 +347,19 @@ def run_subcommand(command: str, cfg: RunConfig, out_dir: Path, theta=None) -> i
     raise HcBlochError(f"unknown subcommand {command!r}")
 
 
+def run(argv=None) -> int:
+    """Process entry of ``python -m hcbloch.cli`` and the ``hcbloch`` script.
+
+    Runs ``main``, then moves every tracked object into the GC's permanent
+    generation, so the interpreter's exit leaves the import graph to the OS
+    instead of collecting it object by object. Atexit handlers and stream
+    flushes still run, and ``main`` closes every file it writes. In-process
+    callers call ``main``, which does not freeze.
+    """
+    rc = main(argv)
+    gc.freeze()
+    return rc
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

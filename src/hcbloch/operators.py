@@ -122,12 +122,10 @@ def full_stiffness(n: int, coeff: np.ndarray, theta=None) -> sp.csr_matrix:
     rows.append(np.arange(n**3, dtype=np.int64))
     cols.append(np.arange(n**3, dtype=np.int64))
     data.append(diag.astype(dtype))
-    mat = sp.coo_matrix(
+    return sp.coo_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n**3, n**3),
     ).tocsr()
-    mat.sum_duplicates()
-    return mat
 
 
 def restrict_to(full: sp.csr_matrix, domain_mask: np.ndarray):

@@ -56,6 +56,18 @@ def test_no_scipy_where_none_is_needed(tmp_path, code):
     assert not _scipy_loaded_after(code.format(config=str(CONFIG), invalid=str(invalid)))
 
 
+def test_no_scipy_in_the_geom_check_process():
+    """``python -m hcbloch.cli geom-check`` itself, exit path included, imports no scipy."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "hcbloch.cli", "geom-check", "--config",
+         str(CONFIG)], env=env, cwd=ROOT, check=True, capture_output=True, text=True)
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert {"hcbloch.geometry", "numpy", "yaml"} <= imported
+    assert not any(name.split(".")[0] == "scipy" for name in imported)
+
+
 def test_cli_deferred_names_resolve():
     """Binding the deferred names loads scipy, so the probe above can see it."""
     assert _scipy_loaded_after("import hcbloch.cli\nhcbloch.cli._import_numerics()")
