@@ -192,7 +192,6 @@ class BandStructure:
     branch_intervals: list[Band]
     bands: list[Band]
     gaps: list[tuple[float, float]]
-    window: tuple[float, float]
 
 
 def pure_bloch_bands(sweep, window=None) -> BandStructure:
@@ -242,12 +241,7 @@ def pure_bloch_bands(sweep, window=None) -> BandStructure:
         gaps.append((cursor, lam_max))
     gaps = [(lo, hi) for lo, hi in gaps if hi > lo]
 
-    return BandStructure(
-        branch_intervals=branch_intervals,
-        bands=merged,
-        gaps=gaps,
-        window=(0.0, float(lam_max)),
-    )
+    return BandStructure(branch_intervals=branch_intervals, bands=merged, gaps=gaps)
 
 
 def spatial_spectrum(

@@ -9,6 +9,7 @@ the min-max principle.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from typing import TYPE_CHECKING
@@ -198,14 +199,14 @@ class ThetaGrid:
 
 def theta_sweep(
     grid: Grid,
-    tgrid: ThetaGrid,
+    thetas: Sequence[QuasiMomentum],
     m_max: int = 10,
     tol: float = 1e-8,
     seed: int = 0,
     threads: int = 1,
     lift_tol: float | None = None,
 ) -> dict[tuple[float, float, float], BlochDecomposition]:
-    """Bloch eigenvalues over the whole theta grid.
+    """Bloch eigenpairs at each of ``thetas`` (e.g. ``ThetaGrid(g).points``).
 
     The thetas are independent, so with ``threads`` > 1 they are solved in
     min(threads, #thetas) forked worker processes (ARPACK's loop and the
@@ -222,8 +223,7 @@ def theta_sweep(
     """
     attempt = partial(_attempt, partial(bloch_eigs, grid, m_max=m_max, tol=tol, seed=seed,
                                         lift_tol=lift_tol))
-    points = tgrid.points
-    workers = min(threads, len(points))
+    workers = min(threads, len(thetas))
     if workers > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -231,14 +231,14 @@ def theta_sweep(
         # fork: the workers inherit the imported modules instead of importing them again
         fork = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
-            outcomes = list(pool.map(attempt, points))
+            outcomes = list(pool.map(attempt, thetas))
     else:
-        outcomes = list(map(attempt, points))
-    failures = [(qm.theta, out) for qm, out in zip(points, outcomes) if isinstance(out, Exception)]
+        outcomes = list(map(attempt, thetas))
+    failures = [(qm.theta, out) for qm, out in zip(thetas, outcomes) if isinstance(out, Exception)]
     if failures:
         summary = "; ".join(f"theta={t}: {e}" for t, e in failures)
         raise ConvergenceError(f"theta sweep failed at {len(failures)} point(s): {summary}")
-    return dict(sorted((qm.theta, dec) for qm, dec in zip(points, outcomes)))
+    return dict(sorted((qm.theta, dec) for qm, dec in zip(thetas, outcomes)))
 
 
 def _attempt(solve, qm: QuasiMomentum):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResolutionError
+from .errors import ResolutionError, SingularSystemError
 from .geometry import Grid
 from .operators import edge_weights, full_stiffness, linear_solve, restrict_to
 
@@ -55,7 +55,11 @@ def _flux(grid: Grid, axis: int, corrector: np.ndarray, direction: int) -> float
 
 
 def solve_cell_problem(grid: Grid, axis: int, tol: float = 1e-10) -> CellSolution:
-    """Solve the corrector problem on fiber ``axis`` and form a_hom."""
+    """Solve the corrector problem on fiber ``axis`` and form a_hom.
+
+    A residual of the full fiber system above tol * ||rhs|| raises
+    SingularSystemError.
+    """
     mask = grid.fiber_mask(axis)
     if not np.any(mask):
         raise ResolutionError(f"fiber axis {axis} has no nodes on this grid")
@@ -69,12 +73,20 @@ def solve_cell_problem(grid: Grid, axis: int, tol: float = 1e-10) -> CellSolutio
     src = h * (h * edge_weights(a1, axis - 1))
     rhs = (np.roll(src, 1, axis=axis - 1) - src).ravel()[dofs]
 
-    if np.linalg.norm(rhs) == 0.0:
-        corrector_vals = np.zeros(dofs.size)
-        residual = 0.0
-    else:
-        corrector_vals = linear_solve(A, -rhs, tol=tol, gauge="mean_zero")
-        residual = float(np.linalg.norm(A @ corrector_vals + rhs) / np.linalg.norm(rhs))
+    corrector_vals = np.zeros(dofs.size)
+    residual = 0.0
+    rhs_norm = np.linalg.norm(rhs)
+    if rhs_norm != 0.0:
+        # the kernel is the constants: fix the first fiber node at 0 by leaving
+        # it out of the system, then recentre
+        corrector_vals[1:] = linear_solve(A[1:, 1:], -rhs[1:], tol=tol)
+        corrector_vals -= corrector_vals.mean()
+        res_norm = np.linalg.norm(A @ corrector_vals + rhs)
+        if res_norm > tol * rhs_norm:
+            raise SingularSystemError(
+                f"fiber {axis} cell problem residual {res_norm:.3e} exceeds {tol:.1e} * ||rhs||"
+            )
+        residual = float(res_norm / rhs_norm)
     corrector = np.zeros((n, n, n))
     corrector.ravel()[dofs] = corrector_vals - corrector_vals.mean()
     return CellSolution(

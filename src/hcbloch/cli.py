@@ -27,6 +27,7 @@ from .geometry import build_geometry, classify_nodes
 
 __all__ = ["main", "run", "run_subcommand"]
 
+# bloch_eigs is bound here only for perfbench/layers.py, which hooks hcbloch.cli.bloch_eigs
 _DEFERRED = {
     "ThetaGrid": "bloch", "bloch_eigs": "bloch", "theta_sweep": "bloch", "axial_flux": "cell",
     "solve_cell_problem": "cell", "effective_tensor": "cell", "pure_bloch_bands": "beta",
@@ -128,14 +129,11 @@ def _sweep(cfg: RunConfig, grid, theta_override=None, lift_tol=None):
         raise ValidationError(
             f"spectrum.m_max={cfg.m_max} exceeds the Bloch operator dimension {dim}"
         )
-    if theta_override is not None:
-        qm = as_quasi_momentum(theta_override)
-        dec = bloch_eigs(grid, qm, m_max=cfg.m_max, tol=cfg.tol_eigen, seed=cfg.seed,
-                         lift_tol=lift_tol)
-        return {qm.theta: dec}
+    thetas = (ThetaGrid(cfg.theta_g).points if theta_override is None
+              else [as_quasi_momentum(theta_override)])
     return theta_sweep(
         grid,
-        ThetaGrid(cfg.theta_g),
+        thetas,
         m_max=cfg.m_max,
         tol=cfg.tol_eigen,
         seed=cfg.seed,
@@ -149,8 +147,7 @@ def cmd_bloch(cfg: RunConfig, out_dir: Path, theta_override=None) -> int:
     grid = classify_nodes(geom, cfg.n)
     sweep = _sweep(cfg, grid, theta_override)
     rows = []
-    for theta in sorted(sweep):
-        dec = sweep[theta]
+    for theta, dec in sweep.items():
         for m, mu in enumerate(dec.eigenvalues, start=1):
             rows.append((theta[0], theta[1], theta[2], m, float(mu)))
     meta = f"hcbloch bands schema={SCHEMA_VERSION} geometry={geom.content_hash()} seed={cfg.seed}"
@@ -203,9 +200,9 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
         [solve_cell_problem(grid, axis, tol=cfg.tol_linear) for axis in geom.active_axes]
     )
     spatial = []
-    for theta in sorted(sweep):
+    for dec in sweep.values():
         spatial.extend(
-            spatial_points(sweep[theta], a_hom, cfg.k_modes, window, L=cfg.torus_period,
+            spatial_points(dec, a_hom, cfg.k_modes, window, L=cfg.torus_period,
                            pole_guard=cfg.pole_guard)
         )
 

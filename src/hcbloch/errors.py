@@ -34,18 +34,11 @@ class EmptyActiveSetError(HcBlochError):
 
 
 class ConvergenceError(HcBlochError):
-    """An eigensolver failed to reach its residual target.
-
-    Carries the achieved residual when one is known.
-    """
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """An eigensolver failed to reach its residual target."""
 
 
 class SingularSystemError(HcBlochError):
-    """A linear system is singular and no gauge condition was supplied."""
+    """A linear system is singular, or too ill-conditioned to meet its residual check."""
 
 
 class PoleProximityError(HcBlochError):

@@ -288,10 +288,6 @@ def classify_nodes(geom: CellGeometry, n: int) -> Grid:
                     f"fiber axis {axis}: cross-section {spec.rect} has no "
                     f"interior node at resolution n={n}"
                 )
-            if np.any(node_class[mask] != MATRIX):
-                raise OverlapError(
-                    f"discrete fiber node sets intersect at resolution n={n}"
-                )
             node_class[mask] = axis
 
     node_class.flags.writeable = False

@@ -251,10 +251,7 @@ def eigensolve(
         r = A @ vectors[:, j] - vals[j] * (mass * vectors[:, j])
         res[j] = np.linalg.norm(r)
         if res[j] > tol * np.linalg.norm(vectors[:, j]):
-            raise ConvergenceError(
-                f"eigenpair {j} residual {res[j]:.3e} above tolerance",
-                residual=float(res[j]),
-            )
+            raise ConvergenceError(f"eigenpair {j} residual {res[j]:.3e} above tolerance")
     return vals, vectors, res
 
 
@@ -262,44 +259,26 @@ def linear_solve(
     A: sp.spmatrix,
     rhs: np.ndarray,
     tol: float = 1e-10,
-    gauge: str | None = None,
     factor: spla.SuperLU | None = None,
 ) -> np.ndarray:
     """Solve A x = rhs for Hermitian A by sparse LU.
 
     rhs is a vector or a (dim, r) block of r right-hand sides, all solved
     with one factorization: ``factor`` when given (a ready
-    ``factorize(A)``), else a new one.  gauge="mean_zero" handles the
-    positive-semidefinite case with the constant vector in the kernel (rhs
-    must be mean-compatible): one node is pinned, the system solved, and
-    the result recentered to discrete mean zero.  A singular
-    factorization, or a residual above tol * ||rhs|| in any column, raises
-    SingularSystemError.
+    ``factorize(A)``), else a new one.  A singular factorization, or a
+    residual above tol * ||rhs|| in any column, raises SingularSystemError.
     """
     rhs = np.asarray(rhs)
     rhs_norm = np.linalg.norm(rhs, axis=0)  # per column
     if not np.any(rhs_norm):
         return np.zeros_like(rhs)
 
-    if gauge == "mean_zero":
-        if factor is not None:
-            raise ValueError("a ready factor cannot be pinned for gauge='mean_zero'")
-        mat = A.tocsc()
-        keep = np.arange(1, mat.shape[0])
-        lu = factorize(mat[keep][:, keep])
-        x = np.zeros(rhs.shape, dtype=np.promote_types(mat.dtype, rhs.dtype))
-        x[1:] = _solve(lu, mat.dtype, rhs[1:])
-        x -= x.mean(axis=0)
-    elif gauge is None:
-        x = _solve(factor if factor is not None else factorize(A), A.dtype, rhs)
-    else:
-        raise ValueError(f"unknown gauge {gauge!r}")
-
+    x = _solve(factor if factor is not None else factorize(A), A.dtype, rhs)
     residual = np.linalg.norm(A @ x - rhs, axis=0)
     bad = residual > tol * rhs_norm
     if np.any(bad):
         raise SingularSystemError(
             f"direct solve residual {np.max(residual[bad]):.3e} exceeds {tol:.1e} * ||rhs||; "
-            "system is singular, ill-conditioned or needs a gauge"
+            "system is singular or too ill-conditioned for this tolerance"
         )
     return x

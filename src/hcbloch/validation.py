@@ -325,7 +325,6 @@ def convergence_report(
     eps_K: list[int],
     theta=(0.0, 0.0, 0.0),
     k_index=(1, 0, 0),
-    g_cell: np.ndarray | None = None,
     contrast: str = "double_porosity",
     tol: float = 1e-10,
 ) -> TwoScaleReport:
@@ -343,7 +342,7 @@ def convergence_report(
             "and therefore needs theta != 0 probes"
         )
     grid_cell = classify_nodes(geom, p)
-    g = np.ones(grid_cell.shape) if g_cell is None else np.asarray(g_cell).reshape(grid_cell.shape)
+    g = np.ones(grid_cell.shape)
 
     psi_battery = _psi_battery(grid_cell, qm, tol)
     failures: list[str] = []

@@ -36,7 +36,7 @@ def fiber16(single_fiber):
 
 @pytest.fixture(scope="module")
 def sweep16(fiber16):
-    return theta_sweep(fiber16, ThetaGrid(4), m_max=10, threads=2)
+    return theta_sweep(fiber16, ThetaGrid(4).points, m_max=10, threads=2)
 
 
 @pytest.fixture(scope="module")
@@ -46,8 +46,14 @@ def beta_theta():
 
 @pytest.fixture(scope="module")
 def deep_modes(fiber16, beta_theta):
+    """The 320 lowest modes, from dense eigh: a tenth of the operator's spectrum
+    takes ARPACK longer than the dense solve."""
+    import hcbloch.operators
+
     asm = assemble_bloch(fiber16, beta_theta)
-    dec = bloch_eigs(fiber16, beta_theta, m_max=320, assembly=asm)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hcbloch.operators, "DENSE_EIGEN_CUTOFF", asm.dim)
+        dec = bloch_eigs(fiber16, beta_theta, m_max=320, assembly=asm)
     return asm, dec
 
 
@@ -140,7 +146,7 @@ def test_criterion_5_double_porosity_regression(inclusion):
     d1 = bloch_eigs(grid, (np.pi / 2, np.pi, 4.5), m_max=8)
     d2 = bloch_eigs(grid, (np.pi, np.pi / 3, 1.1), m_max=8)
     diff = float(np.abs(d1.eigenvalues - d2.eigenvalues).max())
-    sweep = theta_sweep(grid, ThetaGrid(2), m_max=8)
+    sweep = theta_sweep(grid, ThetaGrid(2).points, m_max=8)
     width = max(b.hi - b.lo for b in pure_bloch_bands(sweep).branch_intervals)
     report(5, diff <= 1e-12 and width <= 1e-12, f"list diff={diff:.2e}, band width={width:.2e}")
 

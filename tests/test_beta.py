@@ -302,8 +302,8 @@ def test_bands_single_point_sweep(single_fiber):
 
 def test_bands_monotone_under_refinement(single_fiber):
     grid = classify_nodes(single_fiber, 8)
-    s2 = theta_sweep(grid, ThetaGrid(2), m_max=4)
-    s4 = theta_sweep(grid, ThetaGrid(4), m_max=4)
+    s2 = theta_sweep(grid, ThetaGrid(2).points, m_max=4)
+    s4 = theta_sweep(grid, ThetaGrid(4).points, m_max=4)
     b2 = pure_bloch_bands(s2).branch_intervals
     b4 = pure_bloch_bands(s4).branch_intervals
     for band2, band4 in zip(b2, b4):
@@ -313,7 +313,7 @@ def test_bands_monotone_under_refinement(single_fiber):
 
 def test_bands_inclusion_degenerate(inclusion):
     grid = classify_nodes(inclusion, 8)
-    sweep = theta_sweep(grid, ThetaGrid(2), m_max=4)
+    sweep = theta_sweep(grid, ThetaGrid(2).points, m_max=4)
     structure = pure_bloch_bands(sweep)
     for band in structure.branch_intervals:
         assert band.hi - band.lo <= 1e-12
@@ -536,7 +536,7 @@ def test_sweep_with_lifts_factors_once_per_theta(single_fiber, sparse_eigensolve
     monkeypatch.setattr(arpack, "splu", counting_splu)
     monkeypatch.setattr(hcbloch.beta, "linear_solve", counting_linear_solve)
     grid = classify_nodes(single_fiber, 8)
-    sweep = theta_sweep(grid, ThetaGrid(2), m_max=4, lift_tol=1e-10)
+    sweep = theta_sweep(grid, ThetaGrid(2).points, m_max=4, lift_tol=1e-10)
     active = [t for t in sweep if t[0] == 0.0]
     assert calls == {"splu": len(sweep), "linear_solve": len(active)}
     assert all((sweep[t].beta is not None) == (t in active) for t in sweep)
@@ -544,7 +544,7 @@ def test_sweep_with_lifts_factors_once_per_theta(single_fiber, sparse_eigensolve
 
 def test_sweep_lifts_match_standalone_solve(two_fiber, sparse_eigensolver):
     grid = classify_nodes(two_fiber, 8)
-    sweep = theta_sweep(grid, ThetaGrid(2), m_max=4, lift_tol=1e-10, threads=2)
+    sweep = theta_sweep(grid, ThetaGrid(2).points, m_max=4, lift_tol=1e-10, threads=2)
     checked = 0
     for dec in sweep.values():
         if dec.beta is None:

@@ -102,15 +102,15 @@ def test_sweep_deterministic_and_parallel(single_fiber, two_fiber):
     matrices included; 16 workers are capped at the 8 thetas."""
     grid = classify_nodes(single_fiber, 8)
     tg = ThetaGrid(2)
-    s1 = theta_sweep(grid, tg, m_max=3, threads=1)
-    s2 = theta_sweep(grid, tg, m_max=3, threads=4)
+    s1 = theta_sweep(grid, tg.points, m_max=3, threads=1)
+    s2 = theta_sweep(grid, tg.points, m_max=3, threads=4)
     assert list(s1) == sorted(s1)
     assert list(s1) == list(s2)
     for t in s1:
         assert np.array_equal(s1[t].eigenvalues, s2[t].eigenvalues)
 
     grid = classify_nodes(two_fiber, 8)
-    serial, *parallel = [theta_sweep(grid, tg, m_max=4, lift_tol=1e-10, threads=threads)
+    serial, *parallel = [theta_sweep(grid, tg.points, m_max=4, lift_tol=1e-10, threads=threads)
                          for threads in (1, 2, 16)]
     assert sum(dec.beta is not None for dec in serial.values()) == 6
     for sweep in parallel:
@@ -146,7 +146,7 @@ def test_sweep_failures_aggregated(single_fiber, monkeypatch, threads):
 
     monkeypatch.setattr(hcbloch.bloch, "eigensolve", failing)
     with pytest.raises(ConvergenceError) as info:
-        theta_sweep(grid, ThetaGrid(2), m_max=3, threads=threads)
+        theta_sweep(grid, ThetaGrid(2).points, m_max=3, threads=threads)
     message = str(info.value)
     assert message.startswith("theta sweep failed at 1 point(s): ")
     assert message.count("theta=") == 1
@@ -156,7 +156,7 @@ def test_sweep_failures_aggregated(single_fiber, monkeypatch, threads):
 
 def test_sweep_conjugation_symmetry(single_fiber):
     grid = classify_nodes(single_fiber, 8)
-    sweep = theta_sweep(grid, ThetaGrid(4), m_max=4)
+    sweep = theta_sweep(grid, ThetaGrid(4).points, m_max=4)
     for t in sweep:
         t_conj = tuple((-v) % (2 * np.pi) for v in t)
         assert np.abs(sweep[t].eigenvalues - sweep[t_conj].eigenvalues).max() < 1e-9
@@ -164,7 +164,7 @@ def test_sweep_conjugation_symmetry(single_fiber):
 
 def test_sweep_inclusion_all_nonzero_identical(inclusion):
     grid = classify_nodes(inclusion, 8)
-    sweep = theta_sweep(grid, ThetaGrid(2), m_max=4)
+    sweep = theta_sweep(grid, ThetaGrid(2).points, m_max=4)
     nonzero = [t for t in sweep if t != (0.0, 0.0, 0.0)]
     ref = sweep[nonzero[0]].eigenvalues
     for t in nonzero[1:]:
@@ -174,7 +174,7 @@ def test_sweep_inclusion_all_nonzero_identical(inclusion):
 def test_lipschitz_bound_small(single_fiber):
     grid = classify_nodes(single_fiber, 8)
     tg = ThetaGrid(3)
-    sweep = theta_sweep(grid, tg, m_max=5)
+    sweep = theta_sweep(grid, tg.points, m_max=5)
     a0_sup = 1.0
     slack = 10.0 * grid.h**2
     for t1, t2 in adjacent_pairs(tg):
@@ -186,7 +186,7 @@ def test_lipschitz_bound_small(single_fiber):
 
 def test_min_max_ordering(single_fiber):
     grid = classify_nodes(single_fiber, 8)
-    sweep = theta_sweep(grid, ThetaGrid(2), m_max=6)
+    sweep = theta_sweep(grid, ThetaGrid(2).points, m_max=6)
     for dec in sweep.values():
         assert np.all(np.diff(dec.eigenvalues) >= -1e-12)
 

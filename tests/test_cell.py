@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hcbloch.cell import axial_flux, effective_tensor, solve_cell_problem
-from hcbloch.errors import ResolutionError
+from hcbloch.errors import ResolutionError, SingularSystemError
 from hcbloch.geometry import CellGeometry, FiberSpec, classify_nodes
 from hcbloch.operators import full_stiffness, restrict_to
 
@@ -188,6 +188,25 @@ def test_mean_zero_corrector():
     fiber_vals = sol.corrector[grid.fiber_mask(1)]
     assert abs(fiber_vals.mean()) < 1e-12
     assert np.abs(fiber_vals).max() > 0.0  # genuinely nontrivial corrector
+
+
+def test_cell_problem_checks_its_full_system_residual(monkeypatch):
+    """The corrector solves the system with its first fiber node left out; the
+    residual of the full (singular) fiber system is checked after recentring."""
+    import hcbloch.cell
+
+    solve = hcbloch.cell.linear_solve
+
+    def perturbed(A, rhs, **kwargs):
+        x = solve(A, rhs, **kwargs)
+        x[len(x) // 2] += 1e-3 * np.abs(x).max()
+        return x
+
+    geom = CellGeometry(fibers={1: FiberSpec(1, (0.3, 0.7, 0.3, 0.7))}, a1=axial_profile)
+    grid = classify_nodes(geom, 8)
+    monkeypatch.setattr(hcbloch.cell, "linear_solve", perturbed)
+    with pytest.raises(SingularSystemError):
+        solve_cell_problem(grid, 1)
 
 
 def test_grid_convergence_layered():

@@ -8,6 +8,8 @@ from hcbloch.cli import main
 from hcbloch.config import RunConfig, parse_config_text
 from hcbloch.errors import ParseError, ValidationError
 
+ROOT = Path(__file__).resolve().parents[1]
+
 MINIMAL = """\
 geometry:
   variant: fibered
@@ -289,6 +291,46 @@ def test_cli_bloch_threads_bitwise_identical(tmp_path):
     b2 = (out2 / "bands.csv").read_bytes()
     # identical numbers regardless of parallelism (metadata echoes threads)
     assert b1.split(b"\n", 1)[1] == b2.split(b"\n", 1)[1]
+
+
+def _two_fibers_n8_g2(tmp_path):
+    text = (ROOT / "configs" / "two_fibers.yml").read_text()
+    text = text.replace("n: 16", "n: 8").replace("g: 4", "g: 2")
+    path = tmp_path / "two_fibers.yml"
+    path.write_text(text.replace("dir: out", f"dir: {tmp_path / 'out'}"))
+    return str(path)
+
+
+def test_cli_bloch_single_theta_rows_match_grid_rows(tmp_path):
+    """`bloch --theta t` writes exactly the rows the grid run writes at t."""
+    config = _two_fibers_n8_g2(tmp_path)
+    bands = tmp_path / "out" / "bands.csv"
+    assert main(["bloch", "--config", config]) == 0
+    grid_rows = bands.read_text().splitlines()[2:]
+    thetas = sorted({row.rsplit(",", 2)[0] for row in grid_rows})
+    assert len(thetas) == 8
+    for theta in thetas:
+        assert main(["bloch", "--config", config, "--theta", theta]) == 0
+        rows = bands.read_text().splitlines()[2:]
+        assert rows == [row for row in grid_rows if row.rsplit(",", 2)[0] == theta]
+
+
+@pytest.mark.parametrize("command", ["bloch", "beta"])
+def test_cli_single_theta_failure_names_the_theta(tmp_path, capsys, monkeypatch, command):
+    """A failed solve at `--theta` is reported as a failed sweep point: exit 2."""
+    import hcbloch.bloch
+    from hcbloch.errors import ConvergenceError
+
+    def failing(*args, **kwargs):
+        raise ConvergenceError("eigenpair 0 residual above tolerance")
+
+    monkeypatch.setattr(hcbloch.bloch, "eigensolve", failing)
+    config = _two_fibers_n8_g2(tmp_path)
+    assert main([command, "--config", config, "--theta", "0,3.141592653589793,0"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConvergenceError"
+    assert err["message"] == ("theta sweep failed at 1 point(s): theta=(0.0, 3.141592653589793, "
+                              "0.0): eigenpair 0 residual above tolerance")
 
 
 def test_cli_beta_csv(tmp_path):

@@ -171,20 +171,6 @@ def test_linear_solve_zero_rhs():
     assert np.all(linear_solve(A, np.zeros(5)) == 0.0)
 
 
-def test_linear_solve_mean_zero_gauge():
-    n = 8
-    A = full_stiffness(n, np.ones((n, n, n)), None)
-    rng = np.random.default_rng(5)
-    rhs = rng.standard_normal(n**3)
-    rhs -= rhs.mean()
-    x = linear_solve(A, rhs, tol=1e-10, gauge="mean_zero")
-    assert abs(x.mean()) < 1e-12
-    assert np.linalg.norm(A @ x - rhs) < 1e-10 * np.linalg.norm(rhs)
-    block = linear_solve(A, np.stack([rhs, 3.0 * rhs], axis=1), tol=1e-10, gauge="mean_zero")
-    assert np.abs(block.mean(axis=0)).max() < 1e-12
-    assert np.linalg.norm(block[:, 1] - 3.0 * x) < 1e-10 * np.linalg.norm(x)
-
-
 def test_linear_solve_singular_without_gauge():
     n = 8
     A = full_stiffness(n, np.ones((n, n, n)), None)
@@ -247,12 +233,6 @@ def test_eigensolve_arpack_fallback_is_logged(single_fiber, sparse_eigensolver, 
     s = 1.0 / np.sqrt(grid.h**3)  # the scaled matrix the fallback diagonalizes
     dense, _ = dense_eigh(((op * s) * s).toarray(), subset_by_index=(0, 3))
     assert np.array_equal(vals, dense)
-
-
-def test_linear_solve_mean_zero_singular_pinned_system():
-    A = sp.csr_matrix(np.diag([1.0, 1.0, 0.0]))
-    with pytest.raises(SingularSystemError):
-        linear_solve(A, np.array([0.0, 1.0, 0.0]), gauge="mean_zero")
 
 
 class CountingFactor:

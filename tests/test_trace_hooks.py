@@ -96,14 +96,21 @@ def _traced_main(argv):
 
 def test_cli_spans_fire(tmp_path):
     """The CLI's calls go through the module attributes the tracer patches: one
-    sweep, one cell problem per fiber and one spatial_points call per theta, and
-    one report and one cell problem for validate."""
+    sweep, one cell problem per fiber and one spatial_points call per theta; a
+    sweep of one theta for `bloch --theta`; and one report and one cell problem
+    for validate."""
     config = _cli_config(tmp_path, "two_fibers.yml", grid={"n": 8}, theta_grid={"g": 2})
     code, calls = _traced_main(["spectrum", "--config", config, "--threads", "1"])
     assert code == 0
     assert calls["sweep"] == 1
     assert calls["cell"] == 2
     assert calls["spatial_points"] == 8
+
+    code, calls = _traced_main(["bloch", "--config", config, "--theta", "0,3.141592653589793,0",
+                                "--threads", "1"])
+    assert code == 0
+    assert calls["sweep"] == 1
+    assert calls["bloch_eigs"] == 1
 
     config = _cli_config(tmp_path, "single_fiber.yml")
     code, calls = _traced_main(["validate", "--config", config, "--eps", "4"])
