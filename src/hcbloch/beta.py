@@ -23,9 +23,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import eigh
 
-from .bloch import BlochAssembly, BlochDecomposition, assemble_bloch
+from .bloch import BlochAssembly, BlochDecomposition
 from .errors import ConvergenceError, EmptyActiveSetError, PoleProximityError
-from .geometry import Grid
 from .operators import linear_solve
 
 __all__ = [
@@ -45,9 +44,9 @@ class BetaMatrix:
     """The coupling matrix on the active axes at one theta, from the
     harmonic lifts and the Bloch eigenpairs (built by ``solve_lifts``).
 
-    Row i of ``fields``, ``residuals``, ``coeffs`` and ``measures`` belongs
-    to fiber axis active[i].  Besides the mode coefficients it carries the
-    two mode-free Gram matrices of the lifts, flux_gram[i,j] = T_i(b^(j))
+    Row i of ``fields``, ``coeffs`` and ``measures`` belongs to fiber axis
+    active[i].  Besides the mode coefficients it carries the two mode-free
+    Gram matrices of the lifts, flux_gram[i,j] = T_i(b^(j))
     (surface flux of lift j through fiber i) and mass_gram[i,j] =
     <b^(j), b^(i)>_{L2(Q_0)}.  These are the exact values of the two
     conditionally convergent constants of the pole series, so the
@@ -69,7 +68,6 @@ class BetaMatrix:
     active: tuple[int, ...]
     poles: np.ndarray  # (m_max,) Bloch eigenvalues, ascending
     fields: np.ndarray = field(repr=False)  # (n_active, n^3) lifts on the full grid
-    residuals: np.ndarray  # (n_active,) relative residuals of the lift solves
     coeffs: np.ndarray  # (n_active, m_max) <b, v_m>_{L2(Q_0)}
     measures: np.ndarray  # (n_active,) discrete fiber volumes
     flux_gram: np.ndarray  # T_i(b^(j)), Hermitian
@@ -110,25 +108,20 @@ class BetaMatrix:
         return out + lam * np.diag(self.measures)
 
 
-def solve_lifts(
-    grid: Grid,
-    bloch: BlochDecomposition,
-    tol: float = 1e-10,
-    assembly: BlochAssembly | None = None,
-) -> BetaMatrix:
-    """The coupling matrix at the theta of ``bloch``: solve the lift problem
-    of every active axis and expand the lifts in the Bloch modes.
+def solve_lifts(asm: BlochAssembly, bloch: BlochDecomposition, tol: float = 1e-10) -> BetaMatrix:
+    """The coupling matrix at the theta of ``asm`` and ``bloch``: solve the
+    lift problem of every active axis with the factor of ``asm`` and expand
+    the lifts in the Bloch modes.
 
     Raises EmptyActiveSetError when no fiber axis has theta_i = 0: the
-    spatial operator is the zero map there and no lift exists.  An
-    ``assembly`` at another theta raises ValueError.
+    spatial operator is the zero map there and no lift exists.  A ``bloch``
+    computed at another theta raises ValueError.
     """
     active = bloch.active
     if not active:
         raise EmptyActiveSetError(
             f"no active fiber axis at theta={bloch.theta.theta}; spatial operator is the zero map"
         )
-    asm = assembly if assembly is not None else assemble_bloch(grid, bloch.theta)
     if asm.theta != bloch.theta:
         raise ValueError("Bloch decomposition was computed at a different theta")
 
@@ -136,9 +129,6 @@ def solve_lifts(
     rhs = -bordered[:dim, dim:].toarray()
     # every axis with the interior factor the eigensolve used
     X = linear_solve(asm.interior, rhs, tol=tol, factor=asm.factor)
-    residuals = np.linalg.norm(asm.interior @ X - rhs, axis=0) / np.maximum(
-        np.linalg.norm(rhs, axis=0), 1e-300
-    )
     # flux of lift j through fiber i: row dim+i of bordered applied to [x_j; e_j]
     flux_gram = bordered[dim:, :dim] @ X + bordered[dim:, dim:].toarray()
     mass_gram = h3 * (X.conj().T @ X)
@@ -153,7 +143,6 @@ def solve_lifts(
         active=active,
         poles=np.asarray(bloch.eigenvalues, dtype=float),
         fields=np.ascontiguousarray(fields.T),
-        residuals=residuals,
         coeffs=h3 * (X.T @ bloch.vectors.conj()),
         measures=asm.border_mass[dim:],
         flux_gram=flux_gram,

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConvergenceError
+from .errors import HcBlochError
 from .geometry import Grid
 from .operators import (
     QuasiMomentum,
@@ -134,24 +134,19 @@ class BlochDecomposition:
 
 
 def bloch_eigs(
-    grid: Grid,
-    theta,
+    asm: BlochAssembly,
     m_max: int = 10,
     tol: float = 1e-8,
     seed: int = 0,
-    assembly: BlochAssembly | None = None,
     lift_tol: float | None = None,
 ) -> BlochDecomposition:
-    """Lowest m_max eigenpairs of the Bloch operator at theta.
+    """Lowest m_max eigenpairs of the Bloch operator assembled in ``asm``.
 
-    With ``lift_tol`` set and a fiber axis active at theta, the harmonic
-    lifts are solved too and their coupling matrix attached as ``beta``;
-    the eigensolve and the lifts share one factorization of the interior
-    operator.  An ``assembly`` at another theta raises ValueError.
+    With ``lift_tol`` set and a fiber axis active at the theta of ``asm``,
+    the harmonic lifts are solved too and their coupling matrix attached as
+    ``beta``; the eigensolve and the lifts share one factorization of the
+    interior operator.
     """
-    asm = assembly if assembly is not None else assemble_bloch(grid, theta)
-    if asm.theta != as_quasi_momentum(theta):
-        raise ValueError(f"assembly was built at theta={asm.theta.theta}, not at {theta}")
     sparse = eigen_method(asm.dim, m_max) == "sparse"
     vals, vectors, res = eigensolve(
         asm.interior, asm.h**3, m_max=m_max, tol=tol, seed=seed,
@@ -168,7 +163,7 @@ def bloch_eigs(
         return dec
     from .beta import solve_lifts  # beta imports this module
 
-    return replace(dec, beta=solve_lifts(grid, dec, tol=lift_tol, assembly=asm))
+    return replace(dec, beta=solve_lifts(asm, dec, tol=lift_tol))
 
 
 @dataclass(frozen=True)
@@ -213,16 +208,17 @@ def theta_sweep(
     Python around each sparse solve hold the GIL, so threads would overlap
     only in part); with one they are solved in a plain loop.  Every point
     uses the same ``seed``, so the result does not depend on the schedule.
-    The result map is keyed by theta tuples in lexicographic order;
-    per-point failures are aggregated into a single ConvergenceError naming
-    each theta.  ``lift_tol`` attaches the coupling matrix as in
-    ``bloch_eigs``.  Each point's factorization is dropped when its step
-    ends, so at most ``threads`` factors are alive at once.  Every worker
-    has exited when this returns or raises.  Forking is safe only from a
-    process that runs no other threads, as the CLI does.
+    The result map is keyed by theta tuples in lexicographic order.  An
+    HcBlochError at a point is collected, and the failures raise one error
+    naming each theta: of their common type, else HcBlochError.  Any other
+    exception propagates as it is.  ``lift_tol`` attaches the coupling
+    matrix as in ``bloch_eigs``.  Each point's assembly and factorization are
+    dropped when its step ends, so at most ``threads`` factors are alive at
+    once.  Every worker has exited when this returns or raises.  Forking is
+    safe only from a process that runs no other threads, as the CLI does.
     """
-    attempt = partial(_attempt, partial(bloch_eigs, grid, m_max=m_max, tol=tol, seed=seed,
-                                        lift_tol=lift_tol))
+    solve = partial(bloch_eigs, m_max=m_max, tol=tol, seed=seed, lift_tol=lift_tol)
+    attempt = partial(_attempt, grid, solve)
     workers = min(threads, len(thetas))
     if workers > 1:
         import multiprocessing
@@ -237,13 +233,15 @@ def theta_sweep(
     failures = [(qm.theta, out) for qm, out in zip(thetas, outcomes) if isinstance(out, Exception)]
     if failures:
         summary = "; ".join(f"theta={t}: {e}" for t, e in failures)
-        raise ConvergenceError(f"theta sweep failed at {len(failures)} point(s): {summary}")
+        kinds = {type(e) for _, e in failures}
+        kind = kinds.pop() if len(kinds) == 1 else HcBlochError
+        raise kind(f"theta sweep failed at {len(failures)} point(s): {summary}")
     return dict(sorted((qm.theta, dec) for qm, dec in zip(thetas, outcomes)))
 
 
-def _attempt(solve, qm: QuasiMomentum):
-    """solve(qm), or the exception it raised (for the sweep to aggregate)."""
+def _attempt(grid: Grid, solve, qm: QuasiMomentum):
+    """solve(assemble_bloch(grid, qm)), or the HcBlochError it raised (the sweep aggregates it)."""
     try:
-        return solve(qm)
-    except Exception as exc:
+        return solve(assemble_bloch(grid, qm))
+    except HcBlochError as exc:
         return exc

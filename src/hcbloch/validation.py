@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .beta import solve_lifts
-from .bloch import assemble_bloch, bloch_eigs
+from .bloch import BlochAssembly, assemble_bloch, bloch_eigs
 from .cell import solve_cell_problem
 from .geometry import CellGeometry, Grid, classify_nodes
 from .operators import QuasiMomentum, as_quasi_momentum, full_stiffness, linear_solve
@@ -118,7 +118,6 @@ class EpsSolution:
     u_cell: np.ndarray = field(repr=False)  # (p, p, p)
     f_cell: np.ndarray = field(repr=False)  # f_eps on cell 0, (p, p, p)
     stiffness: sp.csr_matrix = field(repr=False)  # cell form of a_eps at Theta
-    residual: float
 
     def l2_norm(self, values: np.ndarray | None = None) -> float:
         """Torus L2 norm of the Bloch wave with cell-0 values ``values`` (default U)."""
@@ -168,9 +167,7 @@ def solve_eps(prob: EpsProblem, tol: float = 1e-10) -> EpsSolution:
     f_cell = forcing(prob)
     rhs = h3 * f_cell.ravel()
     u = linear_solve(system, rhs, tol=tol)
-    rhs_norm = float(np.linalg.norm(rhs))
-    residual = 0.0 if rhs_norm == 0.0 else float(np.linalg.norm(system @ u - rhs) / rhs_norm)
-    return EpsSolution(prob, u.reshape(prob.grid.shape), f_cell, A, residual)
+    return EpsSolution(prob, u.reshape(prob.grid.shape), f_cell, A)
 
 
 def two_scale_pairing(sol: EpsSolution, phi_axes, psi_cell: np.ndarray, theta) -> complex:
@@ -201,12 +198,9 @@ class HomogenizedSolution:
     nodes.
     """
 
-    theta: tuple[float, float, float]
     k_index: tuple[int, int, int]
     w_full: np.ndarray = field(repr=False)  # flat p^3, complex
     w_fiber: dict[int, complex]
-    a_hom: dict[int, float]
-    residual: float
 
     def limit_pairing(self, phi_axes, psi_cell: np.ndarray) -> complex:
         """<u, phi x psi> over Omega x Q for phi = prod_d phi_axes[d](x_d) (factorized quadrature)."""
@@ -217,21 +211,20 @@ class HomogenizedSolution:
 
 
 def solve_homogenized(
-    grid: Grid,
-    theta,
+    asm: BlochAssembly,
     k_index=(0, 0, 0),
     g_cell: np.ndarray | None = None,
     tol: float = 1e-10,
 ) -> HomogenizedSolution:
-    """Solve the Fourier-reduced homogenized system for one macro mode.
+    """Solve the Fourier-reduced homogenized system for one macro mode at
+    the theta of ``asm``.
 
     Unknowns are the coefficients of w in the border of the Bloch assembly:
     the soft-phase values plus one constant per active fiber.  The system
     is the bordered stiffness plus the border mass, with the spatial term
     a_hom_i k_i^2 on the fiber constants.
     """
-    asm = assemble_bloch(grid, theta)
-    active, n_dof, Z = asm.active, asm.dim, asm.border
+    grid, active, n_dof, Z = asm.grid, asm.active, asm.dim, asm.border
     N = grid.n**3
     a_hom = {axis: solve_cell_problem(grid, axis, tol=tol).a_hom for axis in active}
 
@@ -244,17 +237,10 @@ def solve_homogenized(
     g = np.ones(N) if g_cell is None else np.asarray(g_cell).reshape(N).astype(complex)
     rhs = grid.h**3 * (Z.T @ g)
     x = linear_solve(system, rhs, tol=tol)
-    residual = float(np.linalg.norm(system @ x - rhs) / max(np.linalg.norm(rhs), 1e-300))
-
-    w_full = np.asarray(Z @ x)
-    w_fiber = {axis: complex(x[n_dof + j]) for j, axis in enumerate(active)}
     return HomogenizedSolution(
-        theta=asm.theta.theta,
         k_index=tuple(int(v) for v in k_index),
-        w_full=w_full,
-        w_fiber=w_fiber,
-        a_hom=a_hom,
-        residual=residual,
+        w_full=np.asarray(Z @ x),
+        w_fiber={axis: complex(x[n_dof + j]) for j, axis in enumerate(active)},
     )
 
 
@@ -344,12 +330,14 @@ def convergence_report(
     grid_cell = classify_nodes(geom, p)
     g = np.ones(grid_cell.shape)
 
-    psi_battery = _psi_battery(grid_cell, qm, tol)
+    asm = assemble_bloch(grid_cell, qm)
+    psi_battery = _psi_battery(asm, tol)
     failures: list[str] = []
 
     hom = None
     if contrast == "double_porosity":
-        hom = solve_homogenized(grid_cell, qm, k_index=k_index, g_cell=g, tol=tol)
+        hom = solve_homogenized(asm, k_index=k_index, g_cell=g, tol=tol)
+    del asm  # its LU factor would otherwise stay alive through the eps solves
 
     solutions: dict[int, EpsSolution] = {}
     for K in eps_K:
@@ -417,13 +405,13 @@ def _phi_battery(k_index):
     return [("mode", lambda n: _axis_waves(k_index, n)), ("mode*poly", poly)]
 
 
-def _psi_battery(grid_cell: Grid, qm, tol: float):
-    battery = [("one", np.ones(grid_cell.shape, dtype=complex))]
-    asm = assemble_bloch(grid_cell, qm)
-    dec = bloch_eigs(grid_cell, qm, m_max=1, assembly=asm)
+def _psi_battery(asm: BlochAssembly, tol: float):
+    shape = asm.grid.shape
+    battery = [("one", np.ones(shape, dtype=complex))]
+    dec = bloch_eigs(asm, m_max=1)
     mode = asm.border[:, :asm.dim] @ dec.vectors[:, 0]  # zero on the stiff phase
-    battery.append(("bloch_1", mode.reshape(grid_cell.shape)))
+    battery.append(("bloch_1", mode.reshape(shape)))
     if dec.active:
-        beta = solve_lifts(grid_cell, dec, tol=tol, assembly=asm)
-        battery.append((f"fiber_profile_{dec.active[0]}", beta.fields[0].reshape(grid_cell.shape)))
+        beta = solve_lifts(asm, dec, tol=tol)
+        battery.append((f"fiber_profile_{dec.active[0]}", beta.fields[0].reshape(shape)))
     return battery

@@ -53,7 +53,7 @@ def deep_modes(fiber16, beta_theta):
     asm = assemble_bloch(fiber16, beta_theta)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hcbloch.operators, "DENSE_EIGEN_CUTOFF", asm.dim)
-        dec = bloch_eigs(fiber16, beta_theta, m_max=320, assembly=asm)
+        dec = bloch_eigs(asm, m_max=320)
     return asm, dec
 
 
@@ -143,8 +143,8 @@ def test_criterion_5_double_porosity_regression(inclusion):
     """Two distinct theta != 0 give identical Bloch lists to 1e-12 and the
     pure Bloch bands degenerate to points."""
     grid = classify_nodes(inclusion, 16)
-    d1 = bloch_eigs(grid, (np.pi / 2, np.pi, 4.5), m_max=8)
-    d2 = bloch_eigs(grid, (np.pi, np.pi / 3, 1.1), m_max=8)
+    d1 = bloch_eigs(assemble_bloch(grid, (np.pi / 2, np.pi, 4.5)), m_max=8)
+    d2 = bloch_eigs(assemble_bloch(grid, (np.pi, np.pi / 3, 1.1)), m_max=8)
     diff = float(np.abs(d1.eigenvalues - d2.eigenvalues).max())
     sweep = theta_sweep(grid, ThetaGrid(2).points, m_max=8)
     width = max(b.hi - b.lo for b in pure_bloch_bands(sweep).branch_intervals)
@@ -163,8 +163,8 @@ def test_criterion_6_green_identity(single_fiber, two_fiber):
     for geom, n, theta in cases:
         grid = classify_nodes(geom, n)
         asm = assemble_bloch(grid, theta)
-        dec = bloch_eigs(grid, theta, m_max=8, assembly=asm)
-        lifts = solve_lifts(grid, dec, assembly=asm)
+        dec = bloch_eigs(asm, m_max=8)
+        lifts = solve_lifts(asm, dec)
         for row in range(len(lifts.active)):
             for m in range(dec.m_max):
                 T = flux(asm, dec.vectors[:, m], lifts.fields[row])
@@ -178,7 +178,7 @@ def test_criterion_7_beta_properties(fiber16, deep_modes):
     monotonicity on a 10^3-point scan between consecutive poles."""
     asm, dec_all = deep_modes
     dec = truncate(dec_all, 10)
-    lifts = solve_lifts(fiber16, dec, assembly=asm)
+    lifts = solve_lifts(asm, dec)
     rng = np.random.default_rng(2024)
     herm_worst = 0.0
     mono_ok = True
@@ -216,11 +216,11 @@ def test_criterion_8_spatial_certification(fiber16, deep_modes):
     roots = {}
     for m in (160, 320):
         dec = truncate(dec_all, m)
-        lifts = solve_lifts(fiber16, dec, assembly=asm)
+        lifts = solve_lifts(asm, dec)
         beta = lifts
         roots[m] = spatial_spectrum(beta, a_hom, k_modes, window)
 
-    beta320 = solve_lifts(fiber16, truncate(dec_all, 320), assembly=asm)
+    beta320 = solve_lifts(asm, truncate(dec_all, 320))
 
     def F(k_index, lam):
         kk = 2 * np.pi * np.asarray(k_index, dtype=float)
@@ -258,12 +258,13 @@ def test_criterion_9_zero_map_rule(fiber16):
     """theta with all components nonzero: empty spatial spectrum and
     EmptyActiveSetError from the lift solver."""
     theta = (np.pi / 2, np.pi, 3 * np.pi / 2)
-    dec = bloch_eigs(fiber16, theta, m_max=4)
+    asm = assemble_bloch(fiber16, theta)
+    dec = bloch_eigs(asm, m_max=4)
     a_hom = effective_tensor([solve_cell_problem(fiber16, 1)])
     pts = spatial_points(dec, a_hom, [(1, 0, 0)], (0.0, 60.0))
     raised = False
     try:
-        solve_lifts(fiber16, dec)
+        solve_lifts(asm, dec)
     except EmptyActiveSetError:
         raised = True
     report(9, pts == [] and raised, f"spatial points={len(pts)}, EmptyActiveSetError={raised}")
@@ -294,7 +295,7 @@ def test_criterion_11_spectral_semicontinuity(single_fiber):
     p = 8
     grid = classify_nodes(single_fiber, p)
     theta_star = (np.pi, np.pi, np.pi)  # on both Floquet grids
-    lam = float(bloch_eigs(grid, theta_star, m_max=1).eigenvalues[0])
+    lam = float(bloch_eigs(assemble_bloch(grid, theta_star), m_max=1).eigenvalues[0])
     dists = {}
     for K in (4, 8):
         dists[K] = spectral_distance(lam, composite_spectrum(single_fiber, p, K))

@@ -23,17 +23,18 @@ def lift_setup(single_fiber):
     grid = classify_nodes(single_fiber, 10)
     theta = (0.0, np.pi / 2, np.pi)
     asm = assemble_bloch(grid, theta)
-    dec = bloch_eigs(grid, theta, m_max=10, assembly=asm)
-    lifts = solve_lifts(grid, dec, assembly=asm)
+    dec = bloch_eigs(asm, m_max=10)
+    lifts = solve_lifts(asm, dec)
     return single_fiber, grid, theta, asm, dec, lifts
 
 
 def test_empty_active_set_raises(single_fiber):
     grid = classify_nodes(single_fiber, 8)
     theta = (np.pi / 2, np.pi, np.pi / 3)
-    dec = bloch_eigs(grid, theta, m_max=2)
+    asm = assemble_bloch(grid, theta)
+    dec = bloch_eigs(asm, m_max=2)
     with pytest.raises(EmptyActiveSetError):
-        solve_lifts(grid, dec)
+        solve_lifts(asm, dec)
 
 
 def test_lift_boundary_values_exact(lift_setup):
@@ -43,14 +44,18 @@ def test_lift_boundary_values_exact(lift_setup):
 
 
 def test_lift_harmonicity(lift_setup):
+    """The lift solves the interior system against the border column of its fiber."""
     geom, grid, theta, asm, dec, lifts = lift_setup
-    assert lifts.residuals[0] < 1e-10
+    dim = asm.dim
+    rhs = -asm.bordered[:dim, dim:].toarray()[:, 0]
+    residual = asm.interior @ lifts.fields[0][asm.dofs] - rhs
+    assert np.linalg.norm(residual) < 1e-10 * np.linalg.norm(rhs)
 
 
 def test_lift_real_at_zero_theta(single_fiber):
     grid = classify_nodes(single_fiber, 8)
-    dec = bloch_eigs(grid, (0.0, 0.0, 0.0), m_max=5)
-    lifts = solve_lifts(grid, dec)
+    asm = assemble_bloch(grid, (0.0, 0.0, 0.0))
+    lifts = solve_lifts(asm, bloch_eigs(asm, m_max=5))
     assert not np.iscomplexobj(lifts.coeffs[0])
     # single fiber at theta = 0: harmonic extension of constant data is 1
     assert np.abs(lifts.fields[0] - 1.0).max() < 1e-10
@@ -125,8 +130,8 @@ def test_two_fiber_beta_cross_hermitian(two_fiber):
     grid = classify_nodes(two_fiber, 10)
     theta = (0.0, np.pi / 2, 0.0)  # both fiber axes active
     asm = assemble_bloch(grid, theta)
-    dec = bloch_eigs(grid, theta, m_max=8, assembly=asm)
-    lifts = solve_lifts(grid, dec, assembly=asm)
+    dec = bloch_eigs(asm, m_max=8)
+    lifts = solve_lifts(asm, dec)
     assert lifts.active == (1, 3)
     beta = lifts
     B = beta(3.0)
@@ -158,8 +163,8 @@ def all_modes_setup(geom, theta):
     bordered pencil's eigenvalues themselves."""
     grid = classify_nodes(geom, 10)
     asm = assemble_bloch(grid, theta)
-    dec = bloch_eigs(grid, theta, m_max=asm.dim, assembly=asm)
-    lifts = solve_lifts(grid, dec, assembly=asm)
+    dec = bloch_eigs(asm, m_max=asm.dim)
+    lifts = solve_lifts(asm, dec)
     beta = lifts
     a_hom = effective_tensor([solve_cell_problem(grid, axis) for axis in geom.active_axes])
     window = (0.0, float(dec.eigenvalues[6] * 0.99))
@@ -277,7 +282,7 @@ def test_root_certification_and_scan_oracle(lift_setup):
 def test_spatial_zero_map(single_fiber):
     grid = classify_nodes(single_fiber, 8)
     theta = (np.pi, np.pi / 2, np.pi / 2)
-    dec = bloch_eigs(grid, theta, m_max=4)
+    dec = bloch_eigs(assemble_bloch(grid, theta), m_max=4)
     a_hom = effective_tensor([solve_cell_problem(grid, 1)])
     pts = spatial_points(dec, a_hom, [(1, 0, 0)], (0.0, 50.0))
     assert pts == []
@@ -286,7 +291,7 @@ def test_spatial_zero_map(single_fiber):
 def test_spatial_points_need_lifts_at_active_theta(single_fiber):
     grid = classify_nodes(single_fiber, 8)
     theta = (0.0, np.pi, 0.0)
-    dec = bloch_eigs(grid, theta, m_max=4)
+    dec = bloch_eigs(assemble_bloch(grid, theta), m_max=4)
     a_hom = effective_tensor([solve_cell_problem(grid, 1)])
     with pytest.raises(ValueError, match="lift_tol"):
         spatial_points(dec, a_hom, [(1, 0, 0)], (0.0, 50.0))
@@ -294,7 +299,7 @@ def test_spatial_points_need_lifts_at_active_theta(single_fiber):
 
 def test_bands_single_point_sweep(single_fiber):
     grid = classify_nodes(single_fiber, 8)
-    dec = bloch_eigs(grid, (0.0, 0.0, 0.0), m_max=4)
+    dec = bloch_eigs(assemble_bloch(grid, (0.0, 0.0, 0.0)), m_max=4)
     structure = pure_bloch_bands({(0.0, 0.0, 0.0): dec})
     for band in structure.branch_intervals:
         assert band.lo == band.hi
@@ -434,8 +439,8 @@ def two_fiber_setup(two_fiber):
     grid = classify_nodes(two_fiber, 10)
     theta = (0.0, np.pi / 2, 0.0)  # both fiber axes active
     asm = assemble_bloch(grid, theta)
-    dec = bloch_eigs(grid, theta, m_max=8, assembly=asm)
-    lifts = solve_lifts(grid, dec, assembly=asm)
+    dec = bloch_eigs(asm, m_max=8)
+    lifts = solve_lifts(asm, dec)
     a_hom = effective_tensor([solve_cell_problem(grid, axis) for axis in (1, 3)])
     return theta, dec, lifts, a_hom
 
@@ -549,7 +554,7 @@ def test_sweep_lifts_match_standalone_solve(two_fiber, sparse_eigensolver):
     for dec in sweep.values():
         if dec.beta is None:
             continue
-        alone = solve_lifts(grid, dec)
+        alone = solve_lifts(assemble_bloch(grid, dec.theta), dec)
         attached = dec.beta
         assert attached.active == alone.active
         for row in range(len(alone.active)):
@@ -573,7 +578,7 @@ def test_zero_root_exact_at_theta_zero(geom_name, request):
     geom = request.getfixturevalue(geom_name)
     grid = classify_nodes(geom, 10)
     theta = (0.0, 0.0, 0.0)
-    dec = bloch_eigs(grid, theta, m_max=8, lift_tol=1e-10)
+    dec = bloch_eigs(assemble_bloch(grid, theta), m_max=8, lift_tol=1e-10)
     beta = dec.beta
     a_hom = effective_tensor([solve_cell_problem(grid, axis) for axis in geom.active_axes])
     k_modes = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]

@@ -7,15 +7,15 @@ import pytest
 import hcbloch.bloch
 from conftest import dirichlet_chain_lowest
 from hcbloch.bloch import ThetaGrid, assemble_bloch, bloch_eigs, theta_sweep
-from hcbloch.errors import ConvergenceError
+from hcbloch.errors import ConvergenceError, HcBlochError, SingularSystemError
 from hcbloch.geometry import CellGeometry, build_geometry, classify_nodes
 from oracles import adjacent_pairs, dense_border, dirichlet_baseline
 
 
 def test_inclusion_theta_independent(inclusion):
     grid = classify_nodes(inclusion, 8)
-    d1 = bloch_eigs(grid, (1.0, 2.0, 3.0), m_max=5)
-    d2 = bloch_eigs(grid, (0.5, 4.4, 0.2), m_max=5)
+    d1 = bloch_eigs(assemble_bloch(grid, (1.0, 2.0, 3.0)), m_max=5)
+    d2 = bloch_eigs(assemble_bloch(grid, (0.5, 4.4, 0.2)), m_max=5)
     assert np.abs(d1.eigenvalues - d2.eigenvalues).max() < 1e-12
 
 
@@ -24,7 +24,7 @@ def test_inclusion_box_closed_form(inclusion):
     inclusion: tensor-product closed form is exact."""
     for n in (16, 32):
         grid = classify_nodes(inclusion, n)
-        dec = bloch_eigs(grid, (1.0, 1.0, 1.0), m_max=1)
+        dec = bloch_eigs(assemble_bloch(grid, (1.0, 1.0, 1.0)), m_max=1)
         m_interior = round(0.5 * n) - 1  # strictly inside (0.25, 0.75)
         pred = 3.0 * dirichlet_chain_lowest(m_interior, 1.0 / n)
         assert abs(dec.eigenvalues[0] - pred) < 1e-8 * pred
@@ -35,20 +35,20 @@ def test_coefficient_scaling_doubles_eigenvalues(single_fiber):
     geom2 = CellGeometry(fibers=single_fiber.fibers, a0=2.0, a1=1.0)
     grid2 = classify_nodes(geom2, 8)
     th = (0.0, 1.0, 2.0)
-    d1 = bloch_eigs(grid1, th, m_max=5)
-    d2 = bloch_eigs(grid2, th, m_max=5)
+    d1 = bloch_eigs(assemble_bloch(grid1, th), m_max=5)
+    d2 = bloch_eigs(assemble_bloch(grid2, th), m_max=5)
     assert np.abs(d2.eigenvalues - 2.0 * d1.eigenvalues).max() < 1e-9
 
 
 def test_positivity_at_zero_quasi_momentum(single_fiber):
     grid = classify_nodes(single_fiber, 8)
-    dec = bloch_eigs(grid, (0.0, 0.0, 0.0), m_max=1)
+    dec = bloch_eigs(assemble_bloch(grid, (0.0, 0.0, 0.0)), m_max=1)
     assert dec.eigenvalues[0] > 1.0  # fibers anchor the periodic problem
 
 
 def test_orthonormality(single_fiber):
     grid = classify_nodes(single_fiber, 8)
-    dec = bloch_eigs(grid, (0.7, 0.0, 2.2), m_max=6)
+    dec = bloch_eigs(assemble_bloch(grid, (0.7, 0.0, 2.2)), m_max=6)
     G = grid.h**3 * (dec.vectors.conj().T @ dec.vectors)
     assert np.abs(G - np.eye(6)).max() < 1e-10
 
@@ -57,7 +57,7 @@ def test_dirichlet_domination(single_fiber):
     grid = classify_nodes(single_fiber, 8)
     mu = dirichlet_baseline(grid, m_max=8)
     for th in [(0.0, 0.0, 0.0), (0.0, np.pi / 2, np.pi), (1.0, 2.0, 3.0)]:
-        lam = bloch_eigs(grid, th, m_max=8).eigenvalues
+        lam = bloch_eigs(assemble_bloch(grid, th), m_max=8).eigenvalues
         assert np.all(lam <= mu + 1e-8)
 
 
@@ -66,7 +66,7 @@ def test_inclusion_baseline_equals_bloch(inclusion):
     Bloch problem are the same discrete operator."""
     grid = classify_nodes(inclusion, 8)
     mu = dirichlet_baseline(grid, m_max=5)
-    lam = bloch_eigs(grid, (2.0, 1.0, 0.5), m_max=5).eigenvalues
+    lam = bloch_eigs(assemble_bloch(grid, (2.0, 1.0, 0.5)), m_max=5).eigenvalues
     assert np.abs(mu - lam).max() < 1e-11
 
 
@@ -154,6 +154,32 @@ def test_sweep_failures_aggregated(single_fiber, monkeypatch, threads):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("kinds, raised", [
+    ({5: SingularSystemError}, SingularSystemError),
+    ({2: ConvergenceError, 5: SingularSystemError}, HcBlochError),
+], ids=["one_type", "mixed_types"])
+def test_sweep_failure_keeps_its_type(single_fiber, monkeypatch, kinds, raised):
+    """Failures of one HcBlochError type are aggregated into that type, and
+    failures of several types into HcBlochError, from worker processes too."""
+    grid = classify_nodes(single_fiber, 8)
+    points = ThetaGrid(2).points
+    targets = [(assemble_bloch(grid, points[i]).interior, kind) for i, kind in kinds.items()]
+    eigensolve = hcbloch.bloch.eigensolve
+
+    def failing(A, *args, **kwargs):
+        for target, kind in targets:
+            if (A != target).nnz == 0:
+                raise kind("no solution")
+        return eigensolve(A, *args, **kwargs)
+
+    monkeypatch.setattr(hcbloch.bloch, "eigensolve", failing)
+    with pytest.raises(HcBlochError) as info:
+        theta_sweep(grid, points, m_max=3, threads=2)
+    assert type(info.value) is raised
+    assert str(info.value).startswith(f"theta sweep failed at {len(kinds)} point(s): ")
+    assert multiprocessing.active_children() == []
+
+
 def test_sweep_conjugation_symmetry(single_fiber):
     grid = classify_nodes(single_fiber, 8)
     sweep = theta_sweep(grid, ThetaGrid(4).points, m_max=4)
@@ -196,17 +222,11 @@ def test_mode_field_zero_on_stiff(single_fiber):
     the soft nodes, zero on the stiff phase."""
     grid = classify_nodes(single_fiber, 8)
     asm = assemble_bloch(grid, (0.0, 1.0, 1.0))
-    dec = bloch_eigs(grid, (0.0, 1.0, 1.0), m_max=2, assembly=asm)
+    dec = bloch_eigs(asm, m_max=2)
     field = (asm.border[:, :asm.dim] @ dec.vectors[:, 0]).reshape(grid.shape)
     assert np.array_equal(field.ravel()[asm.dofs], dec.vectors[:, 0])
     assert np.all(field[grid.stiff_mask] == 0.0)
     assert np.abs(field[grid.matrix_mask]).max() > 0.0
-
-
-def test_assembly_at_another_theta_rejected(single_fiber):
-    grid = classify_nodes(single_fiber, 8)
-    with pytest.raises(ValueError):
-        bloch_eigs(grid, (0.0, 0.0, 0.0), m_max=2, assembly=assemble_bloch(grid, (np.pi, 0.0, 0.0)))
 
 
 @pytest.mark.parametrize(

@@ -333,6 +333,20 @@ def test_cli_single_theta_failure_names_the_theta(tmp_path, capsys, monkeypatch,
                               "0.0): eigenpair 0 residual above tolerance")
 
 
+def test_cli_sweep_program_fault_propagates(tmp_path, monkeypatch):
+    """An exception outside HcBlochError is a fault of the program, not a failed
+    sweep point: it leaves `main` with its type and traceback instead of exit 2."""
+    import hcbloch.bloch
+
+    def faulty(*args, **kwargs):
+        raise TypeError("unexpected argument")
+
+    monkeypatch.setattr(hcbloch.bloch, "eigensolve", faulty)
+    config = _two_fibers_n8_g2(tmp_path)
+    with pytest.raises(TypeError, match="unexpected argument"):
+        main(["bloch", "--config", config, "--theta", "0,0,0", "--threads", "1"])
+
+
 def test_cli_beta_csv(tmp_path):
     cfg_text = MINIMAL.replace("n: 16", "n: 8") + (
         "spectrum:\n  m_max: 6\noutput:\n  dir: %s\n" % (tmp_path / "out")
