@@ -15,7 +15,7 @@ import importlib
 _EXPORTS = {
     "beta": "BandStructure BetaMatrix SpatialRoot pure_bloch_bands solve_lifts spatial_points "
             "spatial_spectrum",
-    "bloch": "BlochDecomposition ThetaGrid assemble_bloch bloch_eigs theta_sweep",
+    "bloch": "BlochDecomposition assemble_bloch bloch_eigs theta_grid theta_sweep",
     "cell": "CellSolution effective_tensor solve_cell_problem",
     "config": "RunConfig parse_config",
     "errors": "CoefficientError ContainmentError ConvergenceError EmptyActiveSetError "

@@ -176,14 +176,14 @@ class SpatialRoot:
 
 @dataclass(frozen=True)
 class BandStructure:
-    """Pure Bloch bands and the gaps within the window."""
+    """Pure Bloch bands and the gaps within the window [0, lambda_max]."""
 
     branch_intervals: list[Band]
     bands: list[Band]
     gaps: list[tuple[float, float]]
 
 
-def pure_bloch_bands(sweep, window=None) -> BandStructure:
+def pure_bloch_bands(sweep, lambda_max: float) -> BandStructure:
     """Aggregate a theta sweep into per-branch intervals, bands and gaps.
 
     Branch m (up to the smallest m_max in the sweep) spans
@@ -207,7 +207,6 @@ def pure_bloch_bands(sweep, window=None) -> BandStructure:
                  theta_at_lo=thetas[i_lo], theta_at_hi=thetas[i_hi])
         )
 
-    lam_max = window[1] if window is not None else max(b.hi for b in branch_intervals)
     merged: list[Band] = []
     for band in sorted(branch_intervals, key=lambda b: (b.lo, b.hi)):
         if merged and band.lo <= merged[-1].hi + EXTREME_TIE_RTOL * abs(merged[-1].hi):
@@ -222,12 +221,12 @@ def pure_bloch_bands(sweep, window=None) -> BandStructure:
     cursor = 0.0
     for band in merged:
         if band.lo > cursor:
-            gaps.append((cursor, min(band.lo, lam_max)))
+            gaps.append((cursor, min(band.lo, lambda_max)))
         cursor = max(cursor, band.hi)
-        if cursor >= lam_max:
+        if cursor >= lambda_max:
             break
-    if cursor < lam_max:
-        gaps.append((cursor, lam_max))
+    if cursor < lambda_max:
+        gaps.append((cursor, lambda_max))
     gaps = [(lo, hi) for lo, hi in gaps if hi > lo]
 
     return BandStructure(branch_intervals=branch_intervals, bands=merged, gaps=gaps)
@@ -237,11 +236,11 @@ def spatial_spectrum(
     beta: BetaMatrix,
     a_hom: np.ndarray,
     k_modes,
-    window: tuple[float, float],
+    lambda_max: float,
     L: float = 1.0,
     pole_guard: float = 1e-6,
 ) -> list[SpatialRoot]:
-    """Roots of the per-mode secular determinant inside the window.
+    """Roots of the per-mode secular determinant in the window [0, lambda_max].
 
     For each integer Fourier triple z (k = 2 pi z / L) the roots of
     F(lam) = det(S - beta(lam)), S = diag(a_hom_i k_i^2), are eigenvalues of
@@ -265,10 +264,10 @@ def spatial_spectrum(
     residual is |F(lam)|.
 
     lambda = 0 is an exact root at theta = 0 for every mode that vanishes
-    on the active axes, when the window starts at 0: the lifts then sum to
-    the constant 1 (every stiff node lies on an active fiber) and the full
-    form annihilates constants, so flux_gram 1 = 0 and beta(0) 1 = 0.  The
-    eigenvalue nearest 0 is reported as lam = 0.0 with bracket (0, 0).
+    on the active axes: the lifts then sum to the constant 1 (every stiff
+    node lies on an active fiber) and the full form annihilates constants,
+    so flux_gram 1 = 0 and beta(0) 1 = 0.  The eigenvalue nearest 0 is
+    reported as lam = 0.0 with bracket (0, 0).
 
     The roots carry the theta of ``beta``, whose active set is never empty
     (``solve_lifts`` applies the zero-map rule).
@@ -276,7 +275,6 @@ def spatial_spectrum(
     a_diag = np.array([a_hom[i - 1, i - 1] for i in beta.active])
     # brackets of width just under 1e-10 mu_1 after rounding
     half = 4.9e-11 * float(beta.poles[0])
-    lo_w, hi_w = window
 
     M = beta.m_max
     C = beta.coeffs
@@ -286,7 +284,7 @@ def spatial_spectrum(
 
     roots: list[SpatialRoot] = []
     theta_t = tuple(beta.theta)
-    zero_root = not any(theta_t) and lo_w == 0.0
+    zero_root = not any(theta_t)
     for z in k_modes:
         z = tuple(int(v) for v in z)
         k = 2.0 * np.pi * np.asarray(z, dtype=float) / L
@@ -297,7 +295,7 @@ def spatial_spectrum(
         if exact_zero:
             pencil[np.argmin(np.abs(pencil))] = 0.0
         lo, hi = pencil - half, pencil + half
-        keep = (lo_w <= pencil) & (pencil <= hi_w)
+        keep = (0.0 <= pencil) & (pencil <= lambda_max)
         keep &= beta.off_poles(lo, pole_guard) & beta.off_poles(hi, pole_guard)
         lams, lo, hi = pencil[keep], lo[keep], hi[keep]
 
@@ -326,19 +324,20 @@ def spatial_points(
     bloch: BlochDecomposition,
     a_hom: np.ndarray,
     k_modes,
-    window: tuple[float, float],
+    lambda_max: float,
     L: float = 1.0,
     pole_guard: float = 1e-6,
 ) -> list[SpatialRoot]:
     """Spatial-spectrum roots at the theta of ``bloch``; [] when no axis is active.
 
     Applies the zero-map rule (quasi-momenta with every component nonzero
-    carry no spatial spectrum), else runs spatial_spectrum on the coupling
-    matrix attached to ``bloch`` (``bloch_eigs(..., lift_tol=...)``).  A
-    decomposition without it at an active theta raises ValueError.
+    carry no spatial spectrum), else runs spatial_spectrum on the window
+    [0, lambda_max] with the coupling matrix attached to ``bloch``
+    (``bloch_eigs(..., lift_tol=...)``).  A decomposition without it at an
+    active theta raises ValueError.
     """
     if not bloch.active:
         return []
     if bloch.beta is None:
         raise ValueError("spatial_points needs a Bloch decomposition with lifts (lift_tol)")
-    return spatial_spectrum(bloch.beta, a_hom, k_modes, window, L=L, pole_guard=pole_guard)
+    return spatial_spectrum(bloch.beta, a_hom, k_modes, lambda_max, L=L, pole_guard=pole_guard)

@@ -36,9 +36,9 @@ if TYPE_CHECKING:
 __all__ = [
     "BlochAssembly",
     "BlochDecomposition",
-    "ThetaGrid",
     "assemble_bloch",
     "bloch_eigs",
+    "theta_grid",
     "theta_sweep",
 ]
 
@@ -166,30 +166,22 @@ def bloch_eigs(
     return replace(dec, beta=solve_lifts(asm, dec, tol=lift_tol))
 
 
-@dataclass(frozen=True)
-class ThetaGrid:
+def theta_grid(g: int) -> list[QuasiMomentum]:
     """Uniform g^3 grid over [0, 2pi)^3, lexicographically ordered.
 
     Contains theta = 0 and, for g >= 2, every axis hyperplane
     {theta_i = 0}, where the spatial spectrum lives.
     """
-
-    g: int
-
-    def __post_init__(self):
-        if self.g < 1:
-            raise ValueError("theta grid needs g >= 1")
-
-    @property
-    def points(self) -> list[QuasiMomentum]:
-        step = 2.0 * np.pi / self.g
-        vals = [k * step for k in range(self.g)]
-        return [
-            QuasiMomentum((t1, t2, t3))
-            for t1 in vals
-            for t2 in vals
-            for t3 in vals
-        ]
+    if g < 1:
+        raise ValueError("theta grid needs g >= 1")
+    step = 2.0 * np.pi / g
+    vals = [k * step for k in range(g)]
+    return [
+        QuasiMomentum((t1, t2, t3))
+        for t1 in vals
+        for t2 in vals
+        for t3 in vals
+    ]
 
 
 def theta_sweep(
@@ -201,7 +193,7 @@ def theta_sweep(
     threads: int = 1,
     lift_tol: float | None = None,
 ) -> dict[tuple[float, float, float], BlochDecomposition]:
-    """Bloch eigenpairs at each of ``thetas`` (e.g. ``ThetaGrid(g).points``).
+    """Bloch eigenpairs at each of ``thetas`` (e.g. ``theta_grid(g)``).
 
     The thetas are independent, so with ``threads`` > 1 they are solved in
     min(threads, #thetas) forked worker processes (ARPACK's loop and the
@@ -211,10 +203,11 @@ def theta_sweep(
     The result map is keyed by theta tuples in lexicographic order.  An
     HcBlochError at a point is collected, and the failures raise one error
     naming each theta: of their common type, else HcBlochError.  Any other
-    exception propagates as it is.  ``lift_tol`` attaches the coupling
-    matrix as in ``bloch_eigs``.  Each point's assembly and factorization are
-    dropped when its step ends, so at most ``threads`` factors are alive at
-    once.  Every worker has exited when this returns or raises.  Forking is
+    exception propagates as it is, and a worker that dies raises
+    BrokenProcessPool.  ``lift_tol`` attaches the coupling matrix as in
+    ``bloch_eigs``.  Each point's assembly and factorization are dropped
+    when its step ends, so at most ``threads`` factors are alive at once.
+    Every worker has exited when this returns or raises.  Forking is
     safe only from a process that runs no other threads, as the CLI does.
     """
     solve = partial(bloch_eigs, m_max=m_max, tol=tol, seed=seed, lift_tol=lift_tol)

@@ -29,7 +29,7 @@ __all__ = ["main", "run", "run_subcommand"]
 
 # bloch_eigs is bound here only for perfbench/layers.py, which hooks hcbloch.cli.bloch_eigs
 _DEFERRED = {
-    "ThetaGrid": "bloch", "bloch_eigs": "bloch", "theta_sweep": "bloch", "axial_flux": "cell",
+    "theta_grid": "bloch", "bloch_eigs": "bloch", "theta_sweep": "bloch", "axial_flux": "cell",
     "solve_cell_problem": "cell", "effective_tensor": "cell", "pure_bloch_bands": "beta",
     "spatial_points": "beta", "convergence_report": "validation", "QuasiMomentum": "operators",
     "as_quasi_momentum": "operators",
@@ -44,18 +44,10 @@ def _import_numerics() -> None:
             __getattr__(name)
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not serializable: {type(obj)}")
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1, default=_json_default)
+        json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
@@ -72,17 +64,17 @@ def _meta(cfg: RunConfig, geom) -> dict:
             "seed": cfg.seed, "config": cfg.to_dict()}
 
 
-def _auto_window(cfg: RunConfig, sweep) -> tuple[float, float]:
+def _lambda_max(cfg: RunConfig, sweep) -> float:
     # above the highest computed eigenvalue, uncomputed branches may fill a "gap"
     top = float(max(dec.eigenvalues[-1] for dec in sweep.values()))
     if cfg.lambda_max is None:
-        return (0.0, float(0.999 * top))
+        return float(0.999 * top)
     if cfg.lambda_max > top:
         raise ValidationError(
             f"spectrum.lambda_max={cfg.lambda_max} exceeds the highest computed Bloch "
             f"eigenvalue {top}; raise spectrum.m_max or lower lambda_max"
         )
-    return (0.0, float(cfg.lambda_max))
+    return float(cfg.lambda_max)
 
 
 def cmd_geom_check(cfg: RunConfig, out_dir: Path) -> int:
@@ -129,7 +121,7 @@ def _sweep(cfg: RunConfig, grid, theta_override=None, lift_tol=None):
         raise ValidationError(
             f"spectrum.m_max={cfg.m_max} exceeds the Bloch operator dimension {dim}"
         )
-    thetas = (ThetaGrid(cfg.theta_g).points if theta_override is None
+    thetas = (theta_grid(cfg.theta_g) if theta_override is None
               else [as_quasi_momentum(theta_override)])
     return theta_sweep(
         grid,
@@ -166,8 +158,7 @@ def cmd_beta(cfg: RunConfig, out_dir: Path, theta_override=None) -> int:
         raise EmptyActiveSetError(
             f"no active fiber axis at theta={qm.theta}; spatial operator is the zero map"
         )
-    _, lam_hi = _auto_window(cfg, sweep)
-    samples = np.linspace(0.0, lam_hi, 400)
+    samples = np.linspace(0.0, _lambda_max(cfg, sweep), 400)
     samples = samples[beta.off_poles(samples, cfg.pole_guard)]
     header = ["lambda"]
     for i in beta.active:
@@ -193,8 +184,8 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
     geom = build_geometry(cfg.geometry)
     grid = classify_nodes(geom, cfg.n)
     sweep = _sweep(cfg, grid, lift_tol=cfg.tol_linear)
-    window = _auto_window(cfg, sweep)
-    structure = pure_bloch_bands(sweep, window=window)
+    lambda_max = _lambda_max(cfg, sweep)
+    structure = pure_bloch_bands(sweep, lambda_max)
 
     a_hom = effective_tensor(
         [solve_cell_problem(grid, axis, tol=cfg.tol_linear) for axis in geom.active_axes]
@@ -202,14 +193,14 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
     spatial = []
     for dec in sweep.values():
         spatial.extend(
-            spatial_points(dec, a_hom, cfg.k_modes, window, L=cfg.torus_period,
+            spatial_points(dec, a_hom, cfg.k_modes, lambda_max, L=cfg.torus_period,
                            pole_guard=cfg.pole_guard)
         )
 
     payload = _meta(cfg, geom)
     payload.update(
         {
-            "window": list(window),
+            "window": [0.0, lambda_max],
             "branch_intervals": [
                 {
                     "m": b.branches[0] + 1,
@@ -254,6 +245,8 @@ def cmd_validate(cfg: RunConfig, out_dir: Path) -> int:
         k_index=cfg.validate_k_index,
         contrast=cfg.contrast,
         tol=cfg.tol_linear,
+        eigen_tol=cfg.tol_eigen,
+        seed=cfg.seed,
     )
     payload = _meta(cfg, geom)
     payload["report"] = report.to_dict()

@@ -9,7 +9,7 @@ a bound the library's output must obey.  Tests import them as
 import numpy as np
 from scipy.linalg import eigvalsh
 
-from hcbloch.bloch import BlochAssembly, ThetaGrid
+from hcbloch.bloch import BlochAssembly
 from hcbloch.geometry import MATRIX, CellGeometry, Grid, classify_nodes
 from hcbloch.operators import as_quasi_momentum, eigensolve, full_stiffness, restrict_to
 from hcbloch.validation import EpsProblem, EpsSolution, _axis_waves, _cell_coefficient, _outer
@@ -40,9 +40,8 @@ def dirichlet_baseline(
     return vals
 
 
-def adjacent_pairs(tgrid: ThetaGrid):
-    """Pairs of theta grid points differing by one step in one component."""
-    g = tgrid.g
+def adjacent_pairs(g: int):
+    """Pairs of points of ``theta_grid(g)`` differing by one step in one component."""
     step = 2.0 * np.pi / g
     pairs = []
     for idx in np.ndindex(g, g, g):

@@ -12,9 +12,9 @@ import pytest
 from hcbloch.beta import pure_bloch_bands, solve_lifts, spatial_points, spatial_spectrum
 from hcbloch.bloch import (
     BlochDecomposition,
-    ThetaGrid,
     assemble_bloch,
     bloch_eigs,
+    theta_grid,
     theta_sweep,
 )
 from hcbloch.cell import effective_tensor, solve_cell_problem
@@ -36,7 +36,7 @@ def fiber16(single_fiber):
 
 @pytest.fixture(scope="module")
 def sweep16(fiber16):
-    return theta_sweep(fiber16, ThetaGrid(4).points, m_max=10, threads=2)
+    return theta_sweep(fiber16, theta_grid(4), m_max=10, threads=2)
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +120,7 @@ def test_criterion_3_lipschitz_bound(sweep16, fiber16):
     t0 = time.perf_counter()
     slack = 10.0 * fiber16.h**2
     worst = -np.inf
-    for t1, t2 in adjacent_pairs(ThetaGrid(4)):
+    for t1, t2 in adjacent_pairs(4):
         l1 = sweep16[t1].eigenvalues[:5]
         l2 = sweep16[t2].eigenvalues[:5]
         dist = float(np.linalg.norm(np.asarray(t1) - np.asarray(t2)))
@@ -146,8 +146,8 @@ def test_criterion_5_double_porosity_regression(inclusion):
     d1 = bloch_eigs(assemble_bloch(grid, (np.pi / 2, np.pi, 4.5)), m_max=8)
     d2 = bloch_eigs(assemble_bloch(grid, (np.pi, np.pi / 3, 1.1)), m_max=8)
     diff = float(np.abs(d1.eigenvalues - d2.eigenvalues).max())
-    sweep = theta_sweep(grid, ThetaGrid(2).points, m_max=8)
-    width = max(b.hi - b.lo for b in pure_bloch_bands(sweep).branch_intervals)
+    sweep = theta_sweep(grid, theta_grid(2), m_max=8)
+    width = max(b.hi - b.lo for b in pure_bloch_bands(sweep, 100.0).branch_intervals)
     report(5, diff <= 1e-12 and width <= 1e-12, f"list diff={diff:.2e}, band width={width:.2e}")
 
 
@@ -218,7 +218,7 @@ def test_criterion_8_spatial_certification(fiber16, deep_modes):
         dec = truncate(dec_all, m)
         lifts = solve_lifts(asm, dec)
         beta = lifts
-        roots[m] = spatial_spectrum(beta, a_hom, k_modes, window)
+        roots[m] = spatial_spectrum(beta, a_hom, k_modes, window[1])
 
     beta320 = solve_lifts(asm, truncate(dec_all, 320))
 
@@ -261,7 +261,7 @@ def test_criterion_9_zero_map_rule(fiber16):
     asm = assemble_bloch(fiber16, theta)
     dec = bloch_eigs(asm, m_max=4)
     a_hom = effective_tensor([solve_cell_problem(fiber16, 1)])
-    pts = spatial_points(dec, a_hom, [(1, 0, 0)], (0.0, 60.0))
+    pts = spatial_points(dec, a_hom, [(1, 0, 0)], 60.0)
     raised = False
     try:
         solve_lifts(asm, dec)

@@ -11,7 +11,7 @@ from hcbloch.beta import (
     spatial_points,
     spatial_spectrum,
 )
-from hcbloch.bloch import ThetaGrid, assemble_bloch, bloch_eigs, theta_sweep
+from hcbloch.bloch import assemble_bloch, bloch_eigs, theta_grid, theta_sweep
 from hcbloch.cell import effective_tensor, solve_cell_problem
 from hcbloch.errors import ConvergenceError, EmptyActiveSetError, PoleProximityError
 from hcbloch.geometry import classify_nodes
@@ -188,7 +188,7 @@ def test_spatial_roots_match_bordered_pencil(geom_name, theta, k, request):
     often as it is a pencil eigenvalue."""
     geom = request.getfixturevalue(geom_name)
     grid, asm, dec, beta, a_hom, window = all_modes_setup(geom, theta)
-    roots = spatial_spectrum(beta, a_hom, [k], window)
+    roots = spatial_spectrum(beta, a_hom, [k], window[1])
     assert roots, "expected at least one secular root in the window"
 
     pencil = bordered_pencil(grid, asm, a_hom, beta.active, k)
@@ -207,7 +207,7 @@ def test_spatial_roots_match_bordered_pencil(geom_name, theta, k, request):
 def test_double_root_brackets_gain_two_negative_eigenvalues(two_fiber):
     _, theta, k = DOUBLE_ROOTS
     grid, asm, dec, beta, a_hom, window = all_modes_setup(two_fiber, theta)
-    roots = spatial_spectrum(beta, a_hom, [k], window)
+    roots = spatial_spectrum(beta, a_hom, [k], window[1])
     assert len(roots) == 6
     for r in roots:
         lo, hi = r.bracket
@@ -223,7 +223,7 @@ def test_uncertified_root_raises(lift_setup, monkeypatch):
     beta = lifts
     a_hom = effective_tensor([solve_cell_problem(grid, 1)])
     window = (0.0, 0.98 * float(dec.eigenvalues[-1]))
-    roots = spatial_spectrum(beta, a_hom, [(1, 0, 0)], window)
+    roots = spatial_spectrum(beta, a_hom, [(1, 0, 0)], window[1])
     target = roots[0].lam
     mu1 = float(dec.eigenvalues[0])
     assert np.min(np.abs(beta.poles - target)) > 10 * beta.pole_guard_width(1e-6)
@@ -237,7 +237,7 @@ def test_uncertified_root_raises(lift_setup, monkeypatch):
 
     monkeypatch.setattr(hcbloch.beta, "eigh", moved_eigh)
     with pytest.raises(ConvergenceError):
-        spatial_spectrum(beta, a_hom, [(1, 0, 0)], window)
+        spatial_spectrum(beta, a_hom, [(1, 0, 0)], window[1])
 
 
 def test_root_certification_and_scan_oracle(lift_setup):
@@ -248,7 +248,7 @@ def test_root_certification_and_scan_oracle(lift_setup):
     a_hom = effective_tensor([solve_cell_problem(grid, 1)])
     window = (0.0, float(dec.eigenvalues[5] * 0.98))
     k = (2, 0, 0)
-    roots = spatial_spectrum(beta, a_hom, [k], window)
+    roots = spatial_spectrum(beta, a_hom, [k], window[1])
     mu1 = float(dec.eigenvalues[0])
     kk = 2 * np.pi * np.array([2, 0, 0], dtype=float)
 
@@ -284,7 +284,7 @@ def test_spatial_zero_map(single_fiber):
     theta = (np.pi, np.pi / 2, np.pi / 2)
     dec = bloch_eigs(assemble_bloch(grid, theta), m_max=4)
     a_hom = effective_tensor([solve_cell_problem(grid, 1)])
-    pts = spatial_points(dec, a_hom, [(1, 0, 0)], (0.0, 50.0))
+    pts = spatial_points(dec, a_hom, [(1, 0, 0)], 50.0)
     assert pts == []
 
 
@@ -294,23 +294,23 @@ def test_spatial_points_need_lifts_at_active_theta(single_fiber):
     dec = bloch_eigs(assemble_bloch(grid, theta), m_max=4)
     a_hom = effective_tensor([solve_cell_problem(grid, 1)])
     with pytest.raises(ValueError, match="lift_tol"):
-        spatial_points(dec, a_hom, [(1, 0, 0)], (0.0, 50.0))
+        spatial_points(dec, a_hom, [(1, 0, 0)], 50.0)
 
 
 def test_bands_single_point_sweep(single_fiber):
     grid = classify_nodes(single_fiber, 8)
     dec = bloch_eigs(assemble_bloch(grid, (0.0, 0.0, 0.0)), m_max=4)
-    structure = pure_bloch_bands({(0.0, 0.0, 0.0): dec})
+    structure = pure_bloch_bands({(0.0, 0.0, 0.0): dec}, dec.eigenvalues[-1])
     for band in structure.branch_intervals:
         assert band.lo == band.hi
 
 
 def test_bands_monotone_under_refinement(single_fiber):
     grid = classify_nodes(single_fiber, 8)
-    s2 = theta_sweep(grid, ThetaGrid(2).points, m_max=4)
-    s4 = theta_sweep(grid, ThetaGrid(4).points, m_max=4)
-    b2 = pure_bloch_bands(s2).branch_intervals
-    b4 = pure_bloch_bands(s4).branch_intervals
+    s2 = theta_sweep(grid, theta_grid(2), m_max=4)
+    s4 = theta_sweep(grid, theta_grid(4), m_max=4)
+    b2 = pure_bloch_bands(s2, 100.0).branch_intervals
+    b4 = pure_bloch_bands(s4, 100.0).branch_intervals
     for band2, band4 in zip(b2, b4):
         assert band4.lo <= band2.lo + 1e-12
         assert band4.hi >= band2.hi - 1e-12
@@ -318,8 +318,8 @@ def test_bands_monotone_under_refinement(single_fiber):
 
 def test_bands_inclusion_degenerate(inclusion):
     grid = classify_nodes(inclusion, 8)
-    sweep = theta_sweep(grid, ThetaGrid(2).points, m_max=4)
-    structure = pure_bloch_bands(sweep)
+    sweep = theta_sweep(grid, theta_grid(2), m_max=4)
+    structure = pure_bloch_bands(sweep, max(dec.eigenvalues[-1] for dec in sweep.values()))
     for band in structure.branch_intervals:
         assert band.hi - band.lo <= 1e-12
     assert structure.gaps  # isolated resonances leave gaps in the window
@@ -344,7 +344,7 @@ def test_band_merging_and_gaps():
         (0.0, 0.0, 0.0): dec((0.0, 0.0, 0.0), [1.0, 2.0, 3.0, 6.0]),
         (np.pi, 0.0, 0.0): dec((np.pi, 0.0, 0.0), [2.5, 3.0, 3.0, 7.0]),
     }
-    structure = pure_bloch_bands(sweep, window=(0.0, 8.0))
+    structure = pure_bloch_bands(sweep, 8.0)
     assert structure.branch_intervals[2].theta_at_hi == (0.0, 0.0, 0.0)
     # branches [1,2.5], [2,3] and [3,3] merge; [6,7] stays
     assert len(structure.bands) == 2
@@ -368,7 +368,7 @@ def test_band_extreme_ties_go_to_the_first_theta():
         first: SimpleNamespace(m_max=2, eigenvalues=np.array([1.0, 5.0])),
         later: SimpleNamespace(m_max=2, eigenvalues=np.array([top, bottom])),
     }
-    low, high = pure_bloch_bands(sweep).branch_intervals
+    low, high = pure_bloch_bands(sweep, 6.0).branch_intervals
     assert (low.hi, low.theta_at_hi) == (top, first)
     assert (high.lo, high.theta_at_lo) == (bottom, first)
 
@@ -491,7 +491,7 @@ def test_off_poles_is_the_one_pole_test(lift_setup):
 
     a_hom = effective_tensor([solve_cell_problem(grid, 1)])
     window = (0.0, 0.98 * float(dec.eigenvalues[-1]))
-    roots = spatial_spectrum(beta, a_hom, [(0, 0, 0), (1, 0, 0), (2, 0, 0)], window)
+    roots = spatial_spectrum(beta, a_hom, [(0, 0, 0), (1, 0, 0), (2, 0, 0)], window[1])
     assert roots
     assert all(beta.off_poles(r.bracket).all() for r in roots)
 
@@ -507,7 +507,7 @@ def test_pencil_roots_match_scalar_scan_oracle(lift_setup, two_fiber_setup):
                                      (theta2, dec2, lifts2, a_hom2)):
         beta = lifts
         window = (0.0, 0.98 * float(dec.eigenvalues[-1]))
-        roots = spatial_spectrum(beta, a_hom, k_modes, window)
+        roots = spatial_spectrum(beta, a_hom, k_modes, window[1])
         assert roots
         oracle = scalar_scan_spatial_spectrum(beta, a_hom, k_modes, window)
         for z in k_modes:
@@ -541,7 +541,7 @@ def test_sweep_with_lifts_factors_once_per_theta(single_fiber, sparse_eigensolve
     monkeypatch.setattr(arpack, "splu", counting_splu)
     monkeypatch.setattr(hcbloch.beta, "linear_solve", counting_linear_solve)
     grid = classify_nodes(single_fiber, 8)
-    sweep = theta_sweep(grid, ThetaGrid(2).points, m_max=4, lift_tol=1e-10)
+    sweep = theta_sweep(grid, theta_grid(2), m_max=4, lift_tol=1e-10)
     active = [t for t in sweep if t[0] == 0.0]
     assert calls == {"splu": len(sweep), "linear_solve": len(active)}
     assert all((sweep[t].beta is not None) == (t in active) for t in sweep)
@@ -549,7 +549,7 @@ def test_sweep_with_lifts_factors_once_per_theta(single_fiber, sparse_eigensolve
 
 def test_sweep_lifts_match_standalone_solve(two_fiber, sparse_eigensolver):
     grid = classify_nodes(two_fiber, 8)
-    sweep = theta_sweep(grid, ThetaGrid(2).points, m_max=4, lift_tol=1e-10, threads=2)
+    sweep = theta_sweep(grid, theta_grid(2), m_max=4, lift_tol=1e-10, threads=2)
     checked = 0
     for dec in sweep.values():
         if dec.beta is None:
@@ -583,7 +583,7 @@ def test_zero_root_exact_at_theta_zero(geom_name, request):
     a_hom = effective_tensor([solve_cell_problem(grid, axis) for axis in geom.active_axes])
     k_modes = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
     window = (0.0, 0.98 * float(dec.eigenvalues[-1]))
-    roots = spatial_spectrum(beta, a_hom, k_modes, window)
+    roots = spatial_spectrum(beta, a_hom, k_modes, window[1])
 
     for z in k_modes:
         zero = [r for r in roots if r.k_index == z and r.lam == 0.0]
@@ -603,7 +603,7 @@ def test_zero_root_exact_at_theta_zero(geom_name, request):
     for sign in (1.0, -1.0):
         perturbed = replace(beta, flux_gram=beta.flux_gram + sign * shift * ones)
         signs.add(np.sign(np.linalg.det(-perturbed(0.0)).real))
-        moved = spatial_spectrum(perturbed, a_hom, k_modes, window)
+        moved = spatial_spectrum(perturbed, a_hom, k_modes, window[1])
         assert [(r.k_index, r.lam == 0.0) for r in moved] == [(r.k_index, r.lam == 0.0) for r in roots]
         assert np.allclose([r.lam for r in moved], [r.lam for r in roots], rtol=1e-9, atol=0.0)
     assert signs == {1.0, -1.0}

@@ -1,12 +1,15 @@
 import dataclasses
 import multiprocessing
+import os
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 import hcbloch.bloch
 from conftest import dirichlet_chain_lowest
-from hcbloch.bloch import ThetaGrid, assemble_bloch, bloch_eigs, theta_sweep
+from hcbloch.bloch import assemble_bloch, bloch_eigs, theta_grid, theta_sweep
 from hcbloch.errors import ConvergenceError, HcBlochError, SingularSystemError
 from hcbloch.geometry import CellGeometry, build_geometry, classify_nodes
 from oracles import adjacent_pairs, dense_border, dirichlet_baseline
@@ -85,8 +88,7 @@ def test_dirichlet_cube_continuum_limit():
 
 
 def test_theta_grid_contents():
-    tg = ThetaGrid(4)
-    pts = tg.points
+    pts = theta_grid(4)
     assert len(pts) == 64
     assert pts[0].theta == (0.0, 0.0, 0.0)
     step = np.pi / 2
@@ -94,23 +96,28 @@ def test_theta_grid_contents():
         p.theta[0] == 0.0 and p.theta[1] != 0.0 and p.theta[2] != 0.0 for p in pts
     )
     assert has_axis_zero
-    assert len(adjacent_pairs(tg)) == 3 * 4 * 4 * 3  # 3 directions, 3 steps each line
+    assert len(adjacent_pairs(4)) == 3 * 4 * 4 * 3  # 3 directions, 3 steps each line
+
+
+def test_theta_grid_needs_a_point():
+    with pytest.raises(ValueError, match="g >= 1"):
+        theta_grid(0)
 
 
 def test_sweep_deterministic_and_parallel(single_fiber, two_fiber):
     """Worker processes return the serial sweep bit for bit, coupling
     matrices included; 16 workers are capped at the 8 thetas."""
     grid = classify_nodes(single_fiber, 8)
-    tg = ThetaGrid(2)
-    s1 = theta_sweep(grid, tg.points, m_max=3, threads=1)
-    s2 = theta_sweep(grid, tg.points, m_max=3, threads=4)
+    tg = theta_grid(2)
+    s1 = theta_sweep(grid, tg, m_max=3, threads=1)
+    s2 = theta_sweep(grid, tg, m_max=3, threads=4)
     assert list(s1) == sorted(s1)
     assert list(s1) == list(s2)
     for t in s1:
         assert np.array_equal(s1[t].eigenvalues, s2[t].eigenvalues)
 
     grid = classify_nodes(two_fiber, 8)
-    serial, *parallel = [theta_sweep(grid, tg.points, m_max=4, lift_tol=1e-10, threads=threads)
+    serial, *parallel = [theta_sweep(grid, tg, m_max=4, lift_tol=1e-10, threads=threads)
                          for threads in (1, 2, 16)]
     assert sum(dec.beta is not None for dec in serial.values()) == 6
     for sweep in parallel:
@@ -135,7 +142,7 @@ def test_sweep_failures_aggregated(single_fiber, monkeypatch, threads):
     """A theta whose eigensolve fails is named in one ConvergenceError, in
     the serial loop and from a worker process alike, and no worker is left."""
     grid = classify_nodes(single_fiber, 8)
-    bad = ThetaGrid(2).points[2].theta  # (0, pi, 0)
+    bad = theta_grid(2)[2].theta  # (0, pi, 0)
     target = assemble_bloch(grid, bad).interior
     eigensolve = hcbloch.bloch.eigensolve
 
@@ -146,7 +153,7 @@ def test_sweep_failures_aggregated(single_fiber, monkeypatch, threads):
 
     monkeypatch.setattr(hcbloch.bloch, "eigensolve", failing)
     with pytest.raises(ConvergenceError) as info:
-        theta_sweep(grid, ThetaGrid(2).points, m_max=3, threads=threads)
+        theta_sweep(grid, theta_grid(2), m_max=3, threads=threads)
     message = str(info.value)
     assert message.startswith("theta sweep failed at 1 point(s): ")
     assert message.count("theta=") == 1
@@ -162,7 +169,7 @@ def test_sweep_failure_keeps_its_type(single_fiber, monkeypatch, kinds, raised):
     """Failures of one HcBlochError type are aggregated into that type, and
     failures of several types into HcBlochError, from worker processes too."""
     grid = classify_nodes(single_fiber, 8)
-    points = ThetaGrid(2).points
+    points = theta_grid(2)
     targets = [(assemble_bloch(grid, points[i]).interior, kind) for i, kind in kinds.items()]
     eigensolve = hcbloch.bloch.eigensolve
 
@@ -180,9 +187,40 @@ def test_sweep_failure_keeps_its_type(single_fiber, monkeypatch, kinds, raised):
     assert multiprocessing.active_children() == []
 
 
+def test_sweep_program_fault_cancels_the_queued_thetas(single_fiber, monkeypatch):
+    """An exception outside HcBlochError cancels the thetas not yet handed
+    to a worker: of a 64-theta sweep only the running and queued ones
+    start (3 * workers + 1 on this schedule), and no worker is left."""
+    grid = classify_nodes(single_fiber, 8)
+    started = multiprocessing.get_context("fork").Value("i", 0)
+
+    def faulty(*args, **kwargs):
+        with started.get_lock():
+            started.value += 1
+        time.sleep(0.3)
+        raise TypeError("unexpected argument")
+
+    monkeypatch.setattr(hcbloch.bloch, "eigensolve", faulty)
+    workers = 2
+    with pytest.raises(TypeError, match="unexpected argument"):
+        theta_sweep(grid, theta_grid(4), m_max=3, threads=workers)
+    assert started.value <= 4 * workers
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_worker_death_raises(single_fiber, monkeypatch):
+    """A worker that dies without an exception (killed by a signal, say)
+    breaks the sweep at once instead of losing its theta."""
+    grid = classify_nodes(single_fiber, 8)
+    monkeypatch.setattr(hcbloch.bloch, "eigensolve", lambda *args, **kwargs: os._exit(1))
+    with pytest.raises(BrokenProcessPool):
+        theta_sweep(grid, theta_grid(2), m_max=3, threads=2)
+    assert multiprocessing.active_children() == []
+
+
 def test_sweep_conjugation_symmetry(single_fiber):
     grid = classify_nodes(single_fiber, 8)
-    sweep = theta_sweep(grid, ThetaGrid(4).points, m_max=4)
+    sweep = theta_sweep(grid, theta_grid(4), m_max=4)
     for t in sweep:
         t_conj = tuple((-v) % (2 * np.pi) for v in t)
         assert np.abs(sweep[t].eigenvalues - sweep[t_conj].eigenvalues).max() < 1e-9
@@ -190,7 +228,7 @@ def test_sweep_conjugation_symmetry(single_fiber):
 
 def test_sweep_inclusion_all_nonzero_identical(inclusion):
     grid = classify_nodes(inclusion, 8)
-    sweep = theta_sweep(grid, ThetaGrid(2).points, m_max=4)
+    sweep = theta_sweep(grid, theta_grid(2), m_max=4)
     nonzero = [t for t in sweep if t != (0.0, 0.0, 0.0)]
     ref = sweep[nonzero[0]].eigenvalues
     for t in nonzero[1:]:
@@ -199,11 +237,10 @@ def test_sweep_inclusion_all_nonzero_identical(inclusion):
 
 def test_lipschitz_bound_small(single_fiber):
     grid = classify_nodes(single_fiber, 8)
-    tg = ThetaGrid(3)
-    sweep = theta_sweep(grid, tg.points, m_max=5)
+    sweep = theta_sweep(grid, theta_grid(3), m_max=5)
     a0_sup = 1.0
     slack = 10.0 * grid.h**2
-    for t1, t2 in adjacent_pairs(tg):
+    for t1, t2 in adjacent_pairs(3):
         l1, l2 = sweep[t1].eigenvalues, sweep[t2].eigenvalues
         dist = np.linalg.norm(np.asarray(t1) - np.asarray(t2))
         bound = np.sqrt(a0_sup) * dist * (l1 + l2) + slack
@@ -212,7 +249,7 @@ def test_lipschitz_bound_small(single_fiber):
 
 def test_min_max_ordering(single_fiber):
     grid = classify_nodes(single_fiber, 8)
-    sweep = theta_sweep(grid, ThetaGrid(2).points, m_max=6)
+    sweep = theta_sweep(grid, theta_grid(2), m_max=6)
     for dec in sweep.values():
         assert np.all(np.diff(dec.eigenvalues) >= -1e-12)
 

@@ -437,6 +437,33 @@ def test_cli_validate_eps_override(tmp_path):
     assert rc in (0, 1)  # single-eps run may fail the final-threshold gate
 
 
+def test_cli_validate_probe_mode_uses_eigen_tol_and_seed(tmp_path, monkeypatch):
+    """The Bloch probe of `validate` is solved at tolerances.eigen and the run's seed."""
+    import inspect
+
+    import hcbloch.validation
+
+    calls = []
+    bloch_eigs = hcbloch.validation.bloch_eigs
+
+    def spy(*args, **kwargs):
+        bound = inspect.signature(bloch_eigs).bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append((bound.arguments["tol"], bound.arguments["seed"]))
+        return bloch_eigs(*args, **kwargs)
+
+    monkeypatch.setattr(hcbloch.validation, "bloch_eigs", spy)
+    cfg_text = (
+        MINIMAL.replace("n: 16", "n: 8")
+        + "validate:\n  p: 8\ntolerances:\n  eigen: 1.0e-9\n"
+        + "output:\n  dir: %s\n" % (tmp_path / "out")
+    )
+    path = tmp_path / "c.yml"
+    path.write_text(cfg_text)
+    main(["validate", "--config", str(path), "--eps", "4", "--seed", "7"])
+    assert calls == [(1e-9, 7)]
+
+
 def test_cli_unreadable_config_exit2(tmp_path, capsys):
     rc = main(["cell", "--config", str(tmp_path / "missing.yml")])
     assert rc == 2

@@ -18,11 +18,13 @@ import hcbloch
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG = ROOT / "configs" / "two_fibers.yml"
 
-# every name `from hcbloch import X` resolved to before the exports became lazy
+# every name `from hcbloch import X` resolved to before the exports became lazy, with
+# the theta grid now a function
 EXPORTED = {
     "BandStructure", "BetaMatrix", "SpatialRoot", "pure_bloch_bands", "solve_lifts",
-    "spatial_points", "spatial_spectrum", "BlochDecomposition", "ThetaGrid", "assemble_bloch",
-    "bloch_eigs", "theta_sweep", "CellSolution", "effective_tensor", "solve_cell_problem",
+    "spatial_points", "spatial_spectrum", "BlochDecomposition", "assemble_bloch",
+    "bloch_eigs", "theta_grid", "theta_sweep", "CellSolution", "effective_tensor",
+    "solve_cell_problem",
     "RunConfig", "parse_config", "CoefficientError", "ContainmentError", "ConvergenceError",
     "EmptyActiveSetError", "EmptyDomainError", "HcBlochError", "OverlapError", "ParseError",
     "PoleProximityError", "ResolutionError", "SingularSystemError", "ValidationError",

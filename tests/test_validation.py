@@ -188,7 +188,6 @@ def test_homogenized_inactive_fibers_dirichlet(single_fiber):
     g[grid.stiff_mask] = 0.0
     theta = (np.pi, np.pi / 2, np.pi)
     hom = solve_homogenized(assemble_bloch(grid, theta), k_index=(0, 0, 0), g_cell=g)
-    assert hom.w_fiber == {}
     full = full_stiffness(8, grid.a0_field(), theta)
     dofs = np.flatnonzero(grid.matrix_mask.ravel())
     sub = full[dofs][:, dofs] + grid.h**3 * sp.identity(dofs.size)
