@@ -5,6 +5,11 @@ soft-phase node values with zero trace on the stiff closures and
 theta-quasi-periodic wrap across the cell faces.  Its lowest eigenpairs
 are positive (the stiff regions act as Dirichlet anchors) and ordered by
 the min-max principle.
+
+Where the grid has a mirror on axis j (``Grid.mirrors``) and theta_j is 0
+or pi, the mirror commutes with the operator.  The r such mirrors split it
+into 2^r blocks of about dim / 2^r, each factored and eigensolved on its
+own; a theta or a grid with no such mirror is the one-block case.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
+from itertools import product
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -22,7 +28,9 @@ from .errors import HcBlochError
 from .geometry import Grid
 from .operators import (
     QuasiMomentum,
+    _fix_phases,
     as_quasi_momentum,
+    check_residuals,
     eigen_method,
     eigensolve,
     factorize,
@@ -44,13 +52,26 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class SectorFactor:
+    """One SuperLU per sector block, solving the whole operator: A^-1 = sum_s Q_s B_s^-1 Q_s^T."""
+
+    sectors: list[sp.csc_matrix]
+    lus: list[spla.SuperLU]
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return sum(Q @ lu.solve(Q.T @ rhs) for Q, lu in zip(self.sectors, self.lus))
+
+
+@dataclass(frozen=True)
 class BlochAssembly:
     """Discrete Bloch operator context at one quasi-momentum.
 
     ``full`` is the unrestricted cell stiffness (all n^3 nodes) and
-    ``interior`` its restriction to the soft-phase DOFs.  ``factor``, the
-    sparse LU of ``interior``, is computed on first use and shared by the
-    eigensolve and the lift solve.
+    ``interior`` its restriction to the soft-phase DOFs.  ``mirrors`` holds the
+    (axis, center) of each grid mirror with theta_axis 0 or pi, ``sectors`` one
+    orthonormal real basis Q_s per character of their group (a +-1/sqrt(|orbit|)
+    column per node orbit), ``blocks`` the Q_s^T interior Q_s and ``factor`` one
+    sparse LU per block, made on first use and shared by eigensolve and lifts.
 
     The border Z spans the fields of the limit operator at theta: free on
     the soft phase, constant on each ``active`` fiber (theta_i = 0), zero
@@ -66,6 +87,7 @@ class BlochAssembly:
     full: sp.csr_matrix = field(repr=False)
     interior: sp.csr_matrix = field(repr=False)
     dofs: np.ndarray = field(repr=False)
+    mirrors: tuple[tuple[int, int], ...] = ()
 
     @property
     def h(self) -> float:
@@ -76,8 +98,16 @@ class BlochAssembly:
         return self.interior.shape[0]
 
     @cached_property
-    def factor(self) -> spla.SuperLU:
-        return factorize(self.interior)
+    def sectors(self) -> list[sp.csc_matrix]:
+        return _sector_bases(self.grid.n, self.dofs, self.mirrors, self.theta)
+
+    @cached_property
+    def blocks(self) -> list[sp.csr_matrix]:
+        return [(Q.T @ self.interior @ Q).tocsr() for Q in self.sectors]
+
+    @cached_property
+    def factor(self) -> SectorFactor:
+        return SectorFactor(self.sectors, [factorize(B) for B in self.blocks])
 
     @cached_property
     def active(self) -> tuple[int, ...]:
@@ -106,7 +136,43 @@ def assemble_bloch(grid: Grid, theta) -> BlochAssembly:
     qm = as_quasi_momentum(theta)
     full = full_stiffness(grid.n, grid.a0_field(), qm)
     interior, dofs = restrict_to(full, grid.matrix_mask)
-    return BlochAssembly(grid=grid, theta=qm, full=full, interior=interior, dofs=dofs)
+    mirrors = tuple((j, c) for j, c in enumerate(grid.mirrors)
+                    if c is not None and qm.theta[j] in (0.0, np.pi))
+    return BlochAssembly(grid, qm, full, interior, dofs, mirrors)
+
+
+def _sector_bases(n: int, dofs: np.ndarray, mirrors, qm: QuasiMomentum) -> list[sp.csc_matrix]:
+    """Orthonormal bases of the sectors: mirror (j, c) maps k_j to (c - k_j) mod n,
+    with the factor exp(i theta_j) = +-1 where c - k_j < 0 wraps.  Sector x (a
+    bitmask over the mirrors) is the range of P_x = 2^-r sum_g chi_x(g) R_g, spanned
+    by P_x e_i over each orbit's least DOF i.  Empty sectors are left out."""
+    dim, r = dofs.size, len(mirrors)
+    where = np.full(n**3, -1)
+    where[dofs] = np.arange(dim)
+    images, signs = [], []
+    for g in range(2**r):
+        coords, sign = list(np.unravel_index(dofs, (n, n, n))), np.ones(dim)
+        for b, (axis, c) in enumerate(mirrors):
+            if g >> b & 1:
+                sign[(coords[axis] > c) & (qm.theta[axis] == np.pi)] *= -1
+                coords[axis] = (c - coords[axis]) % n
+        images.append(where[np.ravel_multi_index(coords, (n, n, n))])
+        signs.append(sign)
+    images, signs = np.array(images), np.array(signs)
+    reps = np.flatnonzero(images.min(axis=0) == np.arange(dim))
+    bases = []
+    for x in range(2**r):
+        chi = np.array([(-1) ** bin(g & x).count("1") for g in range(2**r)])
+        P = sp.csc_matrix(((chi[:, None] * signs[:, reps]).ravel(),
+                           (images[:, reps].ravel(), np.tile(np.arange(reps.size), 2**r))),
+                          shape=(dim, reps.size))
+        P.eliminate_zeros()
+        P = P[:, np.flatnonzero(np.diff(P.indptr))]
+        orbit = np.diff(P.indptr)
+        P.data = np.sign(P.data) / np.sqrt(np.repeat(orbit, orbit))
+        if P.shape[1]:
+            bases.append(P)
+    return bases
 
 
 @dataclass(frozen=True)
@@ -142,22 +208,33 @@ def bloch_eigs(
 ) -> BlochDecomposition:
     """Lowest m_max eigenpairs of the Bloch operator assembled in ``asm``.
 
+    Each block gives its lowest min(m_max, block dim) eigenpairs by the path
+    ``eigen_method`` picks, the m_max lowest of all are kept (stable sort),
+    and their vectors, mapped back and phase-fixed as ``eigensolve`` does,
+    are checked against the whole interior operator at ``tol``.
+
     With ``lift_tol`` set and a fiber axis active at the theta of ``asm``,
     the harmonic lifts are solved too and their coupling matrix attached as
-    ``beta``; the eigensolve and the lifts share one factorization of the
-    interior operator.
+    ``beta``; the eigensolve and the lifts share the block factors.
     """
-    sparse = eigen_method(asm.dim, m_max) == "sparse"
-    vals, vectors, res = eigensolve(
-        asm.interior, asm.h**3, m_max=m_max, tol=tol, seed=seed,
-        factor=asm.factor if sparse else None,
-    )
+    if m_max > asm.dim:
+        raise ValueError(f"m_max={m_max} exceeds operator dimension {asm.dim}")
+    h3, vals, vectors = asm.h**3, [], []
+    for s, (Q, B) in enumerate(zip(asm.sectors, asm.blocks)):
+        k = min(m_max, B.shape[0])
+        lu = asm.factor.lus[s] if eigen_method(B.shape[0], k) == "sparse" else None
+        mu, w, _ = eigensolve(B, h3, m_max=k, tol=tol, seed=seed, factor=lu)
+        vals.append(mu)
+        vectors.append(Q @ w)
+    vals = np.concatenate(vals)
+    keep = np.argsort(vals, kind="stable")[:m_max]
+    vals, vectors = vals[keep], _fix_phases(np.hstack(vectors)[:, keep])
     dec = BlochDecomposition(
         theta=asm.theta,
         active=asm.active,
         eigenvalues=vals,
         vectors=vectors,
-        residuals=res,
+        residuals=check_residuals(asm.interior, h3, vals, vectors, tol),
     )
     if lift_tol is None or not dec.active:
         return dec
@@ -176,12 +253,7 @@ def theta_grid(g: int) -> list[QuasiMomentum]:
         raise ValueError("theta grid needs g >= 1")
     step = 2.0 * np.pi / g
     vals = [k * step for k in range(g)]
-    return [
-        QuasiMomentum((t1, t2, t3))
-        for t1 in vals
-        for t2 in vals
-        for t3 in vals
-    ]
+    return [QuasiMomentum(t) for t in product(vals, repeat=3)]
 
 
 def theta_sweep(
@@ -205,11 +277,12 @@ def theta_sweep(
     naming each theta: of their common type, else HcBlochError.  Any other
     exception propagates as it is, and a worker that dies raises
     BrokenProcessPool.  ``lift_tol`` attaches the coupling matrix as in
-    ``bloch_eigs``.  Each point's assembly and factorization are dropped
-    when its step ends, so at most ``threads`` factors are alive at once.
+    ``bloch_eigs``.  Each point's assembly and block factors are dropped
+    when its step ends, so at most ``threads`` sets of them are alive at once.
     Every worker has exited when this returns or raises.  Forking is
     safe only from a process that runs no other threads, as the CLI does.
     """
+    grid.mirrors  # a0 and the mirrors, found once here, go to every theta with the grid
     solve = partial(bloch_eigs, m_max=m_max, tol=tol, seed=seed, lift_tol=lift_tol)
     attempt = partial(_attempt, grid, solve)
     workers = min(threads, len(thetas))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -246,7 +247,23 @@ class Grid:
         return vals
 
     def a0_field(self) -> np.ndarray:
-        return self.coefficient_field("a0")
+        """The a0 field, sampled once per grid (read-only)."""
+        return self._a0
+
+    @cached_property
+    def _a0(self) -> np.ndarray:
+        vals = self.coefficient_field("a0")
+        vals.flags.writeable = False
+        return vals
+
+    @cached_property
+    def mirrors(self) -> tuple[int | None, ...]:
+        """Per axis j (0-based), the first c in 0..n-1 such that k_j -> (c - k_j) mod n
+        maps ``node_class`` and the sampled a0 exactly onto themselves, else None."""
+        k, fields = np.arange(self.n), (self.node_class, self._a0)
+        return tuple(next((c for c in range(self.n) if all(
+            np.array_equal(np.take(f, (c - k) % self.n, axis=j), f) for f in fields)), None)
+            for j in range(3))
 
     def a1_field(self) -> np.ndarray:
         return self.coefficient_field("a1")

@@ -28,7 +28,10 @@ from scipy.linalg import eigh
 
 from .errors import ConvergenceError, EmptyDomainError, SingularSystemError
 
-DENSE_EIGEN_CUTOFF = 2048
+# eigen_method: dense eigh is faster for dim <= max(DENSE_MIN_DIM, DENSE_DIM_PER_MODE
+# * m_max), as measured on Bloch sector blocks (BENCH_24_mirror_sectors.json).
+DENSE_MIN_DIM = 240
+DENSE_DIM_PER_MODE = 11
 
 
 @dataclass(frozen=True)
@@ -186,8 +189,13 @@ def _solve(lu: spla.SuperLU, dtype, rhs: np.ndarray) -> np.ndarray:
 
 
 def eigen_method(dim: int, m_max: int) -> str:
-    """The path ``eigensolve`` takes: "dense" for small operators, else "sparse"."""
-    return "dense" if (dim <= DENSE_EIGEN_CUTOFF or m_max >= dim - 1) else "sparse"
+    """The cheaper path for ``eigensolve``, "dense" or "sparse" (ARPACK needs m_max < dim - 1).
+
+    Dense eigh costs ~dim^3 whatever m_max is; ARPACK with its factor ~dim for a few
+    modes, but its 2 m_max + 1 Krylov vectors make it grow as dim m_max^2 and more.
+    """
+    dense = m_max >= dim - 1 or dim <= max(DENSE_MIN_DIM, DENSE_DIM_PER_MODE * m_max)
+    return "dense" if dense else "sparse"
 
 
 def eigensolve(
@@ -227,10 +235,7 @@ def eigensolve(
         lu = factor if factor is not None else factorize(A)
         # B = A / mass, so B^-1 x = mass A^-1 x
         OPinv = spla.LinearOperator(B.shape, matvec=lambda x: mass * lu.solve(x), dtype=B.dtype)
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(dim)
-        if np.iscomplexobj(B):
-            v0 = v0.astype(np.complex128)
+        v0 = np.random.default_rng(seed).standard_normal(dim).astype(B.dtype)
         try:
             vals, w = spla.eigsh(B, k=m_max, sigma=0.0, which="LM", v0=v0, tol=0, OPinv=OPinv)
         except (spla.ArpackNoConvergence, RuntimeError) as exc:
@@ -245,14 +250,16 @@ def eigensolve(
     order = np.argsort(vals)
     vals = np.real(vals[order])
     vectors = _fix_phases(s * w[:, order])  # mass-orthonormal
+    return vals, vectors, check_residuals(A, mass, vals, vectors, tol)
 
-    res = np.empty(m_max)
-    for j in range(m_max):
-        r = A @ vectors[:, j] - vals[j] * (mass * vectors[:, j])
-        res[j] = np.linalg.norm(r)
-        if res[j] > tol * np.linalg.norm(vectors[:, j]):
-            raise ConvergenceError(f"eigenpair {j} residual {res[j]:.3e} above tolerance")
-    return vals, vectors, res
+
+def check_residuals(A: sp.spmatrix, mass: float, vals, vectors: np.ndarray, tol: float):
+    """Residual norms ||A v_j - mu_j mass v_j||; one above tol ||v_j|| raises ConvergenceError."""
+    res = np.linalg.norm(A @ vectors - mass * vectors * vals, axis=0)
+    bad = np.flatnonzero(res > tol * np.linalg.norm(vectors, axis=0))
+    if bad.size:
+        raise ConvergenceError(f"eigenpair {bad[0]} residual {res[bad[0]]:.3e} above tolerance")
+    return res
 
 
 def linear_solve(

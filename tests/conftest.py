@@ -57,7 +57,8 @@ def sparse_eigensolver(monkeypatch):
     """Every eigensolve takes the ARPACK path, however small the operator."""
     import hcbloch.operators
 
-    monkeypatch.setattr(hcbloch.operators, "DENSE_EIGEN_CUTOFF", 0)
+    monkeypatch.setattr(hcbloch.operators, "DENSE_MIN_DIM", 0)
+    monkeypatch.setattr(hcbloch.operators, "DENSE_DIM_PER_MODE", 0)
 
 
 @pytest.fixture(scope="session")

@@ -6,10 +6,13 @@ a bound the library's output must obey.  Tests import them as
 ``from oracles import ...``, the way they import ``conftest`` helpers.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from scipy.linalg import eigvalsh
 
-from hcbloch.bloch import BlochAssembly
+from hcbloch.beta import BetaMatrix, solve_lifts
+from hcbloch.bloch import BlochAssembly, BlochDecomposition
 from hcbloch.geometry import MATRIX, CellGeometry, Grid, classify_nodes
 from hcbloch.operators import as_quasi_momentum, eigensolve, full_stiffness, restrict_to
 from hcbloch.validation import EpsProblem, EpsSolution, _axis_waves, _cell_coefficient, _outer
@@ -38,6 +41,26 @@ def dirichlet_baseline(
     interior, _ = restrict_to(full, grid.matrix_mask & inner)
     vals, _, _ = eigensolve(interior, grid.h**3, m_max=m_max, tol=tol, seed=seed)
     return vals
+
+
+def unsplit_bloch_eigs(asm: BlochAssembly, m_max: int = 10, tol: float = 1e-8,
+                       seed: int = 0) -> BlochDecomposition:
+    """The Bloch eigenpairs of ``asm`` from one eigensolve of the whole
+    interior operator, with no mirror split (one factor on the sparse path)."""
+    vals, vectors, res = eigensolve(asm.interior, asm.h**3, m_max=m_max, tol=tol, seed=seed)
+    return BlochDecomposition(theta=asm.theta, active=asm.active, eigenvalues=vals,
+                              vectors=vectors, residuals=res)
+
+
+def dense_bloch_eigenvalues(asm: BlochAssembly, m_max: int = 10) -> np.ndarray:
+    """The lowest m_max Bloch eigenvalues of ``asm``, from dense eigh of the whole
+    interior operator."""
+    return eigvalsh(asm.interior.toarray() / asm.h**3, subset_by_index=(0, m_max - 1))
+
+
+def unsplit_lifts(asm: BlochAssembly, dec: BlochDecomposition, tol: float = 1e-10) -> BetaMatrix:
+    """The coupling matrix of ``dec``, its lifts solved with one factor of the whole operator."""
+    return solve_lifts(replace(asm, mirrors=()), dec, tol=tol)
 
 
 def adjacent_pairs(g: int):

@@ -46,15 +46,10 @@ def beta_theta():
 
 @pytest.fixture(scope="module")
 def deep_modes(fiber16, beta_theta):
-    """The 320 lowest modes, from dense eigh: a tenth of the operator's spectrum
-    takes ARPACK longer than the dense solve."""
-    import hcbloch.operators
-
+    """The 320 lowest modes: the cost rule sends both blocks (dims 1863 and
+    1449, m_max=320) to dense eigh, where ARPACK would take longer."""
     asm = assemble_bloch(fiber16, beta_theta)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hcbloch.operators, "DENSE_EIGEN_CUTOFF", asm.dim)
-        dec = bloch_eigs(asm, m_max=320)
-    return asm, dec
+    return asm, bloch_eigs(asm, m_max=320)
 
 
 def truncate(dec, m):

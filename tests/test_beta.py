@@ -519,8 +519,8 @@ def test_pencil_roots_match_scalar_scan_oracle(lift_setup, two_fiber_setup):
 
 
 def test_sweep_with_lifts_factors_once_per_theta(single_fiber, sparse_eigensolver, monkeypatch):
-    """One LU per theta serves ARPACK and the lift solve; the lifts still go
-    through hcbloch.beta.linear_solve."""
+    """One LU per sector block serves ARPACK and the lift solve; the lifts
+    still go through hcbloch.beta.linear_solve and add no factor."""
     import scipy.sparse.linalg as spla
     from scipy.sparse.linalg._eigen.arpack import arpack
 
@@ -543,7 +543,9 @@ def test_sweep_with_lifts_factors_once_per_theta(single_fiber, sparse_eigensolve
     grid = classify_nodes(single_fiber, 8)
     sweep = theta_sweep(grid, theta_grid(2), m_max=4, lift_tol=1e-10)
     active = [t for t in sweep if t[0] == 0.0]
-    assert calls == {"splu": len(sweep), "linear_solve": len(active)}
+    blocks = sum(len(assemble_bloch(grid, t).blocks) for t in sweep)
+    assert blocks == 8 * len(sweep)  # three mirrors at every theta of {0, pi}^3
+    assert calls == {"splu": blocks, "linear_solve": len(active)}
     assert all((sweep[t].beta is not None) == (t in active) for t in sweep)
 
 

@@ -4,15 +4,29 @@ import os
 import time
 from concurrent.futures.process import BrokenProcessPool
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import yaml
 
 import hcbloch.bloch
 from conftest import dirichlet_chain_lowest
+from hcbloch.beta import solve_lifts
 from hcbloch.bloch import assemble_bloch, bloch_eigs, theta_grid, theta_sweep
 from hcbloch.errors import ConvergenceError, HcBlochError, SingularSystemError
 from hcbloch.geometry import CellGeometry, build_geometry, classify_nodes
-from oracles import adjacent_pairs, dense_border, dirichlet_baseline
+from oracles import (
+    adjacent_pairs,
+    dense_bloch_eigenvalues,
+    dense_border,
+    dirichlet_baseline,
+    unsplit_bloch_eigs,
+    unsplit_lifts,
+)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_inclusion_theta_independent(inclusion):
@@ -137,17 +151,22 @@ def test_sweep_deterministic_and_parallel(single_fiber, two_fiber):
     assert multiprocessing.active_children() == []
 
 
+def _is_block_of(A, asm) -> bool:
+    """Whether the operator an eigensolve got is one of the sector blocks of ``asm``."""
+    return any(A.shape == B.shape and (A != B).nnz == 0 for B in asm.blocks)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_sweep_failures_aggregated(single_fiber, monkeypatch, threads):
     """A theta whose eigensolve fails is named in one ConvergenceError, in
     the serial loop and from a worker process alike, and no worker is left."""
     grid = classify_nodes(single_fiber, 8)
     bad = theta_grid(2)[2].theta  # (0, pi, 0)
-    target = assemble_bloch(grid, bad).interior
+    target = assemble_bloch(grid, bad)
     eigensolve = hcbloch.bloch.eigensolve
 
     def failing(A, *args, **kwargs):
-        if (A != target).nnz == 0:
+        if _is_block_of(A, target):
             raise ConvergenceError("ARPACK did not converge")
         return eigensolve(A, *args, **kwargs)
 
@@ -170,12 +189,12 @@ def test_sweep_failure_keeps_its_type(single_fiber, monkeypatch, kinds, raised):
     failures of several types into HcBlochError, from worker processes too."""
     grid = classify_nodes(single_fiber, 8)
     points = theta_grid(2)
-    targets = [(assemble_bloch(grid, points[i]).interior, kind) for i, kind in kinds.items()]
+    targets = [(assemble_bloch(grid, points[i]), kind) for i, kind in kinds.items()]
     eigensolve = hcbloch.bloch.eigensolve
 
     def failing(A, *args, **kwargs):
         for target, kind in targets:
-            if (A != target).nnz == 0:
+            if _is_block_of(A, target):
                 raise kind("no solution")
         return eigensolve(A, *args, **kwargs)
 
@@ -288,3 +307,115 @@ def test_border_matches_dense_oracle(geom_name, theta, active, request):
     dense = Z.T @ asm.full.toarray() @ Z
     assert np.abs(asm.bordered.toarray() - dense).max() <= 1e-12 * np.abs(dense).max()
     assert np.array_equal(asm.border_mass, grid.h**3 * Z.sum(axis=0))
+
+
+def _shipped(name: str):
+    return build_geometry(yaml.safe_load((CONFIGS / f"{name}.yml").read_text())["geometry"])
+
+
+def _mirror_operator(asm, axis: int, c: int) -> sp.csr_matrix:
+    """The mirror k_axis -> (c - k_axis) mod n on the soft DOFs, from its
+    definition: (R u)[k] = s_k u[k'], s_k = exp(i theta_axis) = -1 where the
+    image wraps across the cell face (c - k_axis < 0) at theta_axis = pi."""
+    n = asm.grid.n
+    coords = np.unravel_index(asm.dofs, (n, n, n))
+    image = list(coords)
+    image[axis] = (c - coords[axis]) % n
+    sign = np.where((coords[axis] > c) & (asm.theta.theta[axis] == np.pi), -1.0, 1.0)
+    where = np.full(n**3, -1)
+    where[asm.dofs] = np.arange(asm.dim)
+    cols = where[np.ravel_multi_index(image, (n, n, n))]
+    assert cols.min() >= 0
+    return sp.csr_matrix((sign, (np.arange(asm.dim), cols)), shape=(asm.dim, asm.dim))
+
+
+@pytest.mark.parametrize("name, n", [("single_fiber", 10), ("two_fibers", 10),
+                                     ("double_porosity", 8)])
+def test_sectors_match_unsplit_oracle(name, n):
+    """On all 64 g=4 thetas the sector split gives the eigenvalues of dense
+    eigh on the whole operator, orthonormal modes with small residuals on
+    the whole operator, and, from the block factors, the lifts of one
+    factor of the whole operator."""
+    grid = classify_nodes(_shipped(name), n)
+    h3, m, dense = grid.h**3, 10, {}
+    for qm in theta_grid(4):
+        asm = assemble_bloch(grid, qm)
+        steps = tuple(round(t / (np.pi / 2)) for t in qm.theta)
+        conjugate = min(steps, tuple(-k % 4 for k in steps))  # -theta has the same eigenvalues
+        assert [j for j, _ in asm.mirrors] == [j for j in range(3) if qm.theta[j] in (0.0, np.pi)]
+        assert len(asm.blocks) == 2 ** len(asm.mirrors)
+        for axis, c in asm.mirrors:
+            R = _mirror_operator(asm, axis, c)
+            assert abs(R @ asm.interior @ R - asm.interior).max() == 0.0
+        dec = bloch_eigs(asm, m_max=m)
+        if conjugate not in dense:
+            dense[conjugate] = dense_bloch_eigenvalues(asm, m_max=m)
+        ref = dense[conjugate]
+        assert np.abs(dec.eigenvalues - ref).max() <= 1e-12 * ref[-1]
+        V = dec.vectors
+        res = np.linalg.norm(asm.interior @ V - h3 * V * dec.eigenvalues, axis=0)
+        assert np.all(res <= 1e-8 * np.linalg.norm(V, axis=0))
+        assert np.abs(h3 * (V.conj().T @ V) - np.eye(m)).max() < 1e-12
+        if not dec.active:
+            continue
+        got, want = solve_lifts(asm, dec), unsplit_lifts(asm, dec)
+        flux_scale = abs(asm.bordered[asm.dim:, asm.dim:]).max()  # flux_gram is 0 at theta=0
+        assert np.abs(got.flux_gram - want.flux_gram).max() <= 1e-10 * flux_scale
+        assert np.abs(got.mass_gram - want.mass_gram).max() <= 1e-10 * np.abs(want.mass_gram).max()
+        lift_norm = np.sqrt(np.diag(want.mass_gram).real.max())  # bounds every |<b, v_m>|
+        assert np.abs(abs(got.coeffs) - abs(want.coeffs)).max() <= 1e-10 * lift_norm
+
+
+def test_no_mirror_is_one_block_of_the_oracle(single_fiber):
+    """A cell with no mirror solves the whole operator as one block: the
+    unsplit oracle's numbers."""
+    geom = CellGeometry(fibers=single_fiber.fibers,
+                        a0=lambda y1, y2, y3: 1.0 + 0.1 * y1 + 0.2 * y2 + 0.3 * y3)
+    grid = classify_nodes(geom, 8)
+    assert grid.mirrors == (None, None, None)
+    for theta in ((0.0, 0.0, 0.0), (0.0, 0.7, np.pi)):
+        asm = assemble_bloch(grid, theta)
+        assert asm.mirrors == () and len(asm.blocks) == 1
+        dec = bloch_eigs(asm, m_max=6)
+        ref = unsplit_bloch_eigs(asm, m_max=6)
+        assert np.array_equal(dec.eigenvalues, ref.eigenvalues)
+        assert np.abs(dec.vectors - ref.vectors).max() < 1e-12  # the phase fix, once more
+
+
+# The lowest ten Bloch eigenvalues of single_fiber at n=20, theta=(pi, 0, 0),
+# from one dense eigh of the whole interior operator (dim 6380).
+N20_PI00 = np.array([
+    25.239893620079897, 25.239893620079897, 56.151315846938246, 56.15131584693938,
+    69.34549503158556, 69.34549503158556, 69.34549503158556, 69.3454950315867,
+    80.43357533441653, 80.43357533441767,
+])
+
+
+@pytest.fixture(scope="module")
+def asm_n20_pi00(single_fiber):
+    return assemble_bloch(classify_nodes(single_fiber, 20), (np.pi, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_arpack_keeps_every_copy_of_a_multiple_eigenvalue(asm_n20_pi00, seed):
+    """One ARPACK run on the whole operator dropped a copy of the 4-fold
+    69.345 for some seeds and returned 102.585 in its place."""
+    dec = bloch_eigs(asm_n20_pi00, m_max=10, tol=1e-8, seed=seed)
+    assert np.all(np.abs(dec.eigenvalues - N20_PI00) <= 1e-8 * N20_PI00)
+
+
+def test_sweep_samples_a0_once(single_fiber, monkeypatch):
+    """The sweep samples a0 and finds the mirrors once, in the calling
+    process; every worker's theta gets them with the grid."""
+    grid = classify_nodes(single_fiber, 8)
+    samples = multiprocessing.get_context("fork").Value("i", 0)
+    sample = CellGeometry.coefficient_values
+
+    def counting(self, name, *args):
+        with samples.get_lock():
+            samples.value += name == "a0"
+        return sample(self, name, *args)
+
+    monkeypatch.setattr(CellGeometry, "coefficient_values", counting)
+    theta_sweep(grid, theta_grid(2), m_max=3, threads=2)
+    assert samples.value == 1

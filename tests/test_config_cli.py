@@ -360,20 +360,25 @@ def test_cli_beta_csv(tmp_path):
 
 
 def test_cli_beta_factors_once(tmp_path, monkeypatch):
-    """The eigensolve and the lifts of `beta` share one factorization."""
+    """The eigensolve and the lifts of `beta` share one factorization per sector block."""
     import scipy.sparse.linalg as spla
+
+    from hcbloch.bloch import assemble_bloch
+    from hcbloch.geometry import build_geometry, classify_nodes
 
     calls = []
     splu = spla.splu
     monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
-    # n=14 puts the soft-phase operator above the dense cutoff: ARPACK runs
+    # n=14 puts the eight blocks of 163-343 DOFs on both sides of the dense crossover
     cfg_text = MINIMAL.replace("n: 16", "n: 14") + (
         "spectrum:\n  m_max: 4\noutput:\n  dir: %s\n" % (tmp_path / "out")
     )
     path = tmp_path / "c.yml"
     path.write_text(cfg_text)
     assert main(["beta", "--config", str(path), "--theta", "0,3.141592653589793,0"]) == 0
-    assert len(calls) == 1
+    cfg = parse_config_text(cfg_text)
+    grid = classify_nodes(build_geometry(cfg.geometry), cfg.n)
+    assert len(calls) == len(assemble_bloch(grid, (0.0, 3.141592653589793, 0.0)).blocks) == 8
 
 
 def test_cli_beta_inactive_theta_is_an_error(tmp_path, capsys):

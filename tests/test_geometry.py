@@ -1,4 +1,5 @@
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,3 +187,44 @@ def test_grid_carries_its_geometry():
             assert not {"CellGeometry", "Grid"} <= kinds, fn.__qualname__
     names = _annotation_names(hcbloch.beta.spatial_points)
     assert "CellGeometry" not in names.values() and "geom" not in names
+
+
+@pytest.mark.parametrize("name, centers", [
+    ("single_fiber", (0, 0, 0)),
+    ("two_fibers", (8, 8, 8)),
+    ("double_porosity", (0, 0, 0)),
+])
+def test_shipped_configs_find_three_mirrors(name, centers):
+    import yaml
+
+    config = Path(__file__).resolve().parents[1] / "configs" / f"{name}.yml"
+    geom = build_geometry(yaml.safe_load(config.read_text())["geometry"])
+    assert classify_nodes(geom, 16).mirrors == centers
+
+
+def test_off_centre_fiber_loses_its_axis():
+    """Fiber 3 moved along y2 is no longer mirrored with fiber 1 on that axis."""
+    geom = build_geometry({
+        "fibers": [{"axis": 1, "rect": [0.1, 0.4, 0.1, 0.4]},
+                   {"axis": 3, "rect": [0.6, 0.9, 0.5, 0.9]}],
+    })
+    assert classify_nodes(geom, 16).mirrors == (8, None, 8)
+
+
+def test_asymmetric_coefficient_loses_its_axis(single_fiber):
+    from hcbloch.geometry import CellGeometry
+
+    geom = CellGeometry(fibers=single_fiber.fibers, a0=lambda y1, y2, y3: 1.0 + 0.5 * y2)
+    assert classify_nodes(geom, 16).mirrors == (0, None, 0)
+
+
+def test_a0_sampled_once_per_grid(single_fiber, monkeypatch):
+    grid = classify_nodes(single_fiber, 8)
+    calls = []
+    sample = type(single_fiber).coefficient_values
+    monkeypatch.setattr(type(single_fiber), "coefficient_values",
+                        lambda self, *a: calls.append(a[0]) or sample(self, *a))
+    first = grid.a0_field()
+    assert grid.a0_field() is first and not first.flags.writeable
+    grid.mirrors
+    assert calls == ["a0"]
