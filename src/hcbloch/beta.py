@@ -18,12 +18,12 @@ each with an inertia-certified bracket (see spatial_spectrum).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh
 
-from .bloch import BlochAssembly, BlochDecomposition
+from .bloch import BlochAssembly, BlochDecomposition, ThetaRecord
 from .errors import ConvergenceError, EmptyActiveSetError, PoleProximityError
 from .operators import linear_solve
 
@@ -44,9 +44,9 @@ class BetaMatrix:
     """The coupling matrix on the active axes at one theta, from the
     harmonic lifts and the Bloch eigenpairs (built by ``solve_lifts``).
 
-    Row i of ``fields``, ``coeffs`` and ``measures`` belongs to fiber axis
-    active[i].  Besides the mode coefficients it carries the two mode-free
-    Gram matrices of the lifts, flux_gram[i,j] = T_i(b^(j))
+    Row i of ``coeffs`` and ``measures`` belongs to fiber axis active[i]
+    (no array depends on n).  Besides the mode coefficients it carries the
+    two mode-free Gram matrices of the lifts, flux_gram[i,j] = T_i(b^(j))
     (surface flux of lift j through fiber i) and mass_gram[i,j] =
     <b^(j), b^(i)>_{L2(Q_0)}.  These are the exact values of the two
     conditionally convergent constants of the pole series, so the
@@ -67,7 +67,6 @@ class BetaMatrix:
     theta: tuple[float, float, float]
     active: tuple[int, ...]
     poles: np.ndarray  # (m_max,) Bloch eigenvalues, ascending
-    fields: np.ndarray = field(repr=False)  # (n_active, n^3) lifts on the full grid
     coeffs: np.ndarray  # (n_active, m_max) <b, v_m>_{L2(Q_0)}
     measures: np.ndarray  # (n_active,) discrete fiber volumes
     flux_gram: np.ndarray  # T_i(b^(j)), Hermitian
@@ -108,10 +107,13 @@ class BetaMatrix:
         return out + lam * np.diag(self.measures)
 
 
-def solve_lifts(asm: BlochAssembly, bloch: BlochDecomposition, tol: float = 1e-10) -> BetaMatrix:
+def solve_lifts(asm: BlochAssembly, bloch: BlochDecomposition,
+                tol: float = 1e-10) -> tuple[BetaMatrix, np.ndarray]:
     """The coupling matrix at the theta of ``asm`` and ``bloch``: solve the
     lift problem of every active axis with the factor of ``asm`` and expand
-    the lifts in the Bloch modes.
+    the lifts in the Bloch modes.  Returns the matrix and, beside it, the
+    lifts on the full grid, one (n^3,) row per active axis in ``active``
+    order.
 
     Raises EmptyActiveSetError when no fiber axis has theta_i = 0: the
     spatial operator is the zero map there and no lift exists.  A ``bloch``
@@ -138,16 +140,11 @@ def solve_lifts(asm: BlochAssembly, bloch: BlochDecomposition, tol: float = 1e-1
     mass_gram = 0.5 * (mass_gram + mass_gram.conj().T)
     fields = asm.border @ np.vstack([X, np.eye(len(active), dtype=X.dtype)])
 
-    return BetaMatrix(
-        theta=asm.theta.theta,
-        active=active,
-        poles=np.asarray(bloch.eigenvalues, dtype=float),
-        fields=np.ascontiguousarray(fields.T),
-        coeffs=h3 * (X.T @ bloch.vectors.conj()),
-        measures=asm.border_mass[dim:],
-        flux_gram=flux_gram,
-        mass_gram=mass_gram,
-    )
+    beta = BetaMatrix(theta=asm.theta.theta, active=active,
+                      poles=np.asarray(bloch.eigenvalues, dtype=float),
+                      coeffs=h3 * (X.T @ bloch.vectors.conj()), measures=asm.border_mass[dim:],
+                      flux_gram=flux_gram, mass_gram=mass_gram)
+    return beta, np.ascontiguousarray(fields.T)
 
 
 # A branch attains its extreme at the first theta, in sorted order, whose value
@@ -197,7 +194,7 @@ def pure_bloch_bands(sweep, lambda_max: float) -> BandStructure:
         raise ValueError("empty theta sweep")
     thetas = sorted(sweep)
     branch_intervals = []
-    for m in range(min(sweep[t].m_max for t in thetas)):
+    for m in range(min(len(sweep[t].eigenvalues) for t in thetas)):
         vals = np.array([sweep[t].eigenvalues[m] for t in thetas])
         lo, hi = vals.min(), vals.max()
         i_lo = int(np.argmax(vals <= lo + EXTREME_TIE_RTOL * abs(lo)))
@@ -320,24 +317,18 @@ def spatial_spectrum(
     return roots
 
 
-def spatial_points(
-    bloch: BlochDecomposition,
-    a_hom: np.ndarray,
-    k_modes,
-    lambda_max: float,
-    L: float = 1.0,
-    pole_guard: float = 1e-6,
-) -> list[SpatialRoot]:
-    """Spatial-spectrum roots at the theta of ``bloch``; [] when no axis is active.
+def spatial_points(record: ThetaRecord, a_hom: np.ndarray, k_modes, lambda_max: float,
+                   L: float = 1.0, pole_guard: float = 1e-6) -> list[SpatialRoot]:
+    """Spatial-spectrum roots at the theta of a sweep record; [] when no axis is active.
 
     Applies the zero-map rule (quasi-momenta with every component nonzero
     carry no spatial spectrum), else runs spatial_spectrum on the window
-    [0, lambda_max] with the coupling matrix attached to ``bloch``
-    (``bloch_eigs(..., lift_tol=...)``).  A decomposition without it at an
-    active theta raises ValueError.
+    [0, lambda_max] with the coupling matrix of ``record``
+    (``theta_sweep(..., lift_tol=...)``).  A record without it at an active
+    theta raises ValueError.
     """
-    if not bloch.active:
+    if not record.active:
         return []
-    if bloch.beta is None:
-        raise ValueError("spatial_points needs a Bloch decomposition with lifts (lift_tol)")
-    return spatial_spectrum(bloch.beta, a_hom, k_modes, lambda_max, L=L, pole_guard=pole_guard)
+    if record.beta is None:
+        raise ValueError("spatial_points needs a sweep record with lifts (lift_tol)")
+    return spatial_spectrum(record.beta, a_hom, k_modes, lambda_max, L=L, pole_guard=pole_guard)

@@ -15,7 +15,7 @@ own; a theta or a grid with no such mirror is the one-block case.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import product
 from typing import TYPE_CHECKING
@@ -44,8 +44,10 @@ if TYPE_CHECKING:
 __all__ = [
     "BlochAssembly",
     "BlochDecomposition",
+    "ThetaRecord",
     "assemble_bloch",
     "bloch_eigs",
+    "solve_theta",
     "theta_grid",
     "theta_sweep",
 ]
@@ -181,10 +183,8 @@ class BlochDecomposition:
 
     ``vectors`` holds soft-phase node values; ``asm.border[:, :asm.dim] @ v``
     maps a column v to the full grid of the assembly ``asm``, zero on the
-    stiff phase.  ``active`` lists the fiber axes i with theta_i = 0.
-    ``beta`` holds the coupling matrix of theta when its lifts were solved
-    with the eigenpairs (``bloch_eigs(..., lift_tol=...)`` at a theta with
-    an active fiber axis), else None.
+    stiff phase.  ``active`` lists the fiber axes i with theta_i = 0, and
+    ``paths`` the ``eigensolve`` path of each sector block, in block order.
     """
 
     theta: QuasiMomentum
@@ -192,55 +192,71 @@ class BlochDecomposition:
     eigenvalues: np.ndarray
     vectors: np.ndarray  # (dim, m_max), columns orthonormal in h^3 inner product
     residuals: np.ndarray = field(repr=False)
-    beta: BetaMatrix | None = field(default=None, repr=False)
+    paths: tuple[str, ...]
 
     @property
     def m_max(self) -> int:
         return len(self.eigenvalues)
 
 
-def bloch_eigs(
-    asm: BlochAssembly,
-    m_max: int = 10,
-    tol: float = 1e-8,
-    seed: int = 0,
-    lift_tol: float | None = None,
-) -> BlochDecomposition:
+def bloch_eigs(asm: BlochAssembly, m_max: int = 10, tol: float = 1e-8,
+               seed: int = 0) -> BlochDecomposition:
     """Lowest m_max eigenpairs of the Bloch operator assembled in ``asm``.
 
     Each block gives its lowest min(m_max, block dim) eigenpairs by the path
     ``eigen_method`` picks, the m_max lowest of all are kept (stable sort),
-    and their vectors, mapped back and phase-fixed as ``eigensolve`` does,
-    are checked against the whole interior operator at ``tol``.
-
-    With ``lift_tol`` set and a fiber axis active at the theta of ``asm``,
-    the harmonic lifts are solved too and their coupling matrix attached as
-    ``beta``; the eigensolve and the lifts share the block factors.
+    and only their vectors are mapped back, phase-fixed as ``eigensolve``
+    does and checked against the whole interior operator at ``tol``.
     """
     if m_max > asm.dim:
         raise ValueError(f"m_max={m_max} exceeds operator dimension {asm.dim}")
-    h3, vals, vectors = asm.h**3, [], []
-    for s, (Q, B) in enumerate(zip(asm.sectors, asm.blocks)):
+    h3, solved = asm.h**3, []
+    for s, B in enumerate(asm.blocks):
         k = min(m_max, B.shape[0])
         lu = asm.factor.lus[s] if eigen_method(B.shape[0], k) == "sparse" else None
-        mu, w, _ = eigensolve(B, h3, m_max=k, tol=tol, seed=seed, factor=lu)
-        vals.append(mu)
-        vectors.append(Q @ w)
-    vals = np.concatenate(vals)
-    keep = np.argsort(vals, kind="stable")[:m_max]
-    vals, vectors = vals[keep], _fix_phases(np.hstack(vectors)[:, keep])
-    dec = BlochDecomposition(
-        theta=asm.theta,
-        active=asm.active,
-        eigenvalues=vals,
-        vectors=vectors,
-        residuals=check_residuals(asm.interior, h3, vals, vectors, tol),
-    )
-    if lift_tol is None or not dec.active:
-        return dec
-    from .beta import solve_lifts  # beta imports this module
+        solved.append(eigensolve(B, h3, m_max=k, tol=tol, seed=seed, factor=lu))
+    vals, ws, _, paths = zip(*solved)
+    keep = np.argsort(np.concatenate(vals), kind="stable")[:m_max]
+    block = np.concatenate([np.full(w.shape[1], s) for s, w in enumerate(ws)])[keep]
+    column = np.concatenate([np.arange(w.shape[1]) for w in ws])[keep]
+    vectors = np.empty((asm.dim, m_max), dtype=np.result_type(*ws))
+    for s, (Q, w) in enumerate(zip(asm.sectors, ws)):
+        vectors[:, block == s] = Q @ w[:, column[block == s]]
+    vals, vectors = np.concatenate(vals)[keep], _fix_phases(vectors)
+    return BlochDecomposition(theta=asm.theta, active=asm.active, eigenvalues=vals,
+                              vectors=vectors, paths=paths,
+                              residuals=check_residuals(asm.interior, h3, vals, vectors, tol))
 
-    return replace(dec, beta=solve_lifts(asm, dec, tol=lift_tol))
+
+@dataclass(frozen=True)
+class ThetaRecord:
+    """What the sweep keeps of one theta, with no array whose size grows with n:
+    ``bloch_eigs``'s numbers less the vectors, and the coupling matrix of the
+    lifts (None where none was solved: no active axis, or no ``lift_tol``)."""
+
+    theta: QuasiMomentum
+    active: tuple[int, ...]
+    eigenvalues: np.ndarray
+    residuals: np.ndarray = field(repr=False)
+    paths: tuple[str, ...]
+    beta: BetaMatrix | None = field(repr=False)
+
+
+def solve_theta(grid: Grid, qm: QuasiMomentum, m_max: int = 10, tol: float = 1e-8,
+                seed: int = 0, lift_tol: float | None = None) -> ThetaRecord:
+    """The sweep's step at one theta: assemble it, solve its Bloch modes and,
+    with ``lift_tol`` set and a fiber axis active, its lifts (sharing the
+    block factors), and keep the record.  The assembly, the factors, the
+    vectors and the lifts on the grid die with the call."""
+    asm = assemble_bloch(grid, qm)
+    dec = bloch_eigs(asm, m_max=m_max, tol=tol, seed=seed)
+    beta = None
+    if lift_tol is not None and dec.active:
+        from .beta import solve_lifts  # beta imports this module
+
+        beta, _ = solve_lifts(asm, dec, tol=lift_tol)
+    return ThetaRecord(theta=dec.theta, active=dec.active, eigenvalues=dec.eigenvalues,
+                       residuals=dec.residuals, paths=dec.paths, beta=beta)
 
 
 def theta_grid(g: int) -> list[QuasiMomentum]:
@@ -256,35 +272,29 @@ def theta_grid(g: int) -> list[QuasiMomentum]:
     return [QuasiMomentum(t) for t in product(vals, repeat=3)]
 
 
-def theta_sweep(
-    grid: Grid,
-    thetas: Sequence[QuasiMomentum],
-    m_max: int = 10,
-    tol: float = 1e-8,
-    seed: int = 0,
-    threads: int = 1,
-    lift_tol: float | None = None,
-) -> dict[tuple[float, float, float], BlochDecomposition]:
-    """Bloch eigenpairs at each of ``thetas`` (e.g. ``theta_grid(g)``).
+def theta_sweep(grid: Grid, thetas: Sequence[QuasiMomentum], m_max: int = 10, tol: float = 1e-8,
+                seed: int = 0, threads: int = 1,
+                lift_tol: float | None = None) -> dict[tuple[float, float, float], ThetaRecord]:
+    """``solve_theta`` at each of ``thetas`` (e.g. ``theta_grid(g)``).
 
     The thetas are independent, so with ``threads`` > 1 they are solved in
     min(threads, #thetas) forked worker processes (ARPACK's loop and the
     Python around each sparse solve hold the GIL, so threads would overlap
-    only in part); with one they are solved in a plain loop.  Every point
+    only in part); with one they are solved in a plain loop.  Either way a
+    theta gives one ``ThetaRecord``, all a worker sends back.  Every point
     uses the same ``seed``, so the result does not depend on the schedule.
     The result map is keyed by theta tuples in lexicographic order.  An
     HcBlochError at a point is collected, and the failures raise one error
     naming each theta: of their common type, else HcBlochError.  Any other
     exception propagates as it is, and a worker that dies raises
-    BrokenProcessPool.  ``lift_tol`` attaches the coupling matrix as in
-    ``bloch_eigs``.  Each point's assembly and block factors are dropped
-    when its step ends, so at most ``threads`` sets of them are alive at once.
+    BrokenProcessPool.  At most ``threads`` assemblies and their block
+    factors are alive at once.
     Every worker has exited when this returns or raises.  Forking is
     safe only from a process that runs no other threads, as the CLI does.
     """
     grid.mirrors  # a0 and the mirrors, found once here, go to every theta with the grid
-    solve = partial(bloch_eigs, m_max=m_max, tol=tol, seed=seed, lift_tol=lift_tol)
-    attempt = partial(_attempt, grid, solve)
+    step = partial(solve_theta, grid, m_max=m_max, tol=tol, seed=seed, lift_tol=lift_tol)
+    attempt = partial(_attempt, step)
     workers = min(threads, len(thetas))
     if workers > 1:
         import multiprocessing
@@ -302,12 +312,12 @@ def theta_sweep(
         kinds = {type(e) for _, e in failures}
         kind = kinds.pop() if len(kinds) == 1 else HcBlochError
         raise kind(f"theta sweep failed at {len(failures)} point(s): {summary}")
-    return dict(sorted((qm.theta, dec) for qm, dec in zip(thetas, outcomes)))
+    return dict(sorted((qm.theta, record) for qm, record in zip(thetas, outcomes)))
 
 
-def _attempt(grid: Grid, solve, qm: QuasiMomentum):
-    """solve(assemble_bloch(grid, qm)), or the HcBlochError it raised (the sweep aggregates it)."""
+def _attempt(step, qm: QuasiMomentum):
+    """step(qm), or the HcBlochError it raised (the sweep aggregates it)."""
     try:
-        return solve(assemble_bloch(grid, qm))
+        return step(qm)
     except HcBlochError as exc:
         return exc

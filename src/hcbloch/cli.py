@@ -66,7 +66,7 @@ def _meta(cfg: RunConfig, geom) -> dict:
 
 def _lambda_max(cfg: RunConfig, sweep) -> float:
     # above the highest computed eigenvalue, uncomputed branches may fill a "gap"
-    top = float(max(dec.eigenvalues[-1] for dec in sweep.values()))
+    top = float(max(record.eigenvalues[-1] for record in sweep.values()))
     if cfg.lambda_max is None:
         return float(0.999 * top)
     if cfg.lambda_max > top:
@@ -123,15 +123,8 @@ def _sweep(cfg: RunConfig, grid, theta_override=None, lift_tol=None):
         )
     thetas = (theta_grid(cfg.theta_g) if theta_override is None
               else [as_quasi_momentum(theta_override)])
-    return theta_sweep(
-        grid,
-        thetas,
-        m_max=cfg.m_max,
-        tol=cfg.tol_eigen,
-        seed=cfg.seed,
-        threads=cfg.threads,
-        lift_tol=lift_tol,
-    )
+    return theta_sweep(grid, thetas, m_max=cfg.m_max, tol=cfg.tol_eigen, seed=cfg.seed,
+                       threads=cfg.threads, lift_tol=lift_tol)
 
 
 def cmd_bloch(cfg: RunConfig, out_dir: Path, theta_override=None) -> int:
@@ -139,8 +132,8 @@ def cmd_bloch(cfg: RunConfig, out_dir: Path, theta_override=None) -> int:
     grid = classify_nodes(geom, cfg.n)
     sweep = _sweep(cfg, grid, theta_override)
     rows = []
-    for theta, dec in sweep.items():
-        for m, mu in enumerate(dec.eigenvalues, start=1):
+    for theta, record in sweep.items():
+        for m, mu in enumerate(record.eigenvalues, start=1):
             rows.append((theta[0], theta[1], theta[2], m, float(mu)))
     meta = f"hcbloch bands schema={SCHEMA_VERSION} geometry={geom.content_hash()} seed={cfg.seed}"
     _write_csv(out_dir / "bands.csv", ["theta1", "theta2", "theta3", "m", "mu"], rows, meta)
@@ -191,9 +184,9 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
         [solve_cell_problem(grid, axis, tol=cfg.tol_linear) for axis in geom.active_axes]
     )
     spatial = []
-    for dec in sweep.values():
+    for record in sweep.values():
         spatial.extend(
-            spatial_points(dec, a_hom, cfg.k_modes, lambda_max, L=cfg.torus_period,
+            spatial_points(record, a_hom, cfg.k_modes, lambda_max, L=cfg.torus_period,
                            pole_guard=cfg.pole_guard)
         )
 

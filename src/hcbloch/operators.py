@@ -205,11 +205,13 @@ def eigensolve(
     tol: float = 1e-8,
     seed: int = 0,
     factor: spla.SuperLU | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
     """Lowest m_max eigenpairs of A v = mu mass v for a scalar mass > 0.
 
     Returns (eigenvalues ascending, mass-orthonormal eigenvectors as
-    columns, residual norms).  Deterministic: a fixed seed picks the
+    columns, residual norms, path), the path being "dense" (eigh),
+    "arpack", or "arpack-fallback" (ARPACK failed and dense eigh gave the
+    pairs; logged as a warning).  Deterministic: a fixed seed picks the
     iterative starting vector, and each eigenvector phase is fixed by
     making its largest-modulus entry real positive.
 
@@ -229,7 +231,8 @@ def eigensolve(
     s = 1.0 / np.sqrt(mass)
     B = (A * s) * s
 
-    if eigen_method(dim, m_max) == "dense":
+    path = "dense" if eigen_method(dim, m_max) == "dense" else "arpack"
+    if path == "dense":
         vals, w = eigh(B.toarray(), subset_by_index=(0, m_max - 1))
     else:
         lu = factor if factor is not None else factorize(A)
@@ -244,13 +247,14 @@ def eigensolve(
                 logging.getLogger("hcbloch").warning(
                     "ARPACK failed at dim %d (%s); falling back to dense eigh", dim, exc)
                 vals, w = eigh(B.toarray(), subset_by_index=(0, m_max - 1))
+                path = "arpack-fallback"
             else:
                 raise ConvergenceError(f"eigensolver failed: {exc}") from exc
 
     order = np.argsort(vals)
     vals = np.real(vals[order])
     vectors = _fix_phases(s * w[:, order])  # mass-orthonormal
-    return vals, vectors, check_residuals(A, mass, vals, vectors, tol)
+    return vals, vectors, check_residuals(A, mass, vals, vectors, tol), path
 
 
 def check_residuals(A: sp.spmatrix, mass: float, vals, vectors: np.ndarray, tol: float):

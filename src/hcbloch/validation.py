@@ -413,6 +413,6 @@ def _psi_battery(asm: BlochAssembly, tol: float, eigen_tol: float, seed: int):
     mode = asm.border[:, :asm.dim] @ dec.vectors[:, 0]  # zero on the stiff phase
     battery.append(("bloch_1", mode.reshape(shape)))
     if dec.active:
-        beta = solve_lifts(asm, dec, tol=tol)
-        battery.append((f"fiber_profile_{dec.active[0]}", beta.fields[0].reshape(shape)))
+        _, fields = solve_lifts(asm, dec, tol=tol)
+        battery.append((f"fiber_profile_{dec.active[0]}", fields[0].reshape(shape)))
     return battery

@@ -39,7 +39,7 @@ def dirichlet_baseline(
         sl[ax] = 0
         inner[tuple(sl)] = False
     interior, _ = restrict_to(full, grid.matrix_mask & inner)
-    vals, _, _ = eigensolve(interior, grid.h**3, m_max=m_max, tol=tol, seed=seed)
+    vals, _, _, _ = eigensolve(interior, grid.h**3, m_max=m_max, tol=tol, seed=seed)
     return vals
 
 
@@ -47,9 +47,10 @@ def unsplit_bloch_eigs(asm: BlochAssembly, m_max: int = 10, tol: float = 1e-8,
                        seed: int = 0) -> BlochDecomposition:
     """The Bloch eigenpairs of ``asm`` from one eigensolve of the whole
     interior operator, with no mirror split (one factor on the sparse path)."""
-    vals, vectors, res = eigensolve(asm.interior, asm.h**3, m_max=m_max, tol=tol, seed=seed)
+    vals, vectors, res, path = eigensolve(asm.interior, asm.h**3, m_max=m_max, tol=tol,
+                                          seed=seed)
     return BlochDecomposition(theta=asm.theta, active=asm.active, eigenvalues=vals,
-                              vectors=vectors, residuals=res)
+                              vectors=vectors, residuals=res, paths=(path,))
 
 
 def dense_bloch_eigenvalues(asm: BlochAssembly, m_max: int = 10) -> np.ndarray:
@@ -60,7 +61,7 @@ def dense_bloch_eigenvalues(asm: BlochAssembly, m_max: int = 10) -> np.ndarray:
 
 def unsplit_lifts(asm: BlochAssembly, dec: BlochDecomposition, tol: float = 1e-10) -> BetaMatrix:
     """The coupling matrix of ``dec``, its lifts solved with one factor of the whole operator."""
-    return solve_lifts(replace(asm, mirrors=()), dec, tol=tol)
+    return solve_lifts(replace(asm, mirrors=()), dec, tol=tol)[0]
 
 
 def adjacent_pairs(g: int):

@@ -5,18 +5,13 @@ lines as they complete.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hcbloch.beta import pure_bloch_bands, solve_lifts, spatial_points, spatial_spectrum
-from hcbloch.bloch import (
-    BlochDecomposition,
-    assemble_bloch,
-    bloch_eigs,
-    theta_grid,
-    theta_sweep,
-)
+from hcbloch.bloch import assemble_bloch, bloch_eigs, theta_grid, theta_sweep
 from hcbloch.cell import effective_tensor, solve_cell_problem
 from hcbloch.errors import EmptyActiveSetError
 from hcbloch.geometry import CellGeometry, FiberSpec, classify_nodes
@@ -53,13 +48,8 @@ def deep_modes(fiber16, beta_theta):
 
 
 def truncate(dec, m):
-    return BlochDecomposition(
-        theta=dec.theta,
-        active=dec.active,
-        eigenvalues=dec.eigenvalues[:m],
-        vectors=dec.vectors[:, :m],
-        residuals=dec.residuals[:m],
-    )
+    return replace(dec, eigenvalues=dec.eigenvalues[:m], vectors=dec.vectors[:, :m],
+                   residuals=dec.residuals[:m])
 
 
 def test_criterion_1_constant_cell(single_fiber, fiber16):
@@ -159,10 +149,10 @@ def test_criterion_6_green_identity(single_fiber, two_fiber):
         grid = classify_nodes(geom, n)
         asm = assemble_bloch(grid, theta)
         dec = bloch_eigs(asm, m_max=8)
-        lifts = solve_lifts(asm, dec)
+        lifts, fields = solve_lifts(asm, dec)
         for row in range(len(lifts.active)):
             for m in range(dec.m_max):
-                T = flux(asm, dec.vectors[:, m], lifts.fields[row])
+                T = flux(asm, dec.vectors[:, m], fields[row])
                 err = abs(T + dec.eigenvalues[m] * np.conjugate(lifts.coeffs[row][m]))
                 worst = max(worst, err / (1.0 + dec.eigenvalues[m]))
     report(6, worst <= 1e-12, f"worst scaled Green defect={worst:.2e}")
@@ -173,7 +163,7 @@ def test_criterion_7_beta_properties(fiber16, deep_modes):
     monotonicity on a 10^3-point scan between consecutive poles."""
     asm, dec_all = deep_modes
     dec = truncate(dec_all, 10)
-    lifts = solve_lifts(asm, dec)
+    lifts, _ = solve_lifts(asm, dec)
     rng = np.random.default_rng(2024)
     herm_worst = 0.0
     mono_ok = True
@@ -211,11 +201,10 @@ def test_criterion_8_spatial_certification(fiber16, deep_modes):
     roots = {}
     for m in (160, 320):
         dec = truncate(dec_all, m)
-        lifts = solve_lifts(asm, dec)
-        beta = lifts
+        beta, _ = solve_lifts(asm, dec)
         roots[m] = spatial_spectrum(beta, a_hom, k_modes, window[1])
 
-    beta320 = solve_lifts(asm, truncate(dec_all, 320))
+    beta320, _ = solve_lifts(asm, truncate(dec_all, 320))
 
     def F(k_index, lam):
         kk = 2 * np.pi * np.asarray(k_index, dtype=float)

@@ -11,10 +11,18 @@ from hcbloch.beta import (
     spatial_points,
     spatial_spectrum,
 )
-from hcbloch.bloch import assemble_bloch, bloch_eigs, theta_grid, theta_sweep
+from hcbloch.bloch import (
+    ThetaRecord,
+    assemble_bloch,
+    bloch_eigs,
+    solve_theta,
+    theta_grid,
+    theta_sweep,
+)
 from hcbloch.cell import effective_tensor, solve_cell_problem
 from hcbloch.errors import ConvergenceError, EmptyActiveSetError, PoleProximityError
 from hcbloch.geometry import classify_nodes
+from hcbloch.operators import QuasiMomentum
 from oracles import dense_border, flux
 
 
@@ -24,8 +32,15 @@ def lift_setup(single_fiber):
     theta = (0.0, np.pi / 2, np.pi)
     asm = assemble_bloch(grid, theta)
     dec = bloch_eigs(asm, m_max=10)
-    lifts = solve_lifts(asm, dec)
+    lifts, _ = solve_lifts(asm, dec)
     return single_fiber, grid, theta, asm, dec, lifts
+
+
+@pytest.fixture(scope="module")
+def lift_fields(lift_setup):
+    """The lifts of ``lift_setup`` on the full grid, one row per active axis."""
+    asm, dec = lift_setup[3], lift_setup[4]
+    return solve_lifts(asm, dec)[1]
 
 
 def test_empty_active_set_raises(single_fiber):
@@ -37,50 +52,50 @@ def test_empty_active_set_raises(single_fiber):
         solve_lifts(asm, dec)
 
 
-def test_lift_boundary_values_exact(lift_setup):
+def test_lift_boundary_values_exact(lift_setup, lift_fields):
     geom, grid, theta, asm, dec, lifts = lift_setup
-    field = lifts.fields[0]
+    field = lift_fields[0]
     assert np.all(field[grid.fiber_mask(1).ravel()] == 1.0)
 
 
-def test_lift_harmonicity(lift_setup):
+def test_lift_harmonicity(lift_setup, lift_fields):
     """The lift solves the interior system against the border column of its fiber."""
     geom, grid, theta, asm, dec, lifts = lift_setup
     dim = asm.dim
     rhs = -asm.bordered[:dim, dim:].toarray()[:, 0]
-    residual = asm.interior @ lifts.fields[0][asm.dofs] - rhs
+    residual = asm.interior @ lift_fields[0][asm.dofs] - rhs
     assert np.linalg.norm(residual) < 1e-10 * np.linalg.norm(rhs)
 
 
 def test_lift_real_at_zero_theta(single_fiber):
     grid = classify_nodes(single_fiber, 8)
     asm = assemble_bloch(grid, (0.0, 0.0, 0.0))
-    lifts = solve_lifts(asm, bloch_eigs(asm, m_max=5))
+    lifts, fields = solve_lifts(asm, bloch_eigs(asm, m_max=5))
     assert not np.iscomplexobj(lifts.coeffs[0])
     # single fiber at theta = 0: harmonic extension of constant data is 1
-    assert np.abs(lifts.fields[0] - 1.0).max() < 1e-10
+    assert np.abs(fields[0] - 1.0).max() < 1e-10
 
 
-def test_bessel_inequality(lift_setup):
+def test_bessel_inequality(lift_setup, lift_fields):
     geom, grid, theta, asm, dec, lifts = lift_setup
-    b = lifts.fields[0][asm.dofs]
+    b = lift_fields[0][asm.dofs]
     norm2 = grid.h**3 * np.vdot(b, b).real
     partial = float(np.sum(np.abs(lifts.coeffs[0]) ** 2))
     assert partial <= norm2 + 1e-12
     assert abs(lifts.mass_gram[0, 0].real - norm2) < 1e-12
 
 
-def test_green_identity(lift_setup):
+def test_green_identity(lift_setup, lift_fields):
     geom, grid, theta, asm, dec, lifts = lift_setup
     for m in range(dec.m_max):
-        T = flux(asm, dec.vectors[:, m], lifts.fields[0])
+        T = flux(asm, dec.vectors[:, m], lift_fields[0])
         err = abs(T + dec.eigenvalues[m] * np.conjugate(lifts.coeffs[0][m]))
         assert err <= 1e-12 * (1.0 + dec.eigenvalues[m])
 
 
-def test_flux_of_zero_field(lift_setup):
+def test_flux_of_zero_field(lift_setup, lift_fields):
     geom, grid, theta, asm, dec, lifts = lift_setup
-    assert flux(asm, np.zeros(asm.dim), lifts.fields[0]) == 0.0
+    assert flux(asm, np.zeros(asm.dim), lift_fields[0]) == 0.0
 
 
 def test_beta_hermitian(lift_setup):
@@ -131,7 +146,7 @@ def test_two_fiber_beta_cross_hermitian(two_fiber):
     theta = (0.0, np.pi / 2, 0.0)  # both fiber axes active
     asm = assemble_bloch(grid, theta)
     dec = bloch_eigs(asm, m_max=8)
-    lifts = solve_lifts(asm, dec)
+    lifts, fields = solve_lifts(asm, dec)
     assert lifts.active == (1, 3)
     beta = lifts
     B = beta(3.0)
@@ -139,7 +154,7 @@ def test_two_fiber_beta_cross_hermitian(two_fiber):
     assert abs(B[0, 1] - np.conjugate(B[1, 0])) <= 1e-12
     for m in range(dec.m_max):
         for row in range(len(lifts.active)):
-            T = flux(asm, dec.vectors[:, m], lifts.fields[row])
+            T = flux(asm, dec.vectors[:, m], fields[row])
             coeff = lifts.coeffs[row][m]
             assert abs(T + dec.eigenvalues[m] * np.conjugate(coeff)) <= 1e-12 * (
                 1.0 + dec.eigenvalues[m]
@@ -164,8 +179,7 @@ def all_modes_setup(geom, theta):
     grid = classify_nodes(geom, 10)
     asm = assemble_bloch(grid, theta)
     dec = bloch_eigs(asm, m_max=asm.dim)
-    lifts = solve_lifts(asm, dec)
-    beta = lifts
+    beta, _ = solve_lifts(asm, dec)
     a_hom = effective_tensor([solve_cell_problem(grid, axis) for axis in geom.active_axes])
     window = (0.0, float(dec.eigenvalues[6] * 0.99))
     return grid, asm, dec, beta, a_hom, window
@@ -290,11 +304,10 @@ def test_spatial_zero_map(single_fiber):
 
 def test_spatial_points_need_lifts_at_active_theta(single_fiber):
     grid = classify_nodes(single_fiber, 8)
-    theta = (0.0, np.pi, 0.0)
-    dec = bloch_eigs(assemble_bloch(grid, theta), m_max=4)
+    record = solve_theta(grid, QuasiMomentum((0.0, np.pi, 0.0)), m_max=4)  # no lift_tol
     a_hom = effective_tensor([solve_cell_problem(grid, 1)])
     with pytest.raises(ValueError, match="lift_tol"):
-        spatial_points(dec, a_hom, [(1, 0, 0)], 50.0)
+        spatial_points(record, a_hom, [(1, 0, 0)], 50.0)
 
 
 def test_bands_single_point_sweep(single_fiber):
@@ -326,18 +339,16 @@ def test_bands_inclusion_degenerate(inclusion):
 
 
 def test_band_merging_and_gaps():
-    from hcbloch.bloch import BlochDecomposition
-    from hcbloch.operators import QuasiMomentum
-
     # synthetic two-point sweep with overlapping branches; the flat third
     # branch [3, 3] lies inside the band merged from the first two
     def dec(theta, vals):
-        return BlochDecomposition(
+        return ThetaRecord(
             theta=QuasiMomentum(theta),
             active=(),
             eigenvalues=np.asarray(vals, dtype=float),
-            vectors=np.zeros((1, len(vals))),
             residuals=np.zeros(len(vals)),
+            paths=("dense",),
+            beta=None,
         )
 
     sweep = {
@@ -440,7 +451,7 @@ def two_fiber_setup(two_fiber):
     theta = (0.0, np.pi / 2, 0.0)  # both fiber axes active
     asm = assemble_bloch(grid, theta)
     dec = bloch_eigs(asm, m_max=8)
-    lifts = solve_lifts(asm, dec)
+    lifts, _ = solve_lifts(asm, dec)
     a_hom = effective_tensor([solve_cell_problem(grid, axis) for axis in (1, 3)])
     return theta, dec, lifts, a_hom
 
@@ -550,18 +561,19 @@ def test_sweep_with_lifts_factors_once_per_theta(single_fiber, sparse_eigensolve
 
 
 def test_sweep_lifts_match_standalone_solve(two_fiber, sparse_eigensolver):
+    """The coupling matrix a worker sends back is that of solve_lifts on the
+    same assembly (the lifts on the grid are checked by the lift tests above)."""
     grid = classify_nodes(two_fiber, 8)
     sweep = theta_sweep(grid, theta_grid(2), m_max=4, lift_tol=1e-10, threads=2)
     checked = 0
-    for dec in sweep.values():
-        if dec.beta is None:
+    for record in sweep.values():
+        if record.beta is None:
             continue
-        alone = solve_lifts(assemble_bloch(grid, dec.theta), dec)
-        attached = dec.beta
+        asm = assemble_bloch(grid, record.theta)
+        alone, _ = solve_lifts(asm, bloch_eigs(asm, m_max=4))
+        attached = record.beta
         assert attached.active == alone.active
         for row in range(len(alone.active)):
-            scale = np.abs(alone.fields[row]).max()
-            assert np.abs(attached.fields[row] - alone.fields[row]).max() <= 1e-12 * scale
             scale = np.abs(alone.coeffs[row]).max()
             assert np.abs(attached.coeffs[row] - alone.coeffs[row]).max() <= 1e-12 * scale
         for name in ("flux_gram", "mass_gram"):
@@ -580,8 +592,9 @@ def test_zero_root_exact_at_theta_zero(geom_name, request):
     geom = request.getfixturevalue(geom_name)
     grid = classify_nodes(geom, 10)
     theta = (0.0, 0.0, 0.0)
-    dec = bloch_eigs(assemble_bloch(grid, theta), m_max=8, lift_tol=1e-10)
-    beta = dec.beta
+    asm = assemble_bloch(grid, theta)
+    dec = bloch_eigs(asm, m_max=8)
+    beta, _ = solve_lifts(asm, dec)
     a_hom = effective_tensor([solve_cell_problem(grid, axis) for axis in geom.active_axes])
     k_modes = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
     window = (0.0, 0.98 * float(dec.eigenvalues[-1]))

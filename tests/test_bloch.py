@@ -1,6 +1,7 @@
 import dataclasses
 import multiprocessing
 import os
+import pickle
 import time
 from concurrent.futures.process import BrokenProcessPool
 
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 import yaml
 
 import hcbloch.bloch
@@ -17,6 +19,7 @@ from hcbloch.beta import solve_lifts
 from hcbloch.bloch import assemble_bloch, bloch_eigs, theta_grid, theta_sweep
 from hcbloch.errors import ConvergenceError, HcBlochError, SingularSystemError
 from hcbloch.geometry import CellGeometry, build_geometry, classify_nodes
+from hcbloch.operators import QuasiMomentum
 from oracles import (
     adjacent_pairs,
     dense_bloch_eigenvalues,
@@ -119,8 +122,9 @@ def test_theta_grid_needs_a_point():
 
 
 def test_sweep_deterministic_and_parallel(single_fiber, two_fiber):
-    """Worker processes return the serial sweep bit for bit, coupling
-    matrices included; 16 workers are capped at the 8 thetas."""
+    """Worker processes return the serial sweep bit for bit: every array of
+    every record, coupling matrices and solver paths included; 16 workers
+    are capped at the 8 thetas."""
     grid = classify_nodes(single_fiber, 8)
     tg = theta_grid(2)
     s1 = theta_sweep(grid, tg, m_max=3, threads=1)
@@ -136,19 +140,57 @@ def test_sweep_deterministic_and_parallel(single_fiber, two_fiber):
     assert sum(dec.beta is not None for dec in serial.values()) == 6
     for sweep in parallel:
         assert list(sweep) == list(serial)
-        for t, dec in serial.items():
+        for t, record in serial.items():
             other = sweep[t]
-            for name in ("eigenvalues", "vectors", "residuals"):
-                assert np.array_equal(getattr(other, name), getattr(dec, name)), (t, name)
-            assert (other.beta is None) == (dec.beta is None)
-            if dec.beta is None:
+            assert record.theta.theta == t
+            for name in ("theta", "active", "paths"):
+                assert getattr(other, name) == getattr(record, name), (t, name)
+            for name in ("eigenvalues", "residuals"):
+                assert np.array_equal(getattr(other, name), getattr(record, name)), (t, name)
+            assert (other.beta is None) == (record.beta is None)
+            if record.beta is None:
                 continue
-            assert (other.beta.theta, other.beta.active) == (dec.beta.theta, dec.beta.active)
-            for f in dataclasses.fields(dec.beta):
-                value = getattr(dec.beta, f.name)
+            assert (other.beta.theta, other.beta.active) == (record.beta.theta,
+                                                             record.beta.active)
+            for f in dataclasses.fields(record.beta):
+                value = getattr(record.beta, f.name)
                 if isinstance(value, np.ndarray):
                     assert np.array_equal(getattr(other.beta, f.name), value), (t, f.name)
     assert multiprocessing.active_children() == []
+
+
+def test_sweep_record_keeps_the_arpack_fallback(single_fiber, sparse_eigensolver, monkeypatch):
+    """An ARPACK failure in a worker leaves its mark in the parent's record of
+    that theta: each block of the failing theta says "arpack-fallback", those
+    of the other theta "arpack"."""
+    grid = classify_nodes(single_fiber, 8)
+    real, complex_ = QuasiMomentum((0.0, 0.0, 0.0)), QuasiMomentum((0.0, 0.7, 1.1))
+    eigsh = spla.eigsh
+
+    def failing_on_complex(A, *args, **kwargs):
+        if np.iscomplexobj(A):
+            raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+        return eigsh(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", failing_on_complex)  # the forked workers inherit it
+    sweep = theta_sweep(grid, [real, complex_], m_max=3, threads=2)
+    assert sweep[real.theta].paths == ("arpack",) * 8
+    assert sweep[complex_.theta].paths == ("arpack-fallback",) * 2
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_record_size_does_not_grow_with_n(two_fiber, sparse_eigensolver):
+    """The pickled record of one theta, lifts included, is as large at n=12
+    as at n=8: no array whose length is set by n crosses the process boundary.
+    (Every block takes ARPACK, so the paths read alike at both n.)"""
+    theta = QuasiMomentum((0.0, np.pi, 0.0))
+    sizes = []
+    for n in (8, 12):
+        [record] = theta_sweep(classify_nodes(two_fiber, n), [theta], m_max=4,
+                               lift_tol=1e-10).values()
+        assert record.beta is not None and record.beta.active == (1, 3)
+        sizes.append(len(pickle.dumps(record)))
+    assert sizes[0] == sizes[1]
 
 
 def _is_block_of(A, asm) -> bool:
@@ -358,7 +400,7 @@ def test_sectors_match_unsplit_oracle(name, n):
         assert np.abs(h3 * (V.conj().T @ V) - np.eye(m)).max() < 1e-12
         if not dec.active:
             continue
-        got, want = solve_lifts(asm, dec), unsplit_lifts(asm, dec)
+        (got, _), want = solve_lifts(asm, dec), unsplit_lifts(asm, dec)
         flux_scale = abs(asm.bordered[asm.dim:, asm.dim:]).max()  # flux_gram is 0 at theta=0
         assert np.abs(got.flux_gram - want.flux_gram).max() <= 1e-10 * flux_scale
         assert np.abs(got.mass_gram - want.mass_gram).max() <= 1e-10 * np.abs(want.mass_gram).max()

@@ -78,7 +78,7 @@ def test_dirichlet_1d_lowest_eigenvalue():
     main = np.full(n - 1, 2.0 / h)
     off = np.full(n - 2, -1.0 / h)
     A = sp.diags([off, main, off], [-1, 0, 1]).tocsr()  # 1D form scale h * (1/h^2)
-    vals, _, _ = eigensolve(A, h, m_max=3, tol=1e-8)
+    vals, _, _, _ = eigensolve(A, h, m_max=3, tol=1e-8)
     closed_form = (4.0 / h**2) * np.sin(np.pi * h / 2.0) ** 2
     assert abs(vals[0] - closed_form) < 1e-9 * closed_form
     oracle = dense_eigh(A.toarray() / h, eigvals_only=True)
@@ -87,7 +87,7 @@ def test_dirichlet_1d_lowest_eigenvalue():
 
 def test_identity_pencil():
     n = 50
-    vals, _, _ = eigensolve(sp.identity(n, format="csr"), 1.0, m_max=4)
+    vals, _, _, _ = eigensolve(sp.identity(n, format="csr"), 1.0, m_max=4)
     assert np.allclose(vals, 1.0, atol=1e-12)
 
 
@@ -101,7 +101,7 @@ def test_dirichlet_cube_lowest_eigenvalue():
         sl[ax] = 0
         inner[tuple(sl)] = False
     sub, _ = restrict_to(A, inner)
-    vals, _, _ = eigensolve(sub, h**3, m_max=1)
+    vals, _, _, _ = eigensolve(sub, h**3, m_max=1)
     pred = 3.0 * dirichlet_chain_lowest(n - 1, h)
     assert abs(vals[0] - pred) < 1e-10 * pred
 
@@ -109,7 +109,7 @@ def test_dirichlet_cube_lowest_eigenvalue():
 def test_eigensolve_orthonormal_and_residuals(single_fiber):
     grid = classify_nodes(single_fiber, 8)
     op = soft_operator(grid, (1.0, 0.5, 0.0))
-    vals, vectors, _ = eigensolve(op, grid.h**3, m_max=6, tol=1e-8)
+    vals, vectors, _, _ = eigensolve(op, grid.h**3, m_max=6, tol=1e-8)
     G = vectors.conj().T @ (grid.h**3 * vectors)
     assert np.abs(G - np.eye(6)).max() < 1e-10
     assert np.all(np.diff(vals) >= -1e-12)
@@ -119,15 +119,15 @@ def test_eigensolve_sparse_matches_dense(single_fiber, sparse_eigensolver):
     grid = classify_nodes(single_fiber, 8)
     op = soft_operator(grid, (0.3, 1.1, 2.2))
     vals1 = dense_eigh(op.toarray() / grid.h**3, eigvals_only=True, subset_by_index=(0, 4))
-    vals2, _, _ = eigensolve(op, grid.h**3, m_max=5)
+    vals2, _, _, _ = eigensolve(op, grid.h**3, m_max=5)
     assert np.abs(vals1 - vals2).max() < 1e-8
 
 
 def test_eigensolve_deterministic(single_fiber, sparse_eigensolver):
     grid = classify_nodes(single_fiber, 8)
     op = soft_operator(grid, (0.3, 1.1, 2.2))
-    vals1, vectors1, _ = eigensolve(op, grid.h**3, m_max=4, seed=3)
-    vals2, vectors2, _ = eigensolve(op, grid.h**3, m_max=4, seed=3)
+    vals1, vectors1, _, _ = eigensolve(op, grid.h**3, m_max=4, seed=3)
+    vals2, vectors2, _, _ = eigensolve(op, grid.h**3, m_max=4, seed=3)
     assert np.array_equal(vals1, vals2)
     assert np.array_equal(vectors1, vectors2)
 
@@ -226,7 +226,7 @@ def test_eigensolve_arpack_fallback_is_logged(single_fiber, sparse_eigensolver, 
 
     monkeypatch.setattr(spla, "eigsh", failing_eigsh)
     with caplog.at_level(logging.WARNING, logger="hcbloch"):
-        vals, _, _ = eigensolve(op, grid.h**3, m_max=4)
+        vals, _, _, _ = eigensolve(op, grid.h**3, m_max=4)
     [record] = [r for r in caplog.records if r.name == "hcbloch"]
     assert record.levelno == logging.WARNING
     assert str(op.shape[0]) in record.getMessage() and "no convergence" in record.getMessage()
@@ -289,7 +289,7 @@ def test_eigensolve_shared_factor_matches_dense(single_fiber, two_fiber, sparse_
     ):
         op = soft_operator(grid, theta)
         factor = factorize(op)
-        vals, _, _ = eigensolve(op, grid.h**3, m_max=6, factor=factor)
+        vals, _, _, _ = eigensolve(op, grid.h**3, m_max=6, factor=factor)
         dense = dense_eigh(op.toarray() / grid.h**3, eigvals_only=True, subset_by_index=(0, 5))
         assert np.abs(vals - dense).max() < 1e-8
 
