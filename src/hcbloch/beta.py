@@ -110,7 +110,7 @@ class BetaMatrix:
 def solve_lifts(asm: BlochAssembly, bloch: BlochDecomposition,
                 tol: float = 1e-10) -> tuple[BetaMatrix, np.ndarray]:
     """The coupling matrix at the theta of ``asm`` and ``bloch``: solve the
-    lift problem of every active axis with the factor of ``asm`` and expand
+    lift problem of every active axis with the block factors of ``asm`` and expand
     the lifts in the Bloch modes.  Returns the matrix and, beside it, the
     lifts on the full grid, one (n^3,) row per active axis in ``active``
     order.
@@ -129,8 +129,8 @@ def solve_lifts(asm: BlochAssembly, bloch: BlochDecomposition,
 
     h3, dim, bordered = asm.h**3, asm.dim, asm.bordered
     rhs = -bordered[:dim, dim:].toarray()
-    # every axis with the interior factor the eigensolve used
-    X = linear_solve(asm.interior, rhs, tol=tol, factor=asm.factor)
+    # every axis with the block factors the eigensolve used, and the ones it did not need
+    X = linear_solve(asm.interior, rhs, tol=tol, factor=asm)
     # flux of lift j through fiber i: row dim+i of bordered applied to [x_j; e_j]
     flux_gram = bordered[dim:, :dim] @ X + bordered[dim:, dim:].toarray()
     mass_gram = h3 * (X.conj().T @ X)

@@ -54,17 +54,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SectorFactor:
-    """One SuperLU per sector block, solving the whole operator: A^-1 = sum_s Q_s B_s^-1 Q_s^T."""
-
-    sectors: list[sp.csc_matrix]
-    lus: list[spla.SuperLU]
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return sum(Q @ lu.solve(Q.T @ rhs) for Q, lu in zip(self.sectors, self.lus))
-
-
-@dataclass(frozen=True)
 class BlochAssembly:
     """Discrete Bloch operator context at one quasi-momentum.
 
@@ -72,8 +61,9 @@ class BlochAssembly:
     ``interior`` its restriction to the soft-phase DOFs.  ``mirrors`` holds the
     (axis, center) of each grid mirror with theta_axis 0 or pi, ``sectors`` one
     orthonormal real basis Q_s per character of their group (a +-1/sqrt(|orbit|)
-    column per node orbit), ``blocks`` the Q_s^T interior Q_s and ``factor`` one
-    sparse LU per block, made on first use and shared by eigensolve and lifts.
+    column per node orbit), ``blocks`` the Q_s^T interior Q_s and ``lu(s)`` the
+    sparse LU of block s, made on first use and shared by eigensolve and lifts.
+    ``solve`` applies interior^-1 = sum_s Q_s B_s^-1 Q_s^T with them.
 
     The border Z spans the fields of the limit operator at theta: free on
     the soft phase, constant on each ``active`` fiber (theta_i = 0), zero
@@ -108,8 +98,16 @@ class BlochAssembly:
         return [(Q.T @ self.interior @ Q).tocsr() for Q in self.sectors]
 
     @cached_property
-    def factor(self) -> SectorFactor:
-        return SectorFactor(self.sectors, [factorize(B) for B in self.blocks])
+    def _lus(self) -> dict[int, spla.SuperLU]:
+        return {}
+
+    def lu(self, s: int) -> spla.SuperLU:
+        if s not in self._lus:
+            self._lus[s] = factorize(self.blocks[s])
+        return self._lus[s]
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return sum(Q @ self.lu(s).solve(Q.T @ rhs) for s, Q in enumerate(self.sectors))
 
     @cached_property
     def active(self) -> tuple[int, ...]:
@@ -213,7 +211,7 @@ def bloch_eigs(asm: BlochAssembly, m_max: int = 10, tol: float = 1e-8,
     h3, solved = asm.h**3, []
     for s, B in enumerate(asm.blocks):
         k = min(m_max, B.shape[0])
-        lu = asm.factor.lus[s] if eigen_method(B.shape[0], k) == "sparse" else None
+        lu = asm.lu(s) if eigen_method(B.shape[0], k) == "sparse" else None
         solved.append(eigensolve(B, h3, m_max=k, tol=tol, seed=seed, factor=lu))
     vals, ws, _, paths = zip(*solved)
     keep = np.argsort(np.concatenate(vals), kind="stable")[:m_max]

@@ -44,19 +44,22 @@ def _import_numerics() -> None:
             __getattr__(name)
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_json(path: Path, payload: dict, **summary) -> None:
+    """Write payload to path, then print one JSON line: the path and the summary."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
+    print(json.dumps({"written": str(path), **summary}))
 
 
-def _write_csv(path: Path, header: list[str], rows, meta: str) -> None:
+def _write_csv(path: Path, header: list[str], rows, meta: str, **summary) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"# {meta}", ",".join(header)]
     for row in rows:
         lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    print(json.dumps({"written": str(path), **summary}))
 
 
 def _meta(cfg: RunConfig, geom) -> dict:
@@ -77,9 +80,7 @@ def _lambda_max(cfg: RunConfig, sweep) -> float:
     return float(cfg.lambda_max)
 
 
-def cmd_geom_check(cfg: RunConfig, out_dir: Path) -> int:
-    geom = build_geometry(cfg.geometry)
-    grid = classify_nodes(geom, cfg.n)
+def cmd_geom_check(cfg: RunConfig, geom, grid, out_dir: Path, theta) -> int:
     payload = {
         "status": "ok",
         "geometry_hash": geom.content_hash(),
@@ -93,9 +94,7 @@ def cmd_geom_check(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def cmd_cell(cfg: RunConfig, out_dir: Path) -> int:
-    geom = build_geometry(cfg.geometry)
-    grid = classify_nodes(geom, cfg.n)
+def cmd_cell(cfg: RunConfig, geom, grid, out_dir: Path, theta) -> int:
     solutions = [solve_cell_problem(grid, axis, tol=cfg.tol_linear) for axis in geom.active_axes]
     tensor = effective_tensor(solutions)
     payload = _meta(cfg, geom)
@@ -111,40 +110,34 @@ def cmd_cell(cfg: RunConfig, out_dir: Path) -> int:
     ]
     payload["effective_tensor"] = tensor.tolist()
     _write_json(out_dir / "cell.json", payload)
-    print(json.dumps({"written": str(out_dir / "cell.json")}))
     return 0
 
 
-def _sweep(cfg: RunConfig, grid, theta_override=None, lift_tol=None):
+def _sweep(cfg: RunConfig, grid, theta=None, lift_tol=None):
     dim = int(np.count_nonzero(grid.matrix_mask))
     if cfg.m_max > dim:
         raise ValidationError(
             f"spectrum.m_max={cfg.m_max} exceeds the Bloch operator dimension {dim}"
         )
-    thetas = (theta_grid(cfg.theta_g) if theta_override is None
-              else [as_quasi_momentum(theta_override)])
+    thetas = theta_grid(cfg.theta_g) if theta is None else [as_quasi_momentum(theta)]
     return theta_sweep(grid, thetas, m_max=cfg.m_max, tol=cfg.tol_eigen, seed=cfg.seed,
                        threads=cfg.threads, lift_tol=lift_tol)
 
 
-def cmd_bloch(cfg: RunConfig, out_dir: Path, theta_override=None) -> int:
-    geom = build_geometry(cfg.geometry)
-    grid = classify_nodes(geom, cfg.n)
-    sweep = _sweep(cfg, grid, theta_override)
+def cmd_bloch(cfg: RunConfig, geom, grid, out_dir: Path, theta) -> int:
+    sweep = _sweep(cfg, grid, theta)
     rows = []
-    for theta, record in sweep.items():
+    for (t1, t2, t3), record in sweep.items():
         for m, mu in enumerate(record.eigenvalues, start=1):
-            rows.append((theta[0], theta[1], theta[2], m, float(mu)))
+            rows.append((t1, t2, t3, m, float(mu)))
     meta = f"hcbloch bands schema={SCHEMA_VERSION} geometry={geom.content_hash()} seed={cfg.seed}"
-    _write_csv(out_dir / "bands.csv", ["theta1", "theta2", "theta3", "m", "mu"], rows, meta)
-    print(json.dumps({"written": str(out_dir / "bands.csv"), "points": len(sweep)}))
+    _write_csv(out_dir / "bands.csv", ["theta1", "theta2", "theta3", "m", "mu"], rows, meta,
+               points=len(sweep))
     return 0
 
 
-def cmd_beta(cfg: RunConfig, out_dir: Path, theta_override=None) -> int:
-    geom = build_geometry(cfg.geometry)
-    grid = classify_nodes(geom, cfg.n)
-    qm = as_quasi_momentum(theta_override)
+def cmd_beta(cfg: RunConfig, geom, grid, out_dir: Path, theta) -> int:
+    qm = as_quasi_momentum(theta)
     sweep = _sweep(cfg, grid, qm, lift_tol=cfg.tol_linear)
     beta = sweep[qm.theta].beta
     if beta is None:
@@ -168,14 +161,11 @@ def cmd_beta(cfg: RunConfig, out_dir: Path, theta_override=None) -> int:
         f"hcbloch beta schema={SCHEMA_VERSION} geometry={geom.content_hash()} "
         f"theta={','.join(repr(t) for t in qm.theta)} seed={cfg.seed}"
     )
-    _write_csv(out_dir / "beta.csv", header, rows, meta)
-    print(json.dumps({"written": str(out_dir / "beta.csv"), "active_axes": list(beta.active)}))
+    _write_csv(out_dir / "beta.csv", header, rows, meta, active_axes=list(beta.active))
     return 0
 
 
-def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
-    geom = build_geometry(cfg.geometry)
-    grid = classify_nodes(geom, cfg.n)
+def cmd_spectrum(cfg: RunConfig, geom, grid, out_dir: Path, theta) -> int:
     sweep = _sweep(cfg, grid, lift_tol=cfg.tol_linear)
     lambda_max = _lambda_max(cfg, sweep)
     structure = pure_bloch_bands(sweep, lambda_max)
@@ -221,14 +211,12 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
             ],
         }
     )
-    _write_json(out_dir / "spectrum.json", payload)
-    print(json.dumps({"written": str(out_dir / "spectrum.json"), "bands": len(structure.bands),
-                      "gaps": len(structure.gaps), "spatial_points": len(spatial)}))
+    _write_json(out_dir / "spectrum.json", payload, bands=len(structure.bands),
+                gaps=len(structure.gaps), spatial_points=len(spatial))
     return 0
 
 
-def cmd_validate(cfg: RunConfig, out_dir: Path) -> int:
-    geom = build_geometry(cfg.geometry)
+def cmd_validate(cfg: RunConfig, geom, grid, out_dir: Path, theta) -> int:
     probe_theta = (0.0, 0.0, 0.0) if cfg.contrast == "double_porosity" else (np.pi, np.pi, np.pi)
     report = convergence_report(
         geom,
@@ -243,8 +231,7 @@ def cmd_validate(cfg: RunConfig, out_dir: Path) -> int:
     )
     payload = _meta(cfg, geom)
     payload["report"] = report.to_dict()
-    _write_json(out_dir / "validate.json", payload)
-    print(json.dumps({"written": str(out_dir / "validate.json"), "passed": report.passed}))
+    _write_json(out_dir / "validate.json", payload, passed=report.passed)
     return 0 if report.passed else 1
 
 
@@ -270,6 +257,22 @@ def _parse_eps(text: str | None):
         raise ValidationError(f"--eps {text!r}: {exc}") from None
 
 
+# name -> (command, its flags beyond --config, --out, --threads and --seed)
+_COMMANDS = {
+    "geom-check": (cmd_geom_check, ()),
+    "cell": (cmd_cell, ()),
+    "bloch": (cmd_bloch, ("--theta",)),
+    "beta": (cmd_beta, ("--theta", "--lambda-max")),
+    "spectrum": (cmd_spectrum, ("--lambda-max",)),
+    "validate": (cmd_validate, ("--eps",)),
+}
+_FLAGS = {
+    "--theta": {"default": None, "help": "single quasi-momentum 't1,t2,t3'"},
+    "--lambda-max": {"dest": "lambda_max", "type": float, "default": None},
+    "--eps": {"default": None, "help": "comma-separated K list, e.g. 4,8"},
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="hcbloch",
@@ -277,19 +280,15 @@ def main(argv=None) -> int:
         "two-scale validation of the homogenized limit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("geom-check", "cell", "bloch", "beta", "spectrum", "validate"):
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="YAML config file")
         p.add_argument("--out", default=None, help="output directory (default from config)")
         p.add_argument("--threads", type=int, default=None,
                        help="worker processes of the theta sweep (overrides run.threads)")
         p.add_argument("--seed", type=int, default=None)
-        if name in ("bloch", "beta"):
-            p.add_argument("--theta", default=None, help="single quasi-momentum 't1,t2,t3'")
-        if name in ("beta", "spectrum"):
-            p.add_argument("--lambda-max", dest="lambda_max", type=float, default=None)
-        if name == "validate":
-            p.add_argument("--eps", default=None, help="comma-separated K list, e.g. 4,8")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     args = parser.parse_args(argv)
 
     try:
@@ -314,20 +313,14 @@ def main(argv=None) -> int:
 
 
 def run_subcommand(command: str, cfg: RunConfig, out_dir: Path, theta=None) -> int:
-    if command == "geom-check":
-        return cmd_geom_check(cfg, out_dir)
-    _import_numerics()
-    if command == "cell":
-        return cmd_cell(cfg, out_dir)
-    if command == "bloch":
-        return cmd_bloch(cfg, out_dir, theta_override=theta)
-    if command == "beta":
-        return cmd_beta(cfg, out_dir, theta_override=theta)
-    if command == "spectrum":
-        return cmd_spectrum(cfg, out_dir)
-    if command == "validate":
-        return cmd_validate(cfg, out_dir)
-    raise HcBlochError(f"unknown subcommand {command!r}")
+    if command not in _COMMANDS:
+        raise HcBlochError(f"unknown subcommand {command!r}")
+    geom = build_geometry(cfg.geometry)
+    # validate classifies only its own cell grid, at validate.p
+    grid = None if command == "validate" else classify_nodes(geom, cfg.n)
+    if command != "geom-check":
+        _import_numerics()
+    return _COMMANDS[command][0](cfg, geom, grid, out_dir, theta)
 
 
 def run(argv=None) -> int:

@@ -66,9 +66,6 @@ class RunConfig:
                for section, keys in _KEYS.items() if section != "geometry"}
         return {"geometry": dict(self.geometry), **out}
 
-    def to_yaml(self) -> str:
-        return yaml.safe_dump(self.to_dict(), sort_keys=True)
-
 
 def parse_config(path: str) -> RunConfig:
     """Load, schema-check and validate a YAML config file.

@@ -275,9 +275,10 @@ def linear_solve(
     """Solve A x = rhs for Hermitian A by sparse LU.
 
     rhs is a vector or a (dim, r) block of r right-hand sides, all solved
-    with one factorization: ``factor`` when given (a ready
-    ``factorize(A)``), else a new one.  A singular factorization, or a
-    residual above tol * ||rhs|| in any column, raises SingularSystemError.
+    with one factorization: ``factor`` when given (a ready ``factorize(A)``,
+    or anything whose ``solve`` applies A^-1), else a new one.  A singular
+    factorization, or a residual above tol * ||rhs|| in any column, raises
+    SingularSystemError.
     """
     rhs = np.asarray(rhs)
     rhs_norm = np.linalg.norm(rhs, axis=0)  # per column

@@ -424,6 +424,22 @@ def test_no_mirror_is_one_block_of_the_oracle(single_fiber):
         assert np.abs(dec.vectors - ref.vectors).max() < 1e-12  # the phase fix, once more
 
 
+@pytest.mark.parametrize("theta, arpack_blocks", [((0.0, np.pi, 0.0), 2), ((0.0, 0.0, 0.0), 1)])
+def test_bloch_eigs_factors_only_the_arpack_blocks(theta, arpack_blocks, monkeypatch):
+    """At n=12 the eight two_fibers blocks lie on both sides of the dense
+    crossover: the eigensolve factors only the blocks that take ARPACK, and
+    the lifts then factor the rest, each block once."""
+    calls = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+    asm = assemble_bloch(classify_nodes(_shipped("two_fibers"), 12), theta)
+    dec = bloch_eigs(asm, m_max=10)
+    assert len(asm.blocks) == 8
+    assert dec.paths.count("arpack") == len(calls) == arpack_blocks
+    solve_lifts(asm, dec)
+    assert len(calls) == 8
+
+
 # The lowest ten Bloch eigenvalues of single_fiber at n=20, theta=(pi, 0, 0),
 # from one dense eigh of the whole interior operator (dim 6380).
 N20_PI00 = np.array([

@@ -3,10 +3,11 @@ import os
 from pathlib import Path
 
 import pytest
+import yaml
 
 from hcbloch.cli import main
 from hcbloch.config import RunConfig, parse_config_text
-from hcbloch.errors import ParseError, ValidationError
+from hcbloch.errors import HcBlochError, ParseError, ValidationError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -182,7 +183,7 @@ def test_syntax_error_carries_position():
 
 def test_round_trip_identity(tmp_path):
     cfg = parse_config_text(MINIMAL)
-    again = parse_config_text(cfg.to_yaml())
+    again = parse_config_text(yaml.safe_dump(cfg.to_dict(), sort_keys=True))
     assert again == cfg
 
 
@@ -223,7 +224,7 @@ run:
     for name, value in expected.items():
         assert value != getattr(RunConfig, name), name
         assert getattr(cfg, name) == value, name
-    assert parse_config_text(cfg.to_yaml()) == cfg
+    assert parse_config_text(yaml.safe_dump(cfg.to_dict(), sort_keys=True)) == cfg
 
 
 def test_cli_geom_check_ok(tmp_path, capsys):
@@ -467,6 +468,25 @@ def test_cli_validate_probe_mode_uses_eigen_tol_and_seed(tmp_path, monkeypatch):
     path.write_text(cfg_text)
     main(["validate", "--config", str(path), "--eps", "4", "--seed", "7"])
     assert calls == [(1e-9, 7)]
+
+
+def test_cli_validate_does_not_classify_at_grid_n(tmp_path, capsys):
+    """`validate` classifies only its own cell grid at validate.p: a grid.n
+    too coarse for the fiber fails geom-check but not validate."""
+    text = (ROOT / "configs" / "single_fiber.yml").read_text().replace("n: 16", "n: 4")
+    text = text.replace("dir: out", "dir: %s" % (tmp_path / "out"))
+    path = tmp_path / "c.yml"
+    path.write_text(text)
+    assert main(["geom-check", "--config", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ResolutionError"
+    assert main(["validate", "--config", str(path), "--eps", "4"]) == 0
+
+
+def test_run_subcommand_unknown_name():
+    from hcbloch.cli import run_subcommand
+
+    with pytest.raises(HcBlochError, match="unknown subcommand 'frob'"):
+        run_subcommand("frob", parse_config_text(MINIMAL), Path("out"))
 
 
 def test_cli_unreadable_config_exit2(tmp_path, capsys):
