@@ -27,16 +27,8 @@ from .bloch import BlochAssembly, BlochDecomposition, ThetaRecord
 from .errors import ConvergenceError, EmptyActiveSetError, PoleProximityError
 from .operators import linear_solve
 
-__all__ = [
-    "BetaMatrix",
-    "Band",
-    "BandStructure",
-    "SpatialRoot",
-    "solve_lifts",
-    "pure_bloch_bands",
-    "spatial_spectrum",
-    "spatial_points",
-]
+__all__ = ["BetaMatrix", "Band", "BandStructure", "SpatialRoot", "solve_lifts", "pure_bloch_bands",
+           "spatial_spectrum", "spatial_points"]
 
 
 @dataclass(frozen=True)
@@ -84,6 +76,17 @@ class BetaMatrix:
         lam = np.asarray(lam, dtype=float)
         guard = self.pole_guard_width(pole_guard)
         return np.all(np.abs(self.poles - lam[..., None]) >= guard, axis=-1)
+
+    def mapped(self, theta, axes, phases, conj: bool) -> BetaMatrix:
+        """The matrix at ``theta`` whose lifts are phases[r] times the images of this
+        one's, fiber active[r] relabelled axes[r], all conjugated if ``conj``."""
+        order = np.argsort(axes)
+        c, f = np.asarray(phases)[order], (np.conj if conj else np.asarray)
+        flux, mass = (f(c[:, None] * g[np.ix_(order, order)] * c.conj())
+                      for g in (self.flux_gram, self.mass_gram))
+        return replace(self, theta=theta, active=tuple(int(axes[r]) for r in order),
+                       coeffs=f(c.conj()[:, None] * self.coeffs[order]),
+                       measures=self.measures[order], flux_gram=flux, mass_gram=mass)
 
     def __call__(self, lam, pole_guard: float = 1e-6) -> np.ndarray:
         """Hermitian coupling matrix at spectral parameter lam.

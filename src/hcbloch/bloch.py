@@ -15,7 +15,7 @@ own; a theta or a grid with no such mirror is the one-block case.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from itertools import product
 from typing import TYPE_CHECKING
@@ -36,21 +36,14 @@ from .operators import (
     factorize,
     full_stiffness,
     restrict_to,
+    wrap_phase,
 )
 
 if TYPE_CHECKING:
     from .beta import BetaMatrix
 
-__all__ = [
-    "BlochAssembly",
-    "BlochDecomposition",
-    "ThetaRecord",
-    "assemble_bloch",
-    "bloch_eigs",
-    "solve_theta",
-    "theta_grid",
-    "theta_sweep",
-]
+__all__ = ["BlochAssembly", "BlochDecomposition", "ThetaRecord", "assemble_bloch", "bloch_eigs",
+           "solve_theta", "theta_grid", "theta_sweep"]
 
 
 @dataclass(frozen=True)
@@ -229,8 +222,9 @@ def bloch_eigs(asm: BlochAssembly, m_max: int = 10, tol: float = 1e-8,
 @dataclass(frozen=True)
 class ThetaRecord:
     """What the sweep keeps of one theta, with no array whose size grows with n:
-    ``bloch_eigs``'s numbers less the vectors, and the coupling matrix of the
-    lifts (None where none was solved: no active axis, or no ``lift_tol``)."""
+    ``bloch_eigs``'s numbers less the vectors, the coupling matrix of the lifts
+    (None where none was solved: no active axis, or no ``lift_tol``), and the
+    theta whose solve gave them (``theta_sweep`` maps it to its symmetric images)."""
 
     theta: QuasiMomentum
     active: tuple[int, ...]
@@ -238,6 +232,7 @@ class ThetaRecord:
     residuals: np.ndarray = field(repr=False)
     paths: tuple[str, ...]
     beta: BetaMatrix | None = field(repr=False)
+    solved_at: tuple[float, float, float]
 
 
 def solve_theta(grid: Grid, qm: QuasiMomentum, m_max: int = 10, tol: float = 1e-8,
@@ -254,7 +249,7 @@ def solve_theta(grid: Grid, qm: QuasiMomentum, m_max: int = 10, tol: float = 1e-
 
         beta, _ = solve_lifts(asm, dec, tol=lift_tol)
     return ThetaRecord(theta=dec.theta, active=dec.active, eigenvalues=dec.eigenvalues,
-                       residuals=dec.residuals, paths=dec.paths, beta=beta)
+                       residuals=dec.residuals, paths=dec.paths, beta=beta, solved_at=qm.theta)
 
 
 def theta_grid(g: int) -> list[QuasiMomentum]:
@@ -271,29 +266,35 @@ def theta_grid(g: int) -> list[QuasiMomentum]:
 
 
 def theta_sweep(grid: Grid, thetas: Sequence[QuasiMomentum], m_max: int = 10, tol: float = 1e-8,
-                seed: int = 0, threads: int = 1,
-                lift_tol: float | None = None) -> dict[tuple[float, float, float], ThetaRecord]:
-    """``solve_theta`` at each of ``thetas`` (e.g. ``theta_grid(g)``).
+                seed: int = 0, threads: int = 1, lift_tol: float | None = None,
+                keep: Sequence[QuasiMomentum] | None = None) -> dict[tuple, ThetaRecord]:
+    """A ``ThetaRecord`` at each of ``thetas`` (e.g. ``theta_grid(g)``), or at each
+    of them in ``keep``, from ``solve_theta`` at the first theta of its orbit under
+    ``grid.symmetries`` and complex conjugation (``_orbits``): the Bloch operators
+    of an orbit are (anti)unitarily equivalent, so ``_image`` maps that record to
+    the rest of the orbit.
 
-    The thetas are independent, so with ``threads`` > 1 they are solved in
-    min(threads, #thetas) forked worker processes (ARPACK's loop and the
+    The solved thetas are independent, so with ``threads`` > 1 they are solved in
+    min(threads, #solved) forked worker processes (ARPACK's loop and the
     Python around each sparse solve hold the GIL, so threads would overlap
     only in part); with one they are solved in a plain loop.  Either way a
     theta gives one ``ThetaRecord``, all a worker sends back.  Every point
     uses the same ``seed``, so the result does not depend on the schedule.
     The result map is keyed by theta tuples in lexicographic order.  An
-    HcBlochError at a point is collected, and the failures raise one error
-    naming each theta: of their common type, else HcBlochError.  Any other
+    HcBlochError at a solved theta is collected, and the failures raise one
+    error naming each: of their common type, else HcBlochError.  Any other
     exception propagates as it is, and a worker that dies raises
     BrokenProcessPool.  At most ``threads`` assemblies and their block
     factors are alive at once.
     Every worker has exited when this returns or raises.  Forking is
     safe only from a process that runs no other threads, as the CLI does.
     """
-    grid.mirrors  # a0 and the mirrors, found once here, go to every theta with the grid
+    # a0 and the symmetries, found once here, go to every worker with the grid
+    kept = [(qm, o) for qm, o in zip(thetas, _orbits(grid, thetas)) if keep is None or qm in keep]
+    solved = list({id(rep): rep for _, (rep, _) in kept}.values())
     step = partial(solve_theta, grid, m_max=m_max, tol=tol, seed=seed, lift_tol=lift_tol)
     attempt = partial(_attempt, step)
-    workers = min(threads, len(thetas))
+    workers = min(threads, len(solved))
     if workers > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -301,16 +302,69 @@ def theta_sweep(grid: Grid, thetas: Sequence[QuasiMomentum], m_max: int = 10, to
         # fork: the workers inherit the imported modules instead of importing them again
         fork = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
-            outcomes = list(pool.map(attempt, thetas))
+            outcomes = list(pool.map(attempt, solved))
     else:
-        outcomes = list(map(attempt, thetas))
-    failures = [(qm.theta, out) for qm, out in zip(thetas, outcomes) if isinstance(out, Exception)]
+        outcomes = list(map(attempt, solved))
+    failures = [(qm.theta, out) for qm, out in zip(solved, outcomes) if isinstance(out, Exception)]
     if failures:
         summary = "; ".join(f"theta={t}: {e}" for t, e in failures)
         kinds = {type(e) for _, e in failures}
         kind = kinds.pop() if len(kinds) == 1 else HcBlochError
         raise kind(f"theta sweep failed at {len(failures)} point(s): {summary}")
-    return dict(sorted((qm.theta, record) for qm, record in zip(thetas, outcomes)))
+    records = {id(qm): record for qm, record in zip(solved, outcomes)}
+    return dict(sorted({qm.theta: _image(grid, records[id(rep)], element, qm)
+                        for qm, (rep, element) in kept}.items()))
+
+
+def _permuted(perm, signs, values) -> np.ndarray:
+    """out[perm[j]] = signs[j] values[j]: the image of a theta or a node under (perm, signs)."""
+    out = np.empty(3, dtype=np.result_type(*values))
+    out[list(perm)] = np.multiply(signs, values)
+    return out
+
+
+def _orbits(grid: Grid, thetas: Sequence[QuasiMomentum]) -> list[tuple[QuasiMomentum, tuple]]:
+    """Per theta, the first theta of its orbit in the list and an element (perm, signs,
+    shift, conj) mapping that one to it.  (perm, signs) maps theta to theta' with
+    theta'_perm[j] = signs[j] theta_j, conj then to -theta' (mod 2pi); an image
+    within 1e-12 of a listed theta is that theta."""
+    listed, orbit = np.array([qm.theta for qm in thetas]).reshape(-1, 3), [None] * len(thetas)
+    for i, qm in enumerate(thetas):
+        if orbit[i] is not None:
+            continue
+        for perm, signs, shift in grid.symmetries:
+            image = _permuted(perm, signs, qm.theta)
+            for conj in (False, True):
+                gap = (listed - (-image if conj else image) + np.pi) % (2.0 * np.pi) - np.pi
+                for j in np.flatnonzero(np.abs(gap).max(axis=1) <= 1e-12):
+                    orbit[j] = orbit[j] or (qm, (perm, signs, shift, conj))
+    return orbit
+
+
+def _image(grid: Grid, record: ThetaRecord, element, qm: QuasiMomentum) -> ThetaRecord:
+    """The record at qm, the image of ``record.theta`` under ``element``: the same
+    eigenvalues, residuals, paths and ``solved_at``, and the coupling matrix mapped.
+
+    The unitary of (perm, signs, shift) moves node k to k' + n m, k' in the cell
+    (k'_perm[j] + n m_perm[j] = signs[j] k_j + shift[perm[j]]), with the factor
+    exp(-i theta'.m), theta' the image of theta under (perm, signs).  It maps the
+    modes at theta onto those at theta', and the lift of fiber i onto
+    exp(-i theta'.m_i) times that of fiber perm(i), m_i the offset of any node of
+    fiber i (theta' vanishes along the fiber).  ``conj`` conjugates all of it.
+    """
+    if qm.theta == record.theta.theta:
+        return record
+    perm, signs, shift, conj = element
+    beta = record.beta
+    if beta is not None:
+        image = _permuted(perm, signs, record.theta.theta) % (2.0 * np.pi)
+        phases = []
+        for axis in beta.active:
+            k = np.unravel_index(np.argmax(grid.fiber_mask(axis)), grid.shape)
+            offset = (_permuted(perm, signs, k) + shift) // grid.n
+            phases.append(np.prod([wrap_phase(t) ** -int(m) for t, m in zip(image, offset)]))
+        beta = beta.mapped(qm.theta, [perm[i - 1] + 1 for i in beta.active], phases, conj)
+    return replace(record, theta=qm, active=qm.active_set(grid.geometry.active_axes), beta=beta)
 
 
 def _attempt(step, qm: QuasiMomentum):

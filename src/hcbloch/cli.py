@@ -44,27 +44,28 @@ def _import_numerics() -> None:
             __getattr__(name)
 
 
-def _write_json(path: Path, payload: dict, **summary) -> None:
-    """Write payload to path, then print one JSON line: the path and the summary."""
+def _write(cfg: RunConfig, name: str, text: str, **summary) -> None:
+    """Write text to the file ``name`` of ``cfg.out_dir``, then print one JSON line: the
+    path and the summary."""
+    path = Path(cfg.out_dir) / name
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    path.write_text(text, encoding="utf-8")
     print(json.dumps({"written": str(path), **summary}))
 
 
-def _write_csv(path: Path, header: list[str], rows, meta: str, **summary) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"# {meta}", ",".join(header)]
+def _write_json(cfg: RunConfig, geom, name: str, payload: dict, **summary) -> None:
+    meta = {"schema_version": SCHEMA_VERSION, "geometry_hash": geom.content_hash(),
+            "seed": cfg.seed, "config": cfg.to_dict()}
+    _write(cfg, name, json.dumps({**meta, **payload}, sort_keys=True, indent=1) + "\n", **summary)
+
+
+def _write_csv(cfg: RunConfig, geom, name: str, header, rows, theta=None, **summary) -> None:
+    at = "" if theta is None else f"theta={','.join(map(repr, theta))} "
+    lines = [f"# hcbloch {Path(name).stem} schema={SCHEMA_VERSION} "
+             f"geometry={geom.content_hash()} {at}seed={cfg.seed}", ",".join(header)]
     for row in rows:
         lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(json.dumps({"written": str(path), **summary}))
-
-
-def _meta(cfg: RunConfig, geom) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "geometry_hash": geom.content_hash(),
-            "seed": cfg.seed, "config": cfg.to_dict()}
+    _write(cfg, name, "\n".join(lines) + "\n", **summary)
 
 
 def _lambda_max(cfg: RunConfig, sweep) -> float:
@@ -80,13 +81,10 @@ def _lambda_max(cfg: RunConfig, sweep) -> float:
     return float(cfg.lambda_max)
 
 
-def cmd_geom_check(cfg: RunConfig, geom, grid, out_dir: Path, theta) -> int:
+def cmd_geom_check(cfg: RunConfig, geom, grid, theta) -> int:
     payload = {
-        "status": "ok",
-        "geometry_hash": geom.content_hash(),
-        "variant": geom.variant,
-        "fiber_axes": list(geom.active_axes),
-        "n": grid.n,
+        "status": "ok", "geometry_hash": geom.content_hash(), "variant": geom.variant,
+        "fiber_axes": list(geom.active_axes), "n": grid.n,
         "matrix_fraction": float(np.count_nonzero(grid.matrix_mask)) / grid.n**3,
         "fiber_measures": {str(a): grid.fiber_measure(a) for a in geom.active_axes},
     }
@@ -94,22 +92,14 @@ def cmd_geom_check(cfg: RunConfig, geom, grid, out_dir: Path, theta) -> int:
     return 0
 
 
-def cmd_cell(cfg: RunConfig, geom, grid, out_dir: Path, theta) -> int:
+def cmd_cell(cfg: RunConfig, geom, grid, theta) -> int:
     solutions = [solve_cell_problem(grid, axis, tol=cfg.tol_linear) for axis in geom.active_axes]
-    tensor = effective_tensor(solutions)
-    payload = _meta(cfg, geom)
-    payload["solutions"] = [
-        {
-            "fiber": sol.axis,
-            "a_hom": sol.a_hom,
-            "discrete_measure": sol.discrete_measure,
-            "residual": sol.residual,
-            "off_axis_flux": {str(j): axial_flux(grid, sol, j) for j in (1, 2, 3) if j != sol.axis},
-        }
-        for sol in solutions
-    ]
-    payload["effective_tensor"] = tensor.tolist()
-    _write_json(out_dir / "cell.json", payload)
+    rows = [{"fiber": sol.axis, "a_hom": sol.a_hom, "discrete_measure": sol.discrete_measure,
+             "residual": sol.residual, "off_axis_flux": {
+                 str(j): axial_flux(grid, sol, j) for j in (1, 2, 3) if j != sol.axis}}
+            for sol in solutions]
+    _write_json(cfg, geom, "cell.json",
+                {"solutions": rows, "effective_tensor": effective_tensor(solutions).tolist()})
     return 0
 
 
@@ -119,26 +109,29 @@ def _sweep(cfg: RunConfig, grid, theta=None, lift_tol=None):
         raise ValidationError(
             f"spectrum.m_max={cfg.m_max} exceeds the Bloch operator dimension {dim}"
         )
-    thetas = theta_grid(cfg.theta_g) if theta is None else [as_quasi_momentum(theta)]
-    return theta_sweep(grid, thetas, m_max=cfg.m_max, tol=cfg.tol_eigen, seed=cfg.seed,
-                       threads=cfg.threads, lift_tol=lift_tol)
+    # one theta is solved where the grid run solves it, so its numbers are the grid run's
+    keep = None if theta is None else [as_quasi_momentum(theta)]
+    sweep = theta_sweep(grid, theta_grid(cfg.theta_g) + (keep or []), m_max=cfg.m_max,
+                        tol=cfg.tol_eigen, seed=cfg.seed, threads=cfg.threads,
+                        lift_tol=lift_tol, keep=keep)
+    # the summary's thetas: all of the sweep, and those solved (one per symmetry orbit)
+    counts = {"points": len(sweep), "solved": sum(r.solved_at == t for t, r in sweep.items())}
+    return sweep, counts
 
 
-def cmd_bloch(cfg: RunConfig, geom, grid, out_dir: Path, theta) -> int:
-    sweep = _sweep(cfg, grid, theta)
-    rows = []
-    for (t1, t2, t3), record in sweep.items():
-        for m, mu in enumerate(record.eigenvalues, start=1):
-            rows.append((t1, t2, t3, m, float(mu)))
-    meta = f"hcbloch bands schema={SCHEMA_VERSION} geometry={geom.content_hash()} seed={cfg.seed}"
-    _write_csv(out_dir / "bands.csv", ["theta1", "theta2", "theta3", "m", "mu"], rows, meta,
-               points=len(sweep))
+def cmd_bloch(cfg: RunConfig, geom, grid, theta) -> int:
+    sweep, counts = _sweep(cfg, grid, theta)
+    rows = [(*t, m, float(mu)) for t, record in sweep.items()
+            for m, mu in enumerate(record.eigenvalues, start=1)]
+    _write_csv(cfg, geom, "bands.csv", ["theta1", "theta2", "theta3", "m", "mu"], rows, **counts)
     return 0
 
 
-def cmd_beta(cfg: RunConfig, geom, grid, out_dir: Path, theta) -> int:
+def cmd_beta(cfg: RunConfig, geom, grid, theta) -> int:
+    if theta is None:
+        raise ValidationError("beta needs --theta t1,t2,t3: the quasi-momentum of its matrix")
     qm = as_quasi_momentum(theta)
-    sweep = _sweep(cfg, grid, qm, lift_tol=cfg.tol_linear)
+    sweep, _ = _sweep(cfg, grid, qm, lift_tol=cfg.tol_linear)
     beta = sweep[qm.theta].beta
     if beta is None:
         raise EmptyActiveSetError(
@@ -146,92 +139,46 @@ def cmd_beta(cfg: RunConfig, geom, grid, out_dir: Path, theta) -> int:
         )
     samples = np.linspace(0.0, _lambda_max(cfg, sweep), 400)
     samples = samples[beta.off_poles(samples, cfg.pole_guard)]
-    header = ["lambda"]
-    for i in beta.active:
-        for j in beta.active:
-            header += [f"re_beta_{i}{j}", f"im_beta_{i}{j}"]
-    rows = []
-    for lam, mat in zip(samples, beta(samples, pole_guard=cfg.pole_guard)):
-        row = [float(lam)]
-        for a in range(len(beta.active)):
-            for b in range(len(beta.active)):
-                row += [float(mat[a, b].real), float(mat[a, b].imag)]
-        rows.append(tuple(row))
-    meta = (
-        f"hcbloch beta schema={SCHEMA_VERSION} geometry={geom.content_hash()} "
-        f"theta={','.join(repr(t) for t in qm.theta)} seed={cfg.seed}"
-    )
-    _write_csv(out_dir / "beta.csv", header, rows, meta, active_axes=list(beta.active))
+    header = ["lambda", *(f"{part}_beta_{i}{j}" for i in beta.active for j in beta.active
+                          for part in ("re", "im"))]
+    rows = [(float(lam), *(float(v) for z in mat.ravel() for v in (z.real, z.imag)))
+            for lam, mat in zip(samples, beta(samples, pole_guard=cfg.pole_guard))]
+    _write_csv(cfg, geom, "beta.csv", header, rows, qm.theta, active_axes=list(beta.active))
     return 0
 
 
-def cmd_spectrum(cfg: RunConfig, geom, grid, out_dir: Path, theta) -> int:
-    sweep = _sweep(cfg, grid, lift_tol=cfg.tol_linear)
+def cmd_spectrum(cfg: RunConfig, geom, grid, theta) -> int:
+    sweep, counts = _sweep(cfg, grid, lift_tol=cfg.tol_linear)
     lambda_max = _lambda_max(cfg, sweep)
     structure = pure_bloch_bands(sweep, lambda_max)
-
     a_hom = effective_tensor(
         [solve_cell_problem(grid, axis, tol=cfg.tol_linear) for axis in geom.active_axes]
     )
-    spatial = []
-    for record in sweep.values():
-        spatial.extend(
-            spatial_points(record, a_hom, cfg.k_modes, lambda_max, L=cfg.torus_period,
-                           pole_guard=cfg.pole_guard)
-        )
-
-    payload = _meta(cfg, geom)
-    payload.update(
-        {
-            "window": [0.0, lambda_max],
-            "branch_intervals": [
-                {
-                    "m": b.branches[0] + 1,
-                    "lo": b.lo,
-                    "hi": b.hi,
-                    "theta_at_lo": list(b.theta_at_lo),
-                    "theta_at_hi": list(b.theta_at_hi),
-                }
-                for b in structure.branch_intervals
-            ],
-            "bands": [
-                {"lo": b.lo, "hi": b.hi, "branches": [m + 1 for m in b.branches]}
-                for b in structure.bands
-            ],
-            "gaps": [list(g) for g in structure.gaps],
-            "spatial": [
-                {
-                    "theta": list(r.theta),
-                    "k": list(r.k_index),
-                    "lambda": r.lam,
-                    "residual": r.residual,
-                    "bracket": list(r.bracket),
-                }
-                for r in spatial
-            ],
-        }
-    )
-    _write_json(out_dir / "spectrum.json", payload, bands=len(structure.bands),
+    spatial = [root for record in sweep.values() for root in spatial_points(
+        record, a_hom, cfg.k_modes, lambda_max, L=cfg.torus_period, pole_guard=cfg.pole_guard)]
+    payload = {
+        "window": [0.0, lambda_max],
+        "branch_intervals": [{"m": b.branches[0] + 1, "lo": b.lo, "hi": b.hi,
+                              "theta_at_lo": list(b.theta_at_lo),
+                              "theta_at_hi": list(b.theta_at_hi)}
+                             for b in structure.branch_intervals],
+        "bands": [{"lo": b.lo, "hi": b.hi, "branches": [m + 1 for m in b.branches]}
+                  for b in structure.bands],
+        "gaps": [list(g) for g in structure.gaps],
+        "spatial": [{"theta": list(r.theta), "k": list(r.k_index), "lambda": r.lam,
+                     "residual": r.residual, "bracket": list(r.bracket)} for r in spatial],
+    }
+    _write_json(cfg, geom, "spectrum.json", payload, **counts, bands=len(structure.bands),
                 gaps=len(structure.gaps), spatial_points=len(spatial))
     return 0
 
 
-def cmd_validate(cfg: RunConfig, geom, grid, out_dir: Path, theta) -> int:
+def cmd_validate(cfg: RunConfig, geom, grid, theta) -> int:
     probe_theta = (0.0, 0.0, 0.0) if cfg.contrast == "double_porosity" else (np.pi, np.pi, np.pi)
-    report = convergence_report(
-        geom,
-        cfg.p_cell,
-        cfg.eps_K,
-        theta=probe_theta,
-        k_index=cfg.validate_k_index,
-        contrast=cfg.contrast,
-        tol=cfg.tol_linear,
-        eigen_tol=cfg.tol_eigen,
-        seed=cfg.seed,
-    )
-    payload = _meta(cfg, geom)
-    payload["report"] = report.to_dict()
-    _write_json(out_dir / "validate.json", payload, passed=report.passed)
+    report = convergence_report(geom, cfg.p_cell, cfg.eps_K, theta=probe_theta,
+                                k_index=cfg.validate_k_index, contrast=cfg.contrast,
+                                tol=cfg.tol_linear, eigen_tol=cfg.tol_eigen, seed=cfg.seed)
+    _write_json(cfg, geom, "validate.json", {"report": report.to_dict()}, passed=report.passed)
     return 0 if report.passed else 1
 
 
@@ -301,9 +248,7 @@ def main(argv=None) -> int:
             eps_K=_parse_eps(getattr(args, "eps", None)),
             out_dir=args.out,
         )
-        out_dir = Path(cfg.out_dir)
-        return run_subcommand(args.command, cfg, out_dir,
-                              theta=_parse_theta(getattr(args, "theta", None)))
+        return run_subcommand(args.command, cfg, theta=_parse_theta(getattr(args, "theta", None)))
     except HcBlochError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         if hasattr(exc, "violations"):
@@ -312,7 +257,7 @@ def main(argv=None) -> int:
         return 2
 
 
-def run_subcommand(command: str, cfg: RunConfig, out_dir: Path, theta=None) -> int:
+def run_subcommand(command: str, cfg: RunConfig, theta=None) -> int:
     if command not in _COMMANDS:
         raise HcBlochError(f"unknown subcommand {command!r}")
     geom = build_geometry(cfg.geometry)
@@ -320,7 +265,7 @@ def run_subcommand(command: str, cfg: RunConfig, out_dir: Path, theta=None) -> i
     grid = None if command == "validate" else classify_nodes(geom, cfg.n)
     if command != "geom-check":
         _import_numerics()
-    return _COMMANDS[command][0](cfg, geom, grid, out_dir, theta)
+    return _COMMANDS[command][0](cfg, geom, grid, theta)
 
 
 def run(argv=None) -> int:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import permutations, product
 
 import numpy as np
 
@@ -257,13 +258,43 @@ class Grid:
         return vals
 
     @cached_property
+    def symmetries(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]:
+        """(perm, signs, shift) for each signed axis permutation that, with the shift, maps
+        node k to k' (k'_perm[j] = signs[j] k_j + shift[perm[j]] mod n) so that ``node_class``,
+        fiber label j + 1 relabelled perm[j] + 1, and the sampled a0 go exactly onto
+        themselves; the identity first.  The shift is the first that does, in lexicographic order over
+        the axes the element leaves alone, then the others.  Only shifts that match the
+        per-plane label counts and a0 sums along every axis are checked."""
+        n, cls, a0 = self.n, self.node_class, self._a0
+        k, found = np.arange(n), []
+        planes = [np.column_stack([*(np.sum(cls == c, axis=(j - 1, j - 2)) for c in range(5)),
+                                   a0.sum(axis=(j - 1, j - 2))]) for j in range(3)]
+        rows = {s: (s * (k[None, :] - k[:, None])) % n for s in (1, -1)}  # [shift, plane]
+        for perm in permutations(range(3)):
+            label = np.array([MATRIX, *(p + 1 for p in perm), STIFF_COMPLEMENT])
+            src, cols = np.argsort(perm), [*np.argsort(label), 5]  # target axis a is src[a]
+            fields = (label[cls.transpose(src)], a0.transpose(src))
+            shifts = {(a, s): np.flatnonzero(np.isclose(planes[src[a]][rows[s]][..., cols],
+                                                        planes[a], rtol=1e-9).all(axis=(1, 2)))
+                      for a in range(3) for s in (1, -1)}
+            for signs in product((1, -1), repeat=3):
+                order = sorted(range(3), key=lambda a: (src[a], signs[src[a]]) != (a, 1))
+                for t in product(*(shifts[a, signs[src[a]]] for a in order)):
+                    shift = tuple(int(t[order.index(a)]) for a in range(3))
+                    index = np.ix_(*((signs[src[a]] * (k - shift[a])) % n for a in range(3)))
+                    if all(np.array_equal(f[index], g) for f, g in zip(fields, (cls, a0))):
+                        found.append((perm, signs, shift))
+                        break
+        return tuple(found)
+
+    @property
     def mirrors(self) -> tuple[int | None, ...]:
-        """Per axis j (0-based), the first c in 0..n-1 such that k_j -> (c - k_j) mod n
-        maps ``node_class`` and the sampled a0 exactly onto themselves, else None."""
-        k, fields = np.arange(self.n), (self.node_class, self._a0)
-        return tuple(next((c for c in range(self.n) if all(
-            np.array_equal(np.take(f, (c - k) % self.n, axis=j), f) for f in fields)), None)
-            for j in range(3))
+        """Per axis j (0-based), the c of k_j -> (c - k_j) mod n if that reflection alone
+        is in ``symmetries`` (the first such c), else None."""
+        flips = [(signs.index(-1), shift) for perm, signs, shift in self.symmetries
+                 if perm == (0, 1, 2) and signs.count(-1) == 1]
+        centers = {j: t[j] for j, t in flips if not any(np.delete(t, j))}
+        return tuple(centers.get(j) for j in range(3))
 
     def a1_field(self) -> np.ndarray:
         return self.coefficient_field("a1")

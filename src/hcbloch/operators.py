@@ -85,6 +85,12 @@ def edge_weights(coeff: np.ndarray, direction: int) -> np.ndarray:
     return harmonic_mean(coeff, np.roll(coeff, -1, axis=direction))
 
 
+def wrap_phase(t: float):
+    """exp(i t), exactly real at t = 0 and t = pi: an operator there stays real, which
+    keeps one LAPACK path for bitwise-reproducible spectra across such quasi-momenta."""
+    return 1.0 if t == 0.0 else (-1.0 if t == np.pi else np.exp(1j * t))
+
+
 def full_stiffness(n: int, coeff: np.ndarray, theta=None) -> sp.csr_matrix:
     """Assemble the stiffness form matrix on all n^3 nodes.
 
@@ -92,12 +98,7 @@ def full_stiffness(n: int, coeff: np.ndarray, theta=None) -> sp.csr_matrix:
     """
     qm = as_quasi_momentum(theta)
     h = 1.0 / n
-    # theta components 0 and pi give exactly real wrap factors; keeping the
-    # operator real there keeps one LAPACK path for bitwise-reproducible
-    # spectra across such quasi-momenta.
-    phase_vals = [
-        1.0 if t == 0.0 else (-1.0 if t == np.pi else np.exp(1j * t)) for t in qm.theta
-    ]
+    phase_vals = [wrap_phase(t) for t in qm.theta]
     dtype = np.complex128 if any(isinstance(p, complex) for p in phase_vals) else np.float64
 
     idx = np.arange(n**3, dtype=np.int64).reshape(n, n, n)

@@ -28,16 +28,8 @@ from .cell import solve_cell_problem
 from .geometry import CellGeometry, Grid, classify_nodes
 from .operators import QuasiMomentum, as_quasi_momentum, full_stiffness, linear_solve
 
-__all__ = [
-    "EpsProblem",
-    "EpsSolution",
-    "HomogenizedSolution",
-    "TwoScaleReport",
-    "solve_eps",
-    "solve_homogenized",
-    "two_scale_pairing",
-    "convergence_report",
-]
+__all__ = ["EpsProblem", "EpsSolution", "HomogenizedSolution", "TwoScaleReport", "solve_eps",
+           "solve_homogenized", "two_scale_pairing", "convergence_report"]
 
 
 @dataclass(frozen=True)
@@ -236,10 +228,7 @@ def solve_homogenized(
     g = np.ones(N) if g_cell is None else np.asarray(g_cell).reshape(N).astype(complex)
     rhs = grid.h**3 * (Z.T @ g)
     x = linear_solve(system, rhs, tol=tol)
-    return HomogenizedSolution(
-        k_index=tuple(int(v) for v in k_index),
-        w_full=np.asarray(Z @ x),
-    )
+    return HomogenizedSolution(k_index=tuple(int(v) for v in k_index), w_full=np.asarray(Z @ x))
 
 
 @dataclass(frozen=True)
@@ -270,16 +259,9 @@ class TwoScaleReport:
     def to_dict(self) -> dict:
         return {
             "eps": [1.0 / K for K in self.eps_K],
-            "cases": [
-                {
-                    "name": c.name,
-                    "pairings": [[z.real, z.imag] for z in c.pairings],
-                    "limit": [c.limit.real, c.limit.imag],
-                    "residuals": list(c.residuals),
-                    "scale": c.scale,
-                }
-                for c in self.cases
-            ],
+            "cases": [{"name": c.name, "pairings": [[z.real, z.imag] for z in c.pairings],
+                       "limit": [c.limit.real, c.limit.imag], "residuals": list(c.residuals),
+                       "scale": c.scale} for c in self.cases],
             "apriori": {str(K): v for K, v in self.apriori.items()},
             "energy_identity_defect": {str(K): v for K, v in self.energy_defect.items()},
             "bound_constant": self.bound_constant,
@@ -288,12 +270,6 @@ class TwoScaleReport:
             "passed": self.passed,
             "failures": list(self.failures),
         }
-
-
-def _theory_bound_constant(grid: Grid) -> float:
-    a0 = grid.a0_field()
-    a1 = grid.a1_field()
-    return float(max(1.0, np.sqrt(1.0 / a0.min() + 1.0 / a1.min())))
 
 
 # The PASS bounds on the pairing residuals: growth from one eps to the next
@@ -347,7 +323,9 @@ def convergence_report(
     apriori = {K: sol.apriori_norms() for K, sol in solutions.items()}
     energy_defect = {K: sol.energy_identity_defect() for K, sol in solutions.items()}
 
-    bound_c = _theory_bound_constant(grid_cell)
+    # the theoretical constant of the a priori bounds
+    bound_c = float(max(1.0, np.sqrt(1.0 / grid_cell.a0_field().min()
+                                     + 1.0 / grid_cell.a1_field().min())))
     for K, norms in apriori.items():
         for key in ("stiff_energy", "eps_gradient", "l2"):
             if norms[key] > bound_c * norms["f_l2"] * (1.0 + 1e-8):
@@ -384,15 +362,8 @@ def convergence_report(
                 f"{RESIDUAL_FACTOR} * scale {case.scale:.3e}"
             )
 
-    return TwoScaleReport(
-        eps_K=eps_K,
-        cases=cases,
-        apriori=apriori,
-        energy_defect=energy_defect,
-        bound_constant=bound_c,
-        passed=not failures,
-        failures=failures,
-    )
+    return TwoScaleReport(eps_K=eps_K, cases=cases, apriori=apriori, energy_defect=energy_defect,
+                          bound_constant=bound_c, passed=not failures, failures=failures)
 
 
 def _phi_battery(k_index):

@@ -349,6 +349,7 @@ def test_band_merging_and_gaps():
             residuals=np.zeros(len(vals)),
             paths=("dense",),
             beta=None,
+            solved_at=theta,
         )
 
     sweep = {
@@ -530,8 +531,10 @@ def test_pencil_roots_match_scalar_scan_oracle(lift_setup, two_fiber_setup):
 
 
 def test_sweep_with_lifts_factors_once_per_theta(single_fiber, sparse_eigensolver, monkeypatch):
-    """One LU per sector block serves ARPACK and the lift solve; the lifts
-    still go through hcbloch.beta.linear_solve and add no factor."""
+    """One LU per sector block of each solved theta serves ARPACK and the lift
+    solve; the lifts still go through hcbloch.beta.linear_solve and add no
+    factor.  Of the 8 thetas 6 are solved: the swap y2 <-> y3 maps (0, 0, pi)
+    to (0, pi, 0) and (pi, 0, pi) to (pi, pi, 0)."""
     import scipy.sparse.linalg as spla
     from scipy.sparse.linalg._eigen.arpack import arpack
 
@@ -553,21 +556,24 @@ def test_sweep_with_lifts_factors_once_per_theta(single_fiber, sparse_eigensolve
     monkeypatch.setattr(hcbloch.beta, "linear_solve", counting_linear_solve)
     grid = classify_nodes(single_fiber, 8)
     sweep = theta_sweep(grid, theta_grid(2), m_max=4, lift_tol=1e-10)
-    active = [t for t in sweep if t[0] == 0.0]
-    blocks = sum(len(assemble_bloch(grid, t).blocks) for t in sweep)
-    assert blocks == 8 * len(sweep)  # three mirrors at every theta of {0, pi}^3
+    solved = [t for t, record in sweep.items() if record.solved_at == t]
+    active = [t for t in solved if t[0] == 0.0]
+    blocks = sum(len(assemble_bloch(grid, t).blocks) for t in solved)
+    assert blocks == 8 * 6 == 48  # three mirrors at every theta of {0, pi}^3
     assert calls == {"splu": blocks, "linear_solve": len(active)}
-    assert all((sweep[t].beta is not None) == (t in active) for t in sweep)
+    assert all((sweep[t].beta is not None) == (t[0] == 0.0) for t in sweep)
 
 
 def test_sweep_lifts_match_standalone_solve(two_fiber, sparse_eigensolver):
     """The coupling matrix a worker sends back is that of solve_lifts on the
-    same assembly (the lifts on the grid are checked by the lift tests above)."""
+    same assembly (the lifts on the grid are checked by the lift tests above).
+    Workers solve only the first theta of each orbit; the matrices mapped to
+    the other thetas are checked against direct solves in test_bloch.py."""
     grid = classify_nodes(two_fiber, 8)
     sweep = theta_sweep(grid, theta_grid(2), m_max=4, lift_tol=1e-10, threads=2)
     checked = 0
-    for record in sweep.values():
-        if record.beta is None:
+    for t, record in sweep.items():
+        if record.beta is None or record.solved_at != t:
             continue
         asm = assemble_bloch(grid, record.theta)
         alone, _ = solve_lifts(asm, bloch_eigs(asm, m_max=4))
@@ -580,7 +586,9 @@ def test_sweep_lifts_match_standalone_solve(two_fiber, sparse_eigensolver):
             ref = getattr(alone, name)
             assert np.abs(getattr(attached, name) - ref).max() <= 1e-12 * np.abs(ref).max()
         checked += 1
-    assert checked == 6  # theta with theta_1 = 0 or theta_3 = 0 on the g=2 grid
+    # solved thetas with theta_1 = 0 or theta_3 = 0 on the g=2 grid; the glide
+    # maps (0, 0, pi) to (pi, 0, 0) and (0, pi, pi) to (pi, pi, 0)
+    assert checked == 4
 
 
 @pytest.mark.parametrize("geom_name", ["single_fiber", "two_fiber"])

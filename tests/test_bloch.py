@@ -15,8 +15,9 @@ import yaml
 
 import hcbloch.bloch
 from conftest import dirichlet_chain_lowest
-from hcbloch.beta import solve_lifts
-from hcbloch.bloch import assemble_bloch, bloch_eigs, theta_grid, theta_sweep
+from hcbloch.beta import solve_lifts, spatial_points
+from hcbloch.bloch import assemble_bloch, bloch_eigs, solve_theta, theta_grid, theta_sweep
+from hcbloch.cell import effective_tensor, solve_cell_problem
 from hcbloch.errors import ConvergenceError, HcBlochError, SingularSystemError
 from hcbloch.geometry import CellGeometry, build_geometry, classify_nodes
 from hcbloch.operators import QuasiMomentum
@@ -203,7 +204,7 @@ def test_sweep_failures_aggregated(single_fiber, monkeypatch, threads):
     """A theta whose eigensolve fails is named in one ConvergenceError, in
     the serial loop and from a worker process alike, and no worker is left."""
     grid = classify_nodes(single_fiber, 8)
-    bad = theta_grid(2)[2].theta  # (0, pi, 0)
+    bad = theta_grid(2)[1].theta  # (0, 0, pi): solved, and mapped to (0, pi, 0)
     target = assemble_bloch(grid, bad)
     eigensolve = hcbloch.bloch.eigensolve
 
@@ -224,11 +225,12 @@ def test_sweep_failures_aggregated(single_fiber, monkeypatch, threads):
 
 @pytest.mark.parametrize("kinds, raised", [
     ({5: SingularSystemError}, SingularSystemError),
-    ({2: ConvergenceError, 5: SingularSystemError}, HcBlochError),
+    ({1: ConvergenceError, 5: SingularSystemError}, HcBlochError),
 ], ids=["one_type", "mixed_types"])
 def test_sweep_failure_keeps_its_type(single_fiber, monkeypatch, kinds, raised):
     """Failures of one HcBlochError type are aggregated into that type, and
-    failures of several types into HcBlochError, from worker processes too."""
+    failures of several types into HcBlochError, from worker processes too.
+    (Thetas 1 and 5 are each the first of their orbit, so both are solved.)"""
     grid = classify_nodes(single_fiber, 8)
     points = theta_grid(2)
     targets = [(assemble_bloch(grid, points[i]), kind) for i, kind in kinds.items()]
@@ -279,12 +281,71 @@ def test_sweep_worker_death_raises(single_fiber, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_sweep_conjugation_symmetry(single_fiber):
-    grid = classify_nodes(single_fiber, 8)
-    sweep = theta_sweep(grid, theta_grid(4), m_max=4)
-    for t in sweep:
-        t_conj = tuple((-v) % (2 * np.pi) for v in t)
-        assert np.abs(sweep[t].eigenvalues - sweep[t_conj].eigenvalues).max() < 1e-9
+@pytest.mark.parametrize("name", ["single_fiber", "two_fibers", "double_porosity"])
+def test_reduced_sweep_matches_direct_solves(name):
+    """The sweep solves one theta per orbit; every g=4 record, solved or mapped,
+    matches solve_theta run directly at its theta (the oracle): eigenvalues to
+    1e-12 relative, beta(lambda) to 1e-10 and the spatial roots to tol_eigen."""
+    grid = classify_nodes(_shipped(name), 8)
+    a_hom = effective_tensor([solve_cell_problem(grid, a) for a in grid.geometry.active_axes])
+    k_modes = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    sweep = theta_sweep(grid, theta_grid(4), m_max=6, tol=1e-8, lift_tol=1e-10)
+    solved = {t for t, record in sweep.items() if record.solved_at == t}
+    assert len(solved) == {"double_porosity": 10}.get(name, 18)
+    window = 0.95 * min(record.eigenvalues[-1] for record in sweep.values())
+    for t, record in sweep.items():
+        direct = solve_theta(grid, QuasiMomentum(t), m_max=6, tol=1e-8, lift_tol=1e-10)
+        assert record.theta == direct.theta and record.active == direct.active
+        assert record.solved_at in solved and (record.solved_at == t) == (t in solved)
+        scale = direct.eigenvalues.max()
+        assert np.abs(record.eigenvalues - direct.eigenvalues).max() <= 1e-12 * scale, t
+        if direct.beta is None:
+            assert record.beta is None
+            continue
+        assert record.beta.theta == t and record.beta.active == direct.beta.active
+        lam = np.linspace(0.0, window, 97)
+        lam = lam[direct.beta.off_poles(lam, 1e-3)]
+        ref = direct.beta(lam)
+        assert np.abs(record.beta(lam) - ref).max() <= 1e-10 * np.abs(ref).max(), t
+        roots, oracle = (spatial_points(r, a_hom, k_modes, window) for r in (record, direct))
+        assert [r.k_index for r in roots] == [r.k_index for r in oracle], t
+        for mine, theirs in zip(roots, oracle):
+            assert abs(mine.lam - theirs.lam) <= 1e-8 * max(theirs.lam, 1.0), (t, mine.k_index)
+
+
+def test_image_of_every_group_element_matches_a_direct_solve():
+    """Each element of two_fibers' group maps the record at (0, pi/2, 0), both
+    fibers active, to the direct solve at its image.  A mirror on y2 sends fiber
+    3 across the cell face, so its lift picks up exp(+-i pi/2) relative to
+    fiber 1's; beta(lambda) sees that phase off the diagonal."""
+    grid = classify_nodes(_shipped("two_fibers"), 8)
+    record = solve_theta(grid, QuasiMomentum((0.0, np.pi / 2, 0.0)), m_max=6, lift_tol=1e-10)
+    listed = {qm.theta: qm for qm in theta_grid(4)}
+    direct = {t: solve_theta(grid, listed[t], m_max=6, lift_tol=1e-10)
+              for t in [(0.0, np.pi / 2, 0.0), (0.0, 3 * np.pi / 2, 0.0)]}
+    elements = [(*s, conj) for s in grid.symmetries for conj in (False, True)]
+    assert len(elements) == 32
+    for perm, signs, shift, conj in elements:
+        flipped = (signs[1] == -1) != conj
+        image = direct[(0.0, 3 * np.pi / 2 if flipped else np.pi / 2, 0.0)]
+        mapped = hcbloch.bloch._image(grid, record, (perm, signs, shift, conj), image.theta)
+        assert mapped.active == (1, 3) and mapped.solved_at == record.theta.theta
+        lam = np.linspace(0.0, 0.95 * image.eigenvalues[-1], 97)
+        lam = lam[image.beta.off_poles(lam, 1e-3)]
+        ref = image.beta(lam)
+        assert np.abs(mapped.beta(lam) - ref).max() <= 1e-10 * np.abs(ref).max()
+        assert np.abs(ref[:, 0, 1].imag).max() > 0.1 * np.abs(ref).max()  # the phase shows
+
+
+def test_off_centre_fiber_sweep_solves_every_g2_theta():
+    """With fiber 3 moved along y2 no axis swap is left, and at g=2 conjugation
+    and the mirrors map every theta to itself: all 8 are solved."""
+    geom = build_geometry({"fibers": [{"axis": 1, "rect": [0.1, 0.4, 0.1, 0.4]},
+                                      {"axis": 3, "rect": [0.6, 0.9, 0.5, 0.9]}]})
+    grid = classify_nodes(geom, 8)
+    assert {perm for perm, _, _ in grid.symmetries} == {(0, 1, 2)}
+    sweep = theta_sweep(grid, theta_grid(2), m_max=3)
+    assert [record.solved_at for record in sweep.values()] == list(sweep)
 
 
 def test_sweep_inclusion_all_nonzero_identical(inclusion):

@@ -486,7 +486,35 @@ def test_run_subcommand_unknown_name():
     from hcbloch.cli import run_subcommand
 
     with pytest.raises(HcBlochError, match="unknown subcommand 'frob'"):
-        run_subcommand("frob", parse_config_text(MINIMAL), Path("out"))
+        run_subcommand("frob", parse_config_text(MINIMAL))
+
+
+def test_run_subcommand_writes_to_the_config_dir(tmp_path):
+    """The artefacts go to cfg.out_dir, the directory their echoed config names."""
+    from hcbloch.cli import run_subcommand
+
+    out = tmp_path / "elsewhere"
+    cfg = parse_config_text(INCLUSION + f"output:\n  dir: {out}\n")
+    assert run_subcommand("bloch", cfg) == 0
+    assert (out / "bands.csv").is_file()
+
+
+def test_cli_beta_needs_theta(tmp_path, capsys):
+    """`beta` without --theta is an error, not a silent theta = 0."""
+    config = _two_fibers_n8_g2(tmp_path)
+    assert main(["beta", "--config", config]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError" and "--theta" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["bloch", "spectrum"])
+def test_cli_summary_counts_solved_thetas(tmp_path, capsys, command):
+    """two_fibers at g=2: 8 thetas, 6 solved (the glide maps (0, 0, pi) to
+    (pi, 0, 0) and (0, pi, pi) to (pi, pi, 0))."""
+    assert main([command, "--config", _two_fibers_n8_g2(tmp_path)]) == 0
+    summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert (summary["points"], summary["solved"]) == (8, 6)
 
 
 def test_cli_unreadable_config_exit2(tmp_path, capsys):

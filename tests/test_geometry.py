@@ -1,4 +1,5 @@
 import inspect
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -202,13 +203,51 @@ def test_shipped_configs_find_three_mirrors(name, centers):
     assert classify_nodes(geom, 16).mirrors == centers
 
 
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("name, perms", [
+    ("single_fiber", {(0, 1, 2), (0, 2, 1)}),
+    ("two_fibers", {(0, 1, 2), (2, 1, 0)}),
+    ("double_porosity", {(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)}),
+])
+def test_shipped_configs_symmetry_groups(name, perms, n):
+    """Every sign pattern of each kept axis permutation is found, the identity
+    first; two_fibers' swap of y1 and y3 is the glide by n/2 on every axis."""
+    import yaml
+
+    config = Path(__file__).resolve().parents[1] / "configs" / f"{name}.yml"
+    grid = classify_nodes(build_geometry(yaml.safe_load(config.read_text())["geometry"]), n)
+    group = grid.symmetries
+    assert group[0] == ((0, 1, 2), (1, 1, 1), (0, 0, 0))
+    assert {(perm, signs) for perm, signs, _ in group} == {
+        (perm, signs) for perm in perms for signs in product((1, -1), repeat=3)}
+    assert len(group) == 8 * len(perms)
+    if name == "two_fibers":
+        assert dict(((p, s), t) for p, s, t in group)[(2, 1, 0), (1, 1, 1)] == (n // 2,) * 3
+    elif name == "single_fiber":
+        assert all(t == (0, 0, 0) for _, _, t in group)
+
+
+def test_geom_check_never_searches_the_symmetries(monkeypatch):
+    from hcbloch.cli import main
+    from hcbloch.geometry import Grid
+
+    def search(self):
+        raise AssertionError("geom-check searched the symmetries")
+
+    monkeypatch.setattr(Grid, "symmetries", property(search))
+    config = Path(__file__).resolve().parents[1] / "configs" / "two_fibers.yml"
+    assert main(["geom-check", "--config", str(config)]) == 0
+
+
 def test_off_centre_fiber_loses_its_axis():
     """Fiber 3 moved along y2 is no longer mirrored with fiber 1 on that axis."""
     geom = build_geometry({
         "fibers": [{"axis": 1, "rect": [0.1, 0.4, 0.1, 0.4]},
                    {"axis": 3, "rect": [0.6, 0.9, 0.5, 0.9]}],
     })
-    assert classify_nodes(geom, 16).mirrors == (8, None, 8)
+    grid = classify_nodes(geom, 16)
+    assert grid.mirrors == (8, None, 8)
+    assert {perm for perm, _, _ in grid.symmetries} == {(0, 1, 2)}  # no axis swap
 
 
 def test_asymmetric_coefficient_loses_its_axis(single_fiber):
