@@ -64,10 +64,6 @@ class BetaMatrix:
     flux_gram: np.ndarray  # T_i(b^(j)), Hermitian
     mass_gram: np.ndarray  # <b^(j), b^(i)>_{L2(Q_0)}, Hermitian
 
-    @property
-    def m_max(self) -> int:
-        return len(self.poles)
-
     def pole_guard_width(self, pole_guard: float) -> float:
         return pole_guard * float(self.poles[0])
 
@@ -276,7 +272,7 @@ def spatial_spectrum(
     # brackets of width just under 1e-10 mu_1 after rounding
     half = 4.9e-11 * float(beta.poles[0])
 
-    M = beta.m_max
+    M = len(beta.poles)
     C = beta.coeffs
     gram = np.block([[np.eye(M), C.T], [C.conj(), beta.mass_gram + np.diag(beta.measures)]])
     stiff = np.zeros_like(gram)

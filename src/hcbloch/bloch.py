@@ -185,10 +185,6 @@ class BlochDecomposition:
     residuals: np.ndarray = field(repr=False)
     paths: tuple[str, ...]
 
-    @property
-    def m_max(self) -> int:
-        return len(self.eigenvalues)
-
 
 def bloch_eigs(asm: BlochAssembly, m_max: int = 10, tol: float = 1e-8,
                seed: int = 0) -> BlochDecomposition:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import importlib.util
 import json
 import sys
 from pathlib import Path
@@ -271,12 +272,23 @@ def run_subcommand(command: str, cfg: RunConfig, theta=None) -> int:
 def run(argv=None) -> int:
     """Process entry of ``python -m hcbloch.cli`` and the ``hcbloch`` script.
 
-    Runs ``main``, then moves every tracked object into the GC's permanent
-    generation, so the interpreter's exit leaves the import graph to the OS
-    instead of collecting it object by object. Atexit handlers and stream
-    flushes still run, and ``main`` closes every file it writes. In-process
-    callers call ``main``, which does not freeze.
+    Defers ``numpy.f2py`` and ``numpy.testing``, which scipy imports and no
+    command runs, to their first use; runs ``main``; then moves every tracked
+    object into the GC's permanent generation, so the interpreter's exit
+    leaves the import graph to the OS instead of collecting it object by
+    object. Atexit handlers and stream flushes still run, and ``main`` closes
+    every file it writes. In-process callers call ``main``, which does neither.
     """
+    # scipy's array-API shim clones the numpy namespace, whose __getattr__ then imports these
+    # two (0.1 s, 8 MB) though no command runs them; a LazyLoader module runs on first use,
+    # and binding it on numpy keeps numpy's __getattr__ from re-entering itself
+    for name in ("numpy.f2py", "numpy.testing"):
+        if name not in sys.modules:
+            spec = importlib.util.find_spec(name)
+            spec.loader = importlib.util.LazyLoader(spec.loader)
+            sys.modules[name] = module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            setattr(np, name.split(".")[1], module)
     rc = main(argv)
     gc.freeze()
     return rc

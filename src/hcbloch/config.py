@@ -199,8 +199,9 @@ def _validate(cfg: RunConfig, violations=()) -> None:
                         ("tolerances.pole_guard", cfg.pole_guard)):
         if value <= 0.0:
             violations.append(f"{name} must be > 0, got {value}")
-    if any(K < 1 for K in cfg.eps_K) or not cfg.eps_K:
-        violations.append(f"validate.eps must be a nonempty list of K >= 1, got {list(cfg.eps_K)}")
+    if any(K < 1 for K in cfg.eps_K) or not cfg.eps_K or len(set(cfg.eps_K)) < len(cfg.eps_K):
+        violations.append(f"validate.eps must be a nonempty list of distinct K >= 1, got "
+                          f"{list(cfg.eps_K)}")
     if cfg.p_cell < 4:
         violations.append(f"validate.p must be >= 4, got {cfg.p_cell}")
     if cfg.contrast not in ("double_porosity", "off"):

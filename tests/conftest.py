@@ -10,7 +10,7 @@ os.environ.setdefault("MKL_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from hcbloch.geometry import build_geometry, classify_nodes  # noqa: E402
+from hcbloch.geometry import CellGeometry, build_geometry, classify_nodes  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -69,3 +69,12 @@ def single_fiber_grid12(single_fiber):
 def dirichlet_chain_lowest(m_interior: int, h: float) -> float:
     """Lowest eigenvalue of the 1D Dirichlet chain with m interior nodes."""
     return (4.0 / h**2) * np.sin(np.pi / (2 * (m_interior + 1))) ** 2
+
+
+@pytest.fixture(scope="session")
+def rounding_a0_fiber(single_fiber):
+    """single_fiber with a0 = 1 + y2(1 - y2) + y3(1 - y3): symmetric under every
+    mirror and the swap of y2 and y3, but its samples round differently at some
+    mirrored nodes at n = 20 and 24."""
+    return CellGeometry(fibers=single_fiber.fibers,
+                        a0=lambda y1, y2, y3: 1.0 + y2 * (1.0 - y2) + y3 * (1.0 - y3))

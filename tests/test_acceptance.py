@@ -151,7 +151,7 @@ def test_criterion_6_green_identity(single_fiber, two_fiber):
         dec = bloch_eigs(asm, m_max=8)
         lifts, fields = solve_lifts(asm, dec)
         for row in range(len(lifts.active)):
-            for m in range(dec.m_max):
+            for m in range(len(dec.eigenvalues)):
                 T = flux(asm, dec.vectors[:, m], fields[row])
                 err = abs(T + dec.eigenvalues[m] * np.conjugate(lifts.coeffs[row][m]))
                 worst = max(worst, err / (1.0 + dec.eigenvalues[m]))

@@ -87,7 +87,7 @@ def test_bessel_inequality(lift_setup, lift_fields):
 
 def test_green_identity(lift_setup, lift_fields):
     geom, grid, theta, asm, dec, lifts = lift_setup
-    for m in range(dec.m_max):
+    for m in range(len(dec.eigenvalues)):
         T = flux(asm, dec.vectors[:, m], lift_fields[0])
         err = abs(T + dec.eigenvalues[m] * np.conjugate(lifts.coeffs[0][m]))
         assert err <= 1e-12 * (1.0 + dec.eigenvalues[m])
@@ -152,7 +152,7 @@ def test_two_fiber_beta_cross_hermitian(two_fiber):
     B = beta(3.0)
     assert B.shape == (2, 2)
     assert abs(B[0, 1] - np.conjugate(B[1, 0])) <= 1e-12
-    for m in range(dec.m_max):
+    for m in range(len(dec.eigenvalues)):
         for row in range(len(lifts.active)):
             T = flux(asm, dec.vectors[:, m], fields[row])
             coeff = lifts.coeffs[row][m]

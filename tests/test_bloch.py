@@ -313,6 +313,21 @@ def test_reduced_sweep_matches_direct_solves(name):
             assert abs(mine.lam - theirs.lam) <= 1e-8 * max(theirs.lam, 1.0), (t, mine.k_index)
 
 
+@pytest.mark.parametrize("n", [20, 24])
+def test_reduced_sweep_with_rounding_a0_matches_direct_solves(rounding_a0_fiber, n):
+    """Where the a0 samples round apart at mirrored nodes, the sweep still solves
+    one theta per orbit of the 16-element group (6 of the 8 at g=2), and every
+    record matches solve_theta run directly at its theta, eigenvalues to 1e-12
+    relative."""
+    grid = classify_nodes(rounding_a0_fiber, n)
+    sweep = theta_sweep(grid, theta_grid(2), m_max=4)
+    assert sum(record.solved_at == t for t, record in sweep.items()) == 6
+    for t, record in sweep.items():
+        direct = solve_theta(grid, QuasiMomentum(t), m_max=4)
+        scale = direct.eigenvalues.max()
+        assert np.abs(record.eigenvalues - direct.eigenvalues).max() <= 1e-12 * scale, t
+
+
 def test_image_of_every_group_element_matches_a_direct_solve():
     """Each element of two_fibers' group maps the record at (0, pi/2, 0), both
     fibers active, to the direct solve at its image.  A mirror on y2 sends fiber

@@ -4,7 +4,9 @@ interpreter's exit does not collect the import graph object by object.
 
 The freeze must change nothing a caller sees: stdout, stderr, exit codes and
 output files are those of an in-process ``main``, and ``main`` itself never
-freezes (the test process and library callers keep their collector).
+freezes (the test process and library callers keep their collector).  The
+same holds for ``run``'s deferral of ``numpy.f2py`` and ``numpy.testing``:
+each still works on first use, and one already imported is left as it is.
 """
 
 import gc
@@ -86,3 +88,45 @@ def test_cell_process_writes_the_in_process_file(tmp_path):
     (out / "cell.json").unlink()
     assert cli.main(["cell", "--config", str(SINGLE_FIBER), "--out", str(out)]) == 0
     assert (out / "cell.json").read_bytes() == from_process
+
+
+def test_spectrum_process_writes_the_in_process_file(tmp_path, capsys):
+    config = tmp_path / "small.yml"
+    config.write_text(TWO_FIBERS.read_text().replace("n: 16", "n: 8").replace("g: 4", "g: 2"))
+    argv = ["spectrum", "--config", str(config), "--out", str(tmp_path / "out")]
+    proc = _cli(*argv)
+    assert proc.returncode == 0, proc.stderr
+    from_process = (tmp_path / "out" / "spectrum.json").read_bytes()
+    (tmp_path / "out" / "spectrum.json").unlink()
+    assert cli.main(argv) == 0
+    assert (tmp_path / "out" / "spectrum.json").read_bytes() == from_process
+    assert capsys.readouterr().out == proc.stdout
+
+
+def test_deferred_numpy_modules_work_on_first_use(tmp_path):
+    """After a command, both modules are still unexecuted; then each loads on use."""
+    code = (f"import sys\nimport numpy as np\nfrom hcbloch import cli\n"
+            f"assert cli.run(['cell', '--config', {str(SINGLE_FIBER)!r}, '--out', "
+            f"{str(tmp_path)!r}]) == 0\n"
+            "print([type(sys.modules[m]).__name__ for m in ('numpy.f2py', 'numpy.testing')])\n"
+            "np.testing.assert_allclose(1.0, 1.0)\n"
+            "from numpy.testing import assert_array_equal\n"
+            "assert_array_equal([1, 2], [1, 2])\n"
+            "print(np.f2py.__name__, type(np.testing).__name__, type(np.f2py).__name__)\n")
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["['_LazyModule', '_LazyModule']",
+                                             "numpy.f2py module module"]
+
+
+def test_run_leaves_imported_numpy_modules_alone():
+    import numpy.f2py
+    import numpy.testing
+
+    before = {name: sys.modules[name] for name in ("numpy.f2py", "numpy.testing")}
+    try:
+        assert cli.run(["geom-check", "--config", str(TWO_FIBERS)]) == 0
+    finally:
+        gc.unfreeze()  # run freezes the collector of the process it runs in
+    assert all(sys.modules[name] is module for name, module in before.items())
+    assert numpy.testing is before["numpy.testing"] and numpy.f2py is before["numpy.f2py"]

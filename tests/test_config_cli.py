@@ -116,6 +116,8 @@ def test_cli_malformed_value_exit2(tmp_path, capsys, text, error, key):
     [
         (["validate", "--eps", "4,x"], "", ["--eps"]),
         (["validate", "--eps", "0"], "", ["validate.eps"]),
+        (["validate", "--eps", "4,4"], "", ["validate.eps", "distinct"]),
+        (["validate"], "validate:\n  eps: [8, 4, 8]\n", ["validate.eps", "distinct"]),
         (["bloch", "--theta", "0,a,0"], "", ["--theta"]),
         (["bloch", "--theta", "7,0,0"], "", ["--theta"]),
         (["bloch", "--theta", "nan,0,0"], "", ["--theta"]),
@@ -125,8 +127,9 @@ def test_cli_malformed_value_exit2(tmp_path, capsys, text, error, key):
         (["beta", "--theta", "0,0,0", "--lambda-max", "1e6"], "", ["spectrum.lambda_max"]),
         (["spectrum", "--lambda-max", "1e6"], "theta_grid:\n  g: 1\n", ["spectrum.lambda_max"]),
     ],
-    ids=["eps_not_integer", "eps_zero", "theta_not_real", "theta_out_of_range", "theta_nan",
-         "lambda_max_nan", "m_max_above_dimension", "negative_seed", "beta_lambda_max_above_sweep",
+    ids=["eps_not_integer", "eps_zero", "eps_repeated_flag", "eps_repeated_key",
+         "theta_not_real", "theta_out_of_range", "theta_nan", "lambda_max_nan",
+         "m_max_above_dimension", "negative_seed", "beta_lambda_max_above_sweep",
          "spectrum_lambda_max_above_sweep"],
 )
 def test_cli_bad_flag_or_m_max_exit2(tmp_path, capsys, argv, extra, keys):

@@ -257,6 +257,20 @@ def test_asymmetric_coefficient_loses_its_axis(single_fiber):
     assert classify_nodes(geom, 16).mirrors == (0, None, 0)
 
 
+@pytest.mark.parametrize("n", [16, 20, 24])
+def test_symmetric_callable_a0_keeps_its_symmetries(rounding_a0_fiber, n):
+    """Where the a0 samples round apart at mirrored nodes (n = 20, 24), the finder
+    still keeps all 16 elements of the group and a mirror on every axis."""
+    grid = classify_nodes(rounding_a0_fiber, n)
+    a0 = grid.a0_field()
+    bitwise = (np.array_equal(a0, np.roll(a0[:, ::-1], 1, axis=1))
+               and np.array_equal(a0, a0.transpose(0, 2, 1)))
+    assert bitwise == (n == 16)
+    assert {(perm, signs) for perm, signs, _ in grid.symmetries} == {
+        (perm, signs) for perm in [(0, 1, 2), (0, 2, 1)] for signs in product((1, -1), repeat=3)}
+    assert grid.mirrors == (0, 0, 0)
+
+
 def test_a0_sampled_once_per_grid(single_fiber, monkeypatch):
     grid = classify_nodes(single_fiber, 8)
     calls = []

@@ -2,7 +2,9 @@
 
 ``import hcbloch`` binds its exported names on first use, and ``hcbloch.cli``
 defers every numerical name until a subcommand other than ``geom-check``
-runs, so ``geom-check`` and config errors start in about half the time.
+runs, so ``geom-check`` and config errors start in about half the time.  The
+process entry also defers the two numpy submodules scipy touches but no
+command runs.
 """
 
 import importlib
@@ -58,16 +60,33 @@ def test_no_scipy_where_none_is_needed(tmp_path, code):
     assert not _scipy_loaded_after(code.format(config=str(CONFIG), invalid=str(invalid)))
 
 
-def test_no_scipy_in_the_geom_check_process():
-    """``python -m hcbloch.cli geom-check`` itself, exit path included, imports no scipy."""
+def _imported_by_cli(*args: str) -> set[str]:
+    """The modules ``python -X importtime -m hcbloch.cli *args`` imports, exit path included."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "hcbloch.cli", "geom-check", "--config",
-         str(CONFIG)], env=env, cwd=ROOT, check=True, capture_output=True, text=True)
-    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
-                if line.startswith("import time:")}
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "hcbloch.cli", *args],
+                          env=env, cwd=ROOT, check=True, capture_output=True, text=True)
+    return {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_no_scipy_in_the_geom_check_process():
+    imported = _imported_by_cli("geom-check", "--config", str(CONFIG))
     assert {"hcbloch.geometry", "numpy", "yaml"} <= imported
     assert not any(name.split(".")[0] == "scipy" for name in imported)
+
+
+@pytest.mark.parametrize("args", [["cell"], ["bloch"], ["spectrum"], ["validate", "--eps", "4"]],
+                         ids=["cell", "bloch", "spectrum", "validate"])
+def test_unused_numpy_modules_never_load(tmp_path, args):
+    """scipy's numpy clone touches numpy.f2py and numpy.testing; the process entry
+    defers both, and no command runs them, nor charset_normalizer, which f2py imports."""
+    config = tmp_path / "small.yml"
+    config.write_text(CONFIG.read_text().replace("n: 16", "n: 8").replace("g: 4", "g: 2"))
+    imported = _imported_by_cli(*args, "--config", str(config), "--out", str(tmp_path / "out"))
+    assert "scipy" in imported
+    unused = [name for name in imported if name.split(".")[:2] in (["numpy", "f2py"],
+              ["numpy", "testing"]) or name.split(".")[0] == "charset_normalizer"]
+    assert unused == []
 
 
 def test_cli_deferred_names_resolve():
