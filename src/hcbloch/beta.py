@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import eigh
 
-from .bloch import BlochAssembly, BlochDecomposition, ThetaRecord
+from .bloch import BlochAssembly, BlochDecomposition
 from .errors import ConvergenceError, EmptyActiveSetError, PoleProximityError
 from .operators import linear_solve
 
@@ -116,7 +116,8 @@ def solve_lifts(asm: BlochAssembly, bloch: BlochDecomposition,
 
     Raises EmptyActiveSetError when no fiber axis has theta_i = 0: the
     spatial operator is the zero map there and no lift exists.  A ``bloch``
-    computed at another theta raises ValueError.
+    computed at another theta, or one without vectors (a sweep record), raises
+    ValueError.
     """
     active = bloch.active
     if not active:
@@ -125,6 +126,8 @@ def solve_lifts(asm: BlochAssembly, bloch: BlochDecomposition,
         )
     if asm.theta != bloch.theta:
         raise ValueError("Bloch decomposition was computed at a different theta")
+    if bloch.vectors is None:
+        raise ValueError("Bloch decomposition has no vectors (a sweep record keeps none)")
 
     h3, dim, bordered = asm.h**3, asm.dim, asm.bordered
     rhs = -bordered[:dim, dim:].toarray()
@@ -316,12 +319,12 @@ def spatial_spectrum(
     return roots
 
 
-def spatial_points(record: ThetaRecord, a_hom: np.ndarray, k_modes, lambda_max: float,
+def spatial_points(record: BlochDecomposition, a_hom: np.ndarray, k_modes, lambda_max: float,
                    L: float = 1.0, pole_guard: float = 1e-6) -> list[SpatialRoot]:
     """Spatial-spectrum roots at the theta of a sweep record; [] when no axis is active.
 
-    Applies the zero-map rule (quasi-momenta with every component nonzero
-    carry no spatial spectrum), else runs spatial_spectrum on the window
+    Applies the zero-map rule (a quasi-momentum with no active fiber axis
+    carries no spatial spectrum), else runs spatial_spectrum on the window
     [0, lambda_max] with the coupling matrix of ``record``
     (``theta_sweep(..., lift_tol=...)``).  A record without it at an active
     theta raises ValueError.

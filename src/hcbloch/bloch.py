@@ -42,8 +42,8 @@ from .operators import (
 if TYPE_CHECKING:
     from .beta import BetaMatrix
 
-__all__ = ["BlochAssembly", "BlochDecomposition", "ThetaRecord", "assemble_bloch", "bloch_eigs",
-           "solve_theta", "theta_grid", "theta_sweep"]
+__all__ = ["BlochAssembly", "BlochDecomposition", "assemble_bloch", "bloch_eigs", "solve_theta",
+           "theta_grid", "theta_sweep"]
 
 
 @dataclass(frozen=True)
@@ -176,14 +176,20 @@ class BlochDecomposition:
     maps a column v to the full grid of the assembly ``asm``, zero on the
     stiff phase.  ``active`` lists the fiber axes i with theta_i = 0, and
     ``paths`` the ``eigensolve`` path of each sector block, in block order.
+
+    A sweep record (``solve_theta``) keeps no array whose size grows with n:
+    ``vectors`` is None, ``beta`` holds the coupling matrix of the lifts (None
+    where none was solved) and ``solved_at`` the theta whose solve gave it.
     """
 
     theta: QuasiMomentum
     active: tuple[int, ...]
     eigenvalues: np.ndarray
-    vectors: np.ndarray  # (dim, m_max), columns orthonormal in h^3 inner product
+    vectors: np.ndarray | None  # (dim, m_max), columns orthonormal in h^3 inner product
     residuals: np.ndarray = field(repr=False)
     paths: tuple[str, ...]
+    beta: BetaMatrix | None = field(default=None, repr=False)
+    solved_at: tuple[float, float, float] | None = None
 
 
 def bloch_eigs(asm: BlochAssembly, m_max: int = 10, tol: float = 1e-8,
@@ -215,28 +221,12 @@ def bloch_eigs(asm: BlochAssembly, m_max: int = 10, tol: float = 1e-8,
                               residuals=check_residuals(asm.interior, h3, vals, vectors, tol))
 
 
-@dataclass(frozen=True)
-class ThetaRecord:
-    """What the sweep keeps of one theta, with no array whose size grows with n:
-    ``bloch_eigs``'s numbers less the vectors, the coupling matrix of the lifts
-    (None where none was solved: no active axis, or no ``lift_tol``), and the
-    theta whose solve gave them (``theta_sweep`` maps it to its symmetric images)."""
-
-    theta: QuasiMomentum
-    active: tuple[int, ...]
-    eigenvalues: np.ndarray
-    residuals: np.ndarray = field(repr=False)
-    paths: tuple[str, ...]
-    beta: BetaMatrix | None = field(repr=False)
-    solved_at: tuple[float, float, float]
-
-
 def solve_theta(grid: Grid, qm: QuasiMomentum, m_max: int = 10, tol: float = 1e-8,
-                seed: int = 0, lift_tol: float | None = None) -> ThetaRecord:
+                seed: int = 0, lift_tol: float | None = None) -> BlochDecomposition:
     """The sweep's step at one theta: assemble it, solve its Bloch modes and,
     with ``lift_tol`` set and a fiber axis active, its lifts (sharing the
-    block factors), and keep the record.  The assembly, the factors, the
-    vectors and the lifts on the grid die with the call."""
+    block factors), and keep the decomposition less its vectors.  The assembly,
+    the factors, the vectors and the lifts on the grid die with the call."""
     asm = assemble_bloch(grid, qm)
     dec = bloch_eigs(asm, m_max=m_max, tol=tol, seed=seed)
     beta = None
@@ -244,8 +234,7 @@ def solve_theta(grid: Grid, qm: QuasiMomentum, m_max: int = 10, tol: float = 1e-
         from .beta import solve_lifts  # beta imports this module
 
         beta, _ = solve_lifts(asm, dec, tol=lift_tol)
-    return ThetaRecord(theta=dec.theta, active=dec.active, eigenvalues=dec.eigenvalues,
-                       residuals=dec.residuals, paths=dec.paths, beta=beta, solved_at=qm.theta)
+    return replace(dec, vectors=None, beta=beta, solved_at=qm.theta)
 
 
 def theta_grid(g: int) -> list[QuasiMomentum]:
@@ -263,18 +252,18 @@ def theta_grid(g: int) -> list[QuasiMomentum]:
 
 def theta_sweep(grid: Grid, thetas: Sequence[QuasiMomentum], m_max: int = 10, tol: float = 1e-8,
                 seed: int = 0, threads: int = 1, lift_tol: float | None = None,
-                keep: Sequence[QuasiMomentum] | None = None) -> dict[tuple, ThetaRecord]:
-    """A ``ThetaRecord`` at each of ``thetas`` (e.g. ``theta_grid(g)``), or at each
-    of them in ``keep``, from ``solve_theta`` at the first theta of its orbit under
-    ``grid.symmetries`` and complex conjugation (``_orbits``): the Bloch operators
-    of an orbit are (anti)unitarily equivalent, so ``_image`` maps that record to
-    the rest of the orbit.
+                keep: Sequence[QuasiMomentum] | None = None) -> dict[tuple, BlochDecomposition]:
+    """A record (a ``BlochDecomposition`` without vectors) at each of ``thetas``
+    (e.g. ``theta_grid(g)``), or at each of them in ``keep``, from ``solve_theta``
+    at the first theta of its orbit under ``grid.symmetries`` and complex
+    conjugation (``_orbits``): the Bloch operators of an orbit are (anti)unitarily
+    equivalent, so ``_image`` maps that record to the rest of the orbit.
 
     The solved thetas are independent, so with ``threads`` > 1 they are solved in
     min(threads, #solved) forked worker processes (ARPACK's loop and the
     Python around each sparse solve hold the GIL, so threads would overlap
     only in part); with one they are solved in a plain loop.  Either way a
-    theta gives one ``ThetaRecord``, all a worker sends back.  Every point
+    theta gives one record, all a worker sends back.  Every point
     uses the same ``seed``, so the result does not depend on the schedule.
     The result map is keyed by theta tuples in lexicographic order.  An
     HcBlochError at a solved theta is collected, and the failures raise one
@@ -337,7 +326,8 @@ def _orbits(grid: Grid, thetas: Sequence[QuasiMomentum]) -> list[tuple[QuasiMome
     return orbit
 
 
-def _image(grid: Grid, record: ThetaRecord, element, qm: QuasiMomentum) -> ThetaRecord:
+def _image(grid: Grid, record: BlochDecomposition, element,
+           qm: QuasiMomentum) -> BlochDecomposition:
     """The record at qm, the image of ``record.theta`` under ``element``: the same
     eigenvalues, residuals, paths and ``solved_at``, and the coupling matrix mapped.
 

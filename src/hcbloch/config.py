@@ -210,8 +210,9 @@ def _validate(cfg: RunConfig, violations=()) -> None:
         violations.append(f"run.threads must be >= 1, got {cfg.threads}")
     if cfg.seed < 0:
         violations.append(f"run.seed must be >= 0, got {cfg.seed}")
-    if any(len(k) != 3 for k in cfg.k_modes):
-        violations.append("spectrum.k_modes entries must be integer triples")
+    if any(len(k) != 3 for k in cfg.k_modes) or len(set(cfg.k_modes)) < len(cfg.k_modes):
+        violations.append(f"spectrum.k_modes must be distinct integer triples, got "
+                          f"{_plain(cfg.k_modes)}")
     if len(cfg.validate_k_index) != 3:
         violations.append("validate.k_mode must be an integer triple")
     if violations:

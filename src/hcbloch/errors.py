@@ -30,7 +30,7 @@ class EmptyDomainError(HcBlochError):
 
 
 class EmptyActiveSetError(HcBlochError):
-    """No fiber axis is active at this quasi-momentum (all theta_i != 0)."""
+    """No active fiber axis at this quasi-momentum: theta_i != 0 on each fiber axis i."""
 
 
 class ConvergenceError(HcBlochError):

@@ -240,8 +240,10 @@ class Grid:
 
     def coefficient_field(self, name: str) -> np.ndarray:
         """Coefficient ``name`` ("a0" or "a1") sampled on every node.  The soft
-        a0 is extended to the stiff nodes too, harmlessly: values there only
-        feed boundary-edge harmonic means."""
+        a0 is extended to the stiff nodes too, so a soft-stiff link of the limit
+        operator gets harmonic_mean(a0, a0) = a0.  That is not the eps -> 0 limit
+        of the eps-problem's link, harmonic_mean(eps^2 a0, a1) / eps^2 -> 2 a0
+        (ROADMAP item 1)."""
         vals = self.geometry.coefficient_values(name, *self.coords())
         if not np.all(vals > 0.0):
             raise CoefficientError(f"coefficient field {name} must be > 0 on all nodes")

@@ -12,7 +12,7 @@ from hcbloch.beta import (
     spatial_spectrum,
 )
 from hcbloch.bloch import (
-    ThetaRecord,
+    BlochDecomposition,
     assemble_bloch,
     bloch_eigs,
     solve_theta,
@@ -23,6 +23,7 @@ from hcbloch.cell import effective_tensor, solve_cell_problem
 from hcbloch.errors import ConvergenceError, EmptyActiveSetError, PoleProximityError
 from hcbloch.geometry import classify_nodes
 from hcbloch.operators import QuasiMomentum
+from hcbloch.validation import EpsProblem
 from oracles import dense_border, flux
 
 
@@ -310,6 +311,27 @@ def test_spatial_points_need_lifts_at_active_theta(single_fiber):
         spatial_points(record, a_hom, [(1, 0, 0)], 50.0)
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda grid, asm, dec: solve_lifts(assemble_bloch(grid, (0.0, 0.0, 0.0)), dec),
+         "different theta"),
+        (lambda grid, asm, dec: solve_lifts(asm, solve_theta(grid, asm.theta, m_max=4)),
+         "no vectors"),
+        (lambda grid, asm, dec: bloch_eigs(asm, m_max=asm.dim + 1), "exceeds operator dimension"),
+        (lambda grid, asm, dec: pure_bloch_bands({}, 1.0), "empty theta sweep"),
+        (lambda grid, asm, dec: EpsProblem(grid, 0), "K >= 1"),
+        (lambda grid, asm, dec: EpsProblem(grid, 4, contrast="on"), "unknown contrast"),
+    ],
+    ids=["lifts_other_theta", "lifts_sweep_record", "m_max_above_dim", "bands_empty_sweep",
+         "eps_K_zero", "eps_unknown_contrast"],
+)
+def test_library_guards_raise_value_error(lift_setup, call, match):
+    _, grid, _, asm, dec, _ = lift_setup
+    with pytest.raises(ValueError, match=match):
+        call(grid, asm, dec)
+
+
 def test_bands_single_point_sweep(single_fiber):
     grid = classify_nodes(single_fiber, 8)
     dec = bloch_eigs(assemble_bloch(grid, (0.0, 0.0, 0.0)), m_max=4)
@@ -342,10 +364,11 @@ def test_band_merging_and_gaps():
     # synthetic two-point sweep with overlapping branches; the flat third
     # branch [3, 3] lies inside the band merged from the first two
     def dec(theta, vals):
-        return ThetaRecord(
+        return BlochDecomposition(
             theta=QuasiMomentum(theta),
             active=(),
             eigenvalues=np.asarray(vals, dtype=float),
+            vectors=None,
             residuals=np.zeros(len(vals)),
             paths=("dense",),
             beta=None,

@@ -296,6 +296,7 @@ def test_reduced_sweep_matches_direct_solves(name):
     for t, record in sweep.items():
         direct = solve_theta(grid, QuasiMomentum(t), m_max=6, tol=1e-8, lift_tol=1e-10)
         assert record.theta == direct.theta and record.active == direct.active
+        assert type(record) is hcbloch.bloch.BlochDecomposition and record.vectors is None
         assert record.solved_at in solved and (record.solved_at == t) == (t in solved)
         scale = direct.eigenvalues.max()
         assert np.abs(record.eigenvalues - direct.eigenvalues).max() <= 1e-12 * scale, t

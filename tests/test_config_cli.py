@@ -126,11 +126,13 @@ def test_cli_malformed_value_exit2(tmp_path, capsys, text, error, key):
         (["bloch", "--theta", "0,0,0", "--seed", "-1"], "", ["run.seed"]),
         (["beta", "--theta", "0,0,0", "--lambda-max", "1e6"], "", ["spectrum.lambda_max"]),
         (["spectrum", "--lambda-max", "1e6"], "theta_grid:\n  g: 1\n", ["spectrum.lambda_max"]),
+        (["spectrum"], "spectrum:\n  k_modes: [[1, 0, 0], [1, 0, 0]]\n",
+         ["spectrum.k_modes", "distinct"]),
     ],
     ids=["eps_not_integer", "eps_zero", "eps_repeated_flag", "eps_repeated_key",
          "theta_not_real", "theta_out_of_range", "theta_nan", "lambda_max_nan",
          "m_max_above_dimension", "negative_seed", "beta_lambda_max_above_sweep",
-         "spectrum_lambda_max_above_sweep"],
+         "spectrum_lambda_max_above_sweep", "k_modes_repeated"],
 )
 def test_cli_bad_flag_or_m_max_exit2(tmp_path, capsys, argv, extra, keys):
     path = tmp_path / "c.yml"

@@ -4,7 +4,9 @@ A name imported at module level (or under ``if TYPE_CHECKING:``) must be
 read somewhere in its module, be re-exported through the module's
 ``__all__``, or be a ``(module, name)`` lookup of ``perfbench/layers.py``
 that the benchmark's tracer replaces.  Deleting the last use of an import
-then fails here instead of leaving the import behind.
+then fails here instead of leaving the import behind.  Every name of a
+literal ``__all__`` must be bound at module level, so a stale export fails
+here and not only at ``from hcbloch.<module> import *``.
 """
 
 import ast
@@ -63,3 +65,24 @@ def test_every_module_import_is_used(path):
     kept = read | _exported(tree) | {name for mod, name in _traced_lookups() if mod == module}
     unused = [f"{name} (line {line})" for name, line in _module_imports(tree) if name not in kept]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def _bound(tree: ast.Module) -> set[str]:
+    """The names that the module's own top-level statements bind at run time."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_exported_name_is_bound(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    stale = sorted(_exported(tree) - _bound(tree))
+    assert not stale, f"{path.name} lists in __all__ names it never binds: {', '.join(stale)}"
