@@ -127,7 +127,7 @@ class BlochAssembly:
 
 def assemble_bloch(grid: Grid, theta) -> BlochAssembly:
     qm = as_quasi_momentum(theta)
-    full = full_stiffness(grid.n, grid.a0_field(), qm)
+    full = full_stiffness(grid.n, grid.limit_links(), qm)
     interior, dofs = restrict_to(full, grid.matrix_mask)
     mirrors = tuple((j, c) for j, c in enumerate(grid.mirrors)
                     if c is not None and qm.theta[j] in (0.0, np.pi))

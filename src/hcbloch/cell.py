@@ -6,7 +6,7 @@ fiber, with natural (do-nothing) boundary on the lateral fiber surface,
 periodic wrap along the fiber axis, and mean(N) = 0.  The effective
 coefficient along the axis is  a_hom = integral_C a1 (d_i N + 1).
 
-The quadrature for a_hom reuses the stiffness edge coefficients, which
+The quadrature for a_hom reuses the stiffness link coefficients, which
 makes the discrete energy identity a_hom = integral_C a1 |grad(N+y_i)|^2
 hold to machine precision, so positivity is structural.
 """
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ResolutionError, SingularSystemError
 from .geometry import Grid
-from .operators import edge_weights, full_stiffness, linear_solve, restrict_to
+from .operators import full_stiffness, linear_solve, restrict_to
 
 __all__ = ["CellSolution", "solve_cell_problem", "effective_tensor"]
 
@@ -39,19 +39,14 @@ class CellSolution:
             raise ValueError(f"effective coefficient must be positive, got {self.a_hom}")
 
 
-def _fiber_edges(mask: np.ndarray, direction: int) -> np.ndarray:
-    """Edges p -> p+e_d (periodic) with both endpoints inside the fiber."""
-    return mask & np.roll(mask, -1, axis=direction)
-
-
 def _flux(grid: Grid, axis: int, corrector: np.ndarray, direction: int) -> float:
-    """h^3 sum over the fiber edges along ``direction`` of a_e (dN/h + delta_ij)."""
+    """h^3 sum over the fiber links along ``direction`` of a_e (dN/h + delta_ij)."""
     d = direction - 1
-    keep = _fiber_edges(grid.fiber_mask(axis), d)
-    w = edge_weights(grid.a1_field(), d)[keep]
+    links = grid.stiff_links(grid.fiber_mask(axis))[d]
+    keep = links > 0.0
     dN = np.roll(corrector, -1, axis=d)[keep] - corrector[keep]
     unit = 1.0 if direction == axis else 0.0
-    return float(grid.h**3 * np.sum(w * (dN / grid.h + unit)))
+    return float(grid.h**3 * np.sum(links[keep] * (dN / grid.h + unit)))
 
 
 def solve_cell_problem(grid: Grid, axis: int, tol: float = 1e-10) -> CellSolution:
@@ -64,13 +59,13 @@ def solve_cell_problem(grid: Grid, axis: int, tol: float = 1e-10) -> CellSolutio
     if not np.any(mask):
         raise ResolutionError(f"fiber axis {axis} has no nodes on this grid")
     n, h = grid.n, grid.h
-    a1 = grid.a1_field() * mask
-    # harmonic_mean(a, 0) = 0 drops every edge that leaves the fiber, so the
-    # restricted form is the Neumann operator of the fiber
-    A, dofs = restrict_to(full_stiffness(n, a1), mask)
-    # source from the unit axial gradient e_i: h^2 a_e on each axial edge,
+    links = grid.stiff_links(mask)
+    # every link that leaves the fiber is 0, so the restricted form is the
+    # Neumann operator of the fiber
+    A, dofs = restrict_to(full_stiffness(n, links), mask)
+    # source from the unit axial gradient e_i: h^2 a_e on each axial link,
     # entering at its head and leaving at its tail
-    src = h * (h * edge_weights(a1, axis - 1))
+    src = h * (h * links[axis - 1])
     rhs = (np.roll(src, 1, axis=axis - 1) - src).ravel()[dofs]
 
     corrector_vals = np.zeros(dofs.size)

@@ -109,8 +109,8 @@ class CellGeometry:
         if self.variant not in ("fibered", "compact_inclusion"):
             raise ValidationError(f"unknown variant {self.variant!r}")
         for value, name in ((self.a0, "a0"), (self.a1, "a1")):
-            if not callable(value) and float(value) <= 0.0:
-                raise CoefficientError(f"coefficient {name} must be > 0, got {value}")
+            if not callable(value) and not 0.0 < float(value) < np.inf:
+                raise CoefficientError(f"coefficient {name} must be finite and > 0, got {value}")
         if self.variant == "fibered":
             if not self.fibers:
                 raise ValidationError("fibered variant requires at least one fiber")
@@ -239,14 +239,10 @@ class Grid:
         return float(np.count_nonzero(self.fiber_mask(axis))) * self.h**3
 
     def coefficient_field(self, name: str) -> np.ndarray:
-        """Coefficient ``name`` ("a0" or "a1") sampled on every node.  The soft
-        a0 is extended to the stiff nodes too, so a soft-stiff link of the limit
-        operator gets harmonic_mean(a0, a0) = a0.  That is not the eps -> 0 limit
-        of the eps-problem's link, harmonic_mean(eps^2 a0, a1) / eps^2 -> 2 a0
-        (ROADMAP item 1)."""
+        """Coefficient ``name`` ("a0" or "a1") on every node; each sample must be finite and > 0."""
         vals = self.geometry.coefficient_values(name, *self.coords())
-        if not np.all(vals > 0.0):
-            raise CoefficientError(f"coefficient field {name} must be > 0 on all nodes")
+        if not np.all((vals > 0.0) & (vals < np.inf)):
+            raise CoefficientError(f"coefficient field {name} must be finite and > 0 on all nodes")
         return vals
 
     def a0_field(self) -> np.ndarray:
@@ -301,6 +297,37 @@ class Grid:
 
     def a1_field(self) -> np.ndarray:
         return self.coefficient_field("a1")
+
+    # The link rules.  Each gives the (3, n, n, n) link coefficients that
+    # operators.full_stiffness assembles, entry [d][p] for the link p -> p + e_d.
+
+    def limit_links(self) -> np.ndarray:
+        """The links of the limit operator: the harmonic mean of the a0 samples at both
+        ends, stiff ends included, so a soft-stiff link gets harm(a0, a0) = a0.  That is
+        not the eps -> 0 limit of the eps-problem's link, harm(eps^2 a0, a1) / eps^2 -> 2 a0
+        (ROADMAP item 1)."""
+        return _harmonic_links(self._a0)
+
+    def eps_links(self, K: int, contrast: str = "double_porosity") -> np.ndarray:
+        """The links of the eps-problem at eps = 1/K: the harmonic mean of node values
+        eps^2 a0 on the soft phase (a0 with contrast "off") and a1 on the stiff phase."""
+        scale = (1.0 / K) ** 2 if contrast == "double_porosity" else 1.0
+        return _harmonic_links(np.where(self.matrix_mask, scale * self._a0, self.a1_field()))
+
+    def stiff_links(self, mask: np.ndarray) -> np.ndarray:
+        """The harmonic mean of the a1 samples on the links with both ends in ``mask``, 0
+        on the rest: the Neumann form of a fiber, or the energy of the stiff phase."""
+        return _harmonic_links(self.a1_field() * mask)
+
+
+def _harmonic_links(node: np.ndarray) -> np.ndarray:
+    """Entry [d][p]: the harmonic mean 2ab / (a + b) of the values a at node p and b at
+    p + e_d (periodic wrap), with harm(a, 0) = 0."""
+    links = np.zeros((3, *node.shape))
+    for d in range(3):
+        b = np.roll(node, -1, axis=d)
+        np.divide(2.0 * (node * b), node + b, out=links[d], where=node + b > 0.0)
+    return links
 
 
 def classify_nodes(geom: CellGeometry, n: int) -> Grid:

@@ -1,9 +1,10 @@
 """Sparse Hermitian operators on the periodic node grid, eigensolver, linear solver.
 
 Discretization: vertex-centered 7-point stencil on the n^3 grid with
-nodes at k/n.  Edge coefficients are harmonic means of the two adjacent
-node values.  Links that cross a cell face in direction d carry the
-quasi-periodic phase factor exp(+/- i theta_d).
+nodes at k/n.  ``full_stiffness`` assembles it from link coefficients, one
+per link p -> p + e_d; ``Grid`` (``geometry.py``) owns the rules that make
+them from the sampled coefficients.  Links that cross a cell face in
+direction d carry the quasi-periodic phase factor exp(+/- i theta_d).
 
 Scaling convention: the assembled stiffness A satisfies
 ``v.conj() @ (A @ u) ~= integral a grad(u) . conj(grad(v))`` and the
@@ -12,7 +13,7 @@ eigenproblem A v = mu h^3 v approximates -div(a grad v) = mu v and the
 inner product <u, v> = h^3 sum(u * conj(v)) approximates L^2.
 
 Every operator of the package is one assembled form restricted to a
-node set: ``restrict_to(full_stiffness(n, coeff, theta), mask)``.  Zero
+node set: ``restrict_to(full_stiffness(n, links, theta), mask)``.  Zero
 trace, on the stiff closures or on the cell faces, is imposed by leaving
 the nodes that carry it out of the mask.
 """
@@ -32,6 +33,10 @@ from .errors import ConvergenceError, EmptyDomainError, SingularSystemError
 # * m_max), as measured on Bloch sector blocks (BENCH_24_mirror_sectors.json).
 DENSE_MIN_DIM = 240
 DENSE_DIM_PER_MODE = 11
+
+# a sorting network for six values: each pair (i, j), i < j, is a compare-exchange
+_SORT6 = ((0, 5), (1, 3), (2, 4), (1, 2), (3, 4), (0, 3), (2, 5), (0, 1), (2, 3), (4, 5),
+          (1, 2), (3, 4))
 
 
 @dataclass(frozen=True)
@@ -67,65 +72,42 @@ def as_quasi_momentum(theta) -> QuasiMomentum:
     return QuasiMomentum(tuple(theta))
 
 
-def harmonic_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Harmonic mean with the convention harm(a, 0) = 0."""
-    s = a + b
-    out = np.zeros(np.broadcast(a, b).shape)
-    nz = s > 0.0
-    out[nz] = 2.0 * (a * b)[nz] / s[nz]
-    return out
-
-
-def edge_weights(coeff: np.ndarray, direction: int) -> np.ndarray:
-    """Edge coefficients a_pq for the edges p -> p + e_d (periodic wrap).
-
-    ``direction`` is 0-based.  Entry [p] belongs to the edge leaving p in
-    the +d direction; the slice with p_d = n-1 holds the wrap edges.
-    """
-    return harmonic_mean(coeff, np.roll(coeff, -1, axis=direction))
-
-
 def wrap_phase(t: float):
     """exp(i t), exactly real at t = 0 and t = pi: an operator there stays real, which
     keeps one LAPACK path for bitwise-reproducible spectra across such quasi-momenta."""
     return 1.0 if t == 0.0 else (-1.0 if t == np.pi else np.exp(1j * t))
 
 
-def full_stiffness(n: int, coeff: np.ndarray, theta=None) -> sp.csr_matrix:
-    """Assemble the stiffness form matrix on all n^3 nodes.
-
-    Wrap links carry the quasi-periodic phases exp(+/- i theta_d).
-    """
+def full_stiffness(n: int, links: np.ndarray, theta=None) -> sp.csr_matrix:
+    """Assemble the stiffness form on all n^3 nodes from the (3, n, n, n) ``links``, entry
+    [d][p] the coefficient of the link p -> p + e_d (periodic wrap); wrap links carry the
+    quasi-periodic phases exp(+/- i theta_d).  Each diagonal entry sums its node's six
+    weights in ascending order, which every symmetry of the grid keeps, so a symmetry maps
+    the form onto itself bit for bit whatever the weights."""
     qm = as_quasi_momentum(theta)
-    h = 1.0 / n
+    w = (1.0 / n) * np.asarray(links)
     phase_vals = [wrap_phase(t) for t in qm.theta]
     dtype = np.complex128 if any(isinstance(p, complex) for p in phase_vals) else np.float64
 
     idx = np.arange(n**3, dtype=np.int64).reshape(n, n, n)
     rows, cols, data = [], [], []
-    diag = np.zeros(n**3)
     for d in range(3):
-        w = h * edge_weights(coeff, d)
-        q_idx = np.roll(idx, -1, axis=d)
-        wrap = np.zeros((n, n, n), dtype=bool)
-        wrap[(slice(None),) * d + (n - 1,)] = True
+        q_flat = np.roll(idx, -1, axis=d).ravel()
+        phase = np.ones((n, n, n), dtype=dtype)
+        phase[(slice(None),) * d + (n - 1,)] = phase_vals[d]  # the wrap links
+        off = -w[d].ravel() * phase.ravel()
+        rows += [idx.ravel(), q_flat]
+        cols += [q_flat, idx.ravel()]
+        data += [off, np.conjugate(off)]
 
-        p_flat, q_flat, w_flat = idx.ravel(), q_idx.ravel(), w.ravel()
-        np.add.at(diag, p_flat, w_flat)
-        np.add.at(diag, q_flat, w_flat)
-        phase = np.ones(n**3, dtype=dtype)
-        phase[wrap.ravel()] = phase_vals[d]
-        off = -w_flat * phase
-        rows.append(p_flat)
-        cols.append(q_flat)
-        data.append(off)
-        rows.append(q_flat)
-        cols.append(p_flat)
-        data.append(np.conjugate(off))
-
-    rows.append(np.arange(n**3, dtype=np.int64))
-    cols.append(np.arange(n**3, dtype=np.int64))
-    data.append(diag.astype(dtype))
+    # each node's three outgoing and three incoming weights, sorted by a network
+    # of compare-exchanges, then summed from the smallest
+    six = [w[d].ravel() for d in range(3)] + [np.roll(w[d], 1, axis=d).ravel() for d in range(3)]
+    for i, j in _SORT6:
+        six[i], six[j] = np.minimum(six[i], six[j]), np.maximum(six[i], six[j])
+    rows.append(idx.ravel())
+    cols.append(idx.ravel())
+    data.append((six[0] + six[1] + six[2] + six[3] + six[4] + six[5]).astype(dtype))
     return sp.coo_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n**3, n**3),

@@ -83,13 +83,6 @@ def _outer(f1: np.ndarray, f2: np.ndarray, f3: np.ndarray) -> np.ndarray:
     return f1[:, None, None] * f2[None, :, None] * f3[None, None, :]
 
 
-def _cell_coefficient(prob: EpsProblem) -> np.ndarray:
-    """a_eps on one cell: a1 on stiff nodes, eps^2 a0 on soft (a0 with contrast off)."""
-    grid = prob.grid
-    scale = prob.eps**2 if prob.contrast == "double_porosity" else 1.0
-    return np.where(grid.matrix_mask, scale * grid.a0_field(), grid.a1_field())
-
-
 def forcing(prob: EpsProblem) -> np.ndarray:
     """f_eps on cell 0; cell c carries exp(i Theta.c) times it."""
     p = prob.p
@@ -120,20 +113,20 @@ class EpsSolution:
         u = self.u_cell.ravel()
         return float(np.real(np.vdot(u, A @ u)))
 
-    def energy(self, coeff_cell: np.ndarray | None = None) -> float:
-        """Discrete Dirichlet energy integral c |grad u|^2 over the torus, c on one cell
-        (default 1): per cell, the fine form of a Bloch wave is the cell form at Theta / K."""
-        p = self.problem.p
-        c = np.ones((p, p, p)) if coeff_cell is None else coeff_cell
+    def energy(self, links: np.ndarray | None = None) -> float:
+        """Discrete Dirichlet energy integral c |grad u|^2 over the torus, ``links`` the link
+        coefficients of c on one cell (default all 1): per cell, the fine form of a Bloch
+        wave is the cell form at Theta / K."""
+        p, K = self.problem.p, self.problem.K
+        links = np.ones((3, p, p, p)) if links is None else links
         # a semidefinite form; rounding can take it below zero when u is constant
-        return self.problem.K**2 * max(self._form(full_stiffness(p, c, self.problem.theta)), 0.0)
+        return K**2 * max(self._form(full_stiffness(p, links, self.problem.theta)), 0.0)
 
     def apriori_norms(self) -> dict[str, float]:
         """The three uniform a priori norms and the forcing norm."""
-        prob = self.problem
-        a1_cell = np.where(prob.grid.stiff_mask, prob.grid.a1_field(), 0.0)
+        prob, grid = self.problem, self.problem.grid
         return {
-            "stiff_energy": float(np.sqrt(self.energy(a1_cell))),
+            "stiff_energy": float(np.sqrt(self.energy(grid.stiff_links(grid.stiff_mask)))),
             "eps_gradient": float(prob.eps * np.sqrt(self.energy())),
             "l2": self.l2_norm(),
             "f_l2": self.l2_norm(self.f_cell),
@@ -153,7 +146,7 @@ def solve_eps(prob: EpsProblem, tol: float = 1e-10) -> EpsSolution:
     scaled by the edge-length ratio 1/K, so U solves the p^3 system
     (A(a_eps, Theta) / K + h^3 I) U = h^3 F, h = 1/(K p), F = f_eps on cell 0.
     """
-    A = full_stiffness(prob.p, _cell_coefficient(prob), prob.theta)
+    A = full_stiffness(prob.p, prob.grid.eps_links(prob.K, prob.contrast), prob.theta)
     h3 = (1.0 / prob.n_fine) ** 3
     system = (A / prob.K + h3 * sp.identity(prob.p**3, format="csr")).tocsr()
     f_cell = forcing(prob)

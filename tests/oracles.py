@@ -13,9 +13,9 @@ from scipy.linalg import eigvalsh
 
 from hcbloch.beta import BetaMatrix, solve_lifts
 from hcbloch.bloch import BlochAssembly, BlochDecomposition
-from hcbloch.geometry import MATRIX, CellGeometry, Grid, classify_nodes
+from hcbloch.geometry import CellGeometry, Grid, classify_nodes
 from hcbloch.operators import as_quasi_momentum, eigensolve, full_stiffness, restrict_to
-from hcbloch.validation import EpsProblem, EpsSolution, _axis_waves, _cell_coefficient, _outer
+from hcbloch.validation import EpsProblem, EpsSolution, _axis_waves, _outer
 
 
 def dirichlet_baseline(
@@ -32,7 +32,7 @@ def dirichlet_baseline(
     dominate every Bloch branch: lambda_n(theta) <= mu_n.
     """
     n = grid.n
-    full = full_stiffness(n, grid.a0_field())
+    full = full_stiffness(n, grid.limit_links())
     inner = np.ones((n, n, n), dtype=bool)
     for ax in range(3):
         sl = [slice(None)] * 3
@@ -108,9 +108,11 @@ def _tile(cell_values: np.ndarray, K: int) -> np.ndarray:
     return np.tile(cell_values, (K, K, K))
 
 
-def eps_coefficient(prob: EpsProblem) -> np.ndarray:
-    """a_eps on the fine grid: a1(x/eps) on stiff nodes, eps^2 a0(x/eps) on soft."""
-    return _tile(_cell_coefficient(prob), prob.K)
+def eps_links(prob: EpsProblem) -> np.ndarray:
+    """The links of a_eps on the fine grid: the cell's (``Grid.eps_links``) tiled K^3
+    times, the link that leaves a cell being the cell's wrap link."""
+    K = prob.K
+    return np.tile(prob.grid.eps_links(K, prob.contrast), (1, K, K, K))
 
 
 def fine_forcing(prob: EpsProblem) -> np.ndarray:
@@ -158,16 +160,13 @@ def composite_spectrum(geom: CellGeometry, p: int, K: int) -> np.ndarray:
 
     A_eps commutes with shifts by one cell, so it block-diagonalizes
     exactly over the K^3 discrete quasi-momenta Theta = 2 pi z / K into
-    cell operators with coefficients (a1/eps^2 on the stiff phase, a0 on
-    the soft phase).  Blocks z and -z mod K are complex conjugates with the
-    same eigenvalues, so one block of each pair is solved densely and
-    counted twice.
+    cell operators with the cell's eps links times 1/eps^2 = K^2 (a1/eps^2
+    between stiff nodes, a0 between soft ones).  Blocks z and -z mod K are
+    complex conjugates with the same eigenvalues, so one block of each pair
+    is solved densely and counted twice.
     """
     grid_cell = classify_nodes(geom, p)
-    y1, y2, y3 = grid_cell.coords()
-    a0 = geom.coefficient_values("a0", y1, y2, y3)
-    a1 = geom.coefficient_values("a1", y1, y2, y3)
-    coeff = np.where(grid_cell.node_class == MATRIX, a0, a1 * K**2)
+    links = K**2 * grid_cell.eps_links(K)
     h3 = grid_cell.h**3
     vals = []
     step = 2.0 * np.pi / K
@@ -175,7 +174,7 @@ def composite_spectrum(geom: CellGeometry, p: int, K: int) -> np.ndarray:
         z_conj = tuple(-v % K for v in z)
         if z_conj < z:
             continue
-        A = full_stiffness(p, coeff, tuple(v * step for v in z))
+        A = full_stiffness(p, links, tuple(v * step for v in z))
         ev = eigvalsh(A.toarray() / h3)
         vals.extend([ev] if z_conj == z else [ev, ev])
     return np.sort(np.concatenate(vals))

@@ -110,7 +110,7 @@ def test_axial_layering_harmonic_mean():
     oracle = periodic_1d_corrector_a_hom(a_nodes, 1.0 / 32)
     assert abs(oracle - 1.6) < 1e-12  # harmonic mean of the two-phase profile
     assert abs(sol.a_hom - oracle * sol.discrete_measure) < 1e-10
-    # within 2% of the continuum value |S| * harmonic_mean
+    # within 2% of the continuum value |S| * (harmonic mean of a1)
     target = (13.0 / 32) ** 2 * 1.6
     assert abs(sol.a_hom - target) / target < 0.02
 
@@ -137,7 +137,7 @@ def test_brute_force_3d_oracle_n16():
 
 
 def test_restricted_stiffness_is_fiber_neumann_operator(two_fiber):
-    """Zeroing a1 off the fiber drops every edge that leaves it (into the
+    """The fiber's stiff links are 0 on every link that leaves it (into the
     soft phase or the other fiber), so the restricted quasi-periodic form
     is the Neumann fiber operator that solve_cell_problem relies on."""
     geom = CellGeometry(
@@ -146,7 +146,7 @@ def test_restricted_stiffness_is_fiber_neumann_operator(two_fiber):
     )
     grid = classify_nodes(geom, 16)
     mask = grid.fiber_mask(3)
-    A = restrict_to(full_stiffness(grid.n, grid.a1_field() * mask), mask)[0].toarray()
+    A = restrict_to(full_stiffness(grid.n, grid.stiff_links(mask)), mask)[0].toarray()
     _, oracle = brute_force_fiber_solve(geom, grid, 3)
     assert A.shape == oracle.shape
     assert np.abs(A - oracle).max() <= 1e-15 * np.abs(oracle).max()
@@ -160,12 +160,9 @@ def test_positivity_and_voigt_bound():
     grid = classify_nodes(geom, 16)
     sol = solve_cell_problem(grid, 1)
     assert sol.a_hom > 0.0
-    # Voigt bound: energy at N = 0, i.e. the edge-coefficient sum
-    from hcbloch.cell import _fiber_edges
-    from hcbloch.operators import edge_weights
-
-    keep = _fiber_edges(grid.fiber_mask(1), 0)
-    voigt = grid.h**3 * edge_weights(grid.a1_field(), 0)[keep].sum()
+    # Voigt bound: energy at N = 0, i.e. the sum of the axial fiber links
+    links = grid.stiff_links(grid.fiber_mask(1))[0]
+    voigt = grid.h**3 * links[links > 0.0].sum()
     assert sol.a_hom <= voigt + 1e-12
 
 

@@ -1,4 +1,5 @@
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from scipy.linalg import eigh as dense_eigh
 
 from conftest import dirichlet_chain_lowest
 from hcbloch.errors import EmptyDomainError, SingularSystemError
-from hcbloch.geometry import classify_nodes
+from hcbloch.config import parse_config
+from hcbloch.geometry import build_geometry, classify_nodes
 from hcbloch.operators import (
     QuasiMomentum,
     eigensolve,
@@ -17,6 +19,8 @@ from hcbloch.operators import (
     linear_solve,
     restrict_to,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def wrapped_1d_matrix(n, phase):
@@ -32,7 +36,7 @@ def wrapped_1d_matrix(n, phase):
 
 def soft_operator(grid, theta):
     """Quasi-periodic a0 form with zero trace off the soft phase."""
-    return restrict_to(full_stiffness(grid.n, grid.a0_field(), theta), grid.matrix_mask)[0]
+    return restrict_to(full_stiffness(grid.n, grid.limit_links(), theta), grid.matrix_mask)[0]
 
 
 def test_quasi_momentum_active_set():
@@ -45,17 +49,35 @@ def test_quasi_momentum_active_set():
 
 def test_periodic_constant_kernel_exact():
     n = 8
-    A = full_stiffness(n, np.ones((n, n, n)), None)
+    A = full_stiffness(n, np.ones((3, n, n, n)), None)
     assert np.abs(A @ np.ones(n**3)).max() == 0.0
 
 
 def test_hermitian_exact_random_coeff():
     rng = np.random.default_rng(7)
     n = 6
-    coeff = 0.5 + rng.random((n, n, n))
-    A = full_stiffness(n, coeff, (0.7, 2.1, 5.5))
+    links = 0.5 + rng.random((3, n, n, n))
+    A = full_stiffness(n, links, (0.7, 2.1, 5.5))
     d = A - A.getH()
     assert d.nnz == 0 or np.abs(d.data).max() == 0.0
+
+
+@pytest.mark.parametrize("config", ["single_fiber", "two_fibers", "double_porosity"])
+def test_symmetries_map_the_form_onto_itself_exactly(config):
+    """Each element of Grid.symmetries, as a node relabelling, maps the eps form of
+    a shipped cell onto itself bit for bit, though its links take three values:
+    the diagonal sums each node's six weights in an order the element keeps."""
+    n = 10
+    geom = build_geometry(parse_config(CONFIGS / f"{config}.yml").geometry)
+    grid = classify_nodes(geom, n)
+    A = full_stiffness(n, grid.eps_links(4), None).toarray()
+    k = np.indices(grid.shape).reshape(3, -1)
+    for perm, signs, shift in grid.symmetries:
+        image = np.empty_like(k)
+        for j in range(3):
+            image[perm[j]] = (signs[j] * k[j] + shift[perm[j]]) % n
+        R = np.ravel_multi_index(image, grid.shape)
+        assert np.array_equal(A[np.ix_(R, R)], A), (perm, signs, shift)
 
 
 def test_plane_wave_eigenvector_at_theta_pi():
@@ -63,7 +85,7 @@ def test_plane_wave_eigenvector_at_theta_pi():
     1D operator, cross-checked by dense diagonalization."""
     n = 8
     h = 1.0 / n
-    A = full_stiffness(n, np.ones((n, n, n)), (np.pi, 0.0, 0.0))
+    A = full_stiffness(n, np.ones((3, n, n, n)), (np.pi, 0.0, 0.0))
     y1 = (np.arange(n) / n)[:, None, None] * np.ones((n, n, n))
     v = np.exp(1j * np.pi * y1).ravel()
     lam = (2.0 / h**2) * (1.0 - np.cos(np.pi * h))
@@ -94,7 +116,7 @@ def test_identity_pencil():
 def test_dirichlet_cube_lowest_eigenvalue():
     n = 16
     h = 1.0 / n
-    A = full_stiffness(n, np.ones((n, n, n)), None)
+    A = full_stiffness(n, np.ones((3, n, n, n)), None)
     inner = np.ones((n, n, n), dtype=bool)
     for ax in range(3):
         sl = [slice(None)] * 3
@@ -135,8 +157,8 @@ def test_eigensolve_deterministic(single_fiber, sparse_eigensolver):
 def test_positive_semidefinite_random_probes():
     rng = np.random.default_rng(11)
     n = 6
-    coeff = 0.5 + rng.random((n, n, n))
-    A = full_stiffness(n, coeff, (2.0, 0.8, 4.4))
+    links = 0.5 + rng.random((3, n, n, n))
+    A = full_stiffness(n, links, (2.0, 0.8, 4.4))
     for _ in range(100):
         v = rng.standard_normal(n**3) + 1j * rng.standard_normal(n**3)
         val = np.vdot(v, A @ v).real
@@ -154,7 +176,7 @@ def test_theta_independence_on_interior_domain(inclusion):
 
 def test_empty_domain_error():
     n = 6
-    A = full_stiffness(n, np.ones((n, n, n)), None)
+    A = full_stiffness(n, np.ones((3, n, n, n)), None)
     with pytest.raises(EmptyDomainError):
         restrict_to(A, np.zeros((n, n, n), dtype=bool))
 
@@ -173,7 +195,7 @@ def test_linear_solve_zero_rhs():
 
 def test_linear_solve_singular_without_gauge():
     n = 8
-    A = full_stiffness(n, np.ones((n, n, n)), None)
+    A = full_stiffness(n, np.ones((3, n, n, n)), None)
     rhs = np.zeros(n**3)
     rhs[0] = 1.0  # not orthogonal to the constant kernel
     with pytest.raises(SingularSystemError):
@@ -208,7 +230,7 @@ def test_linear_solve_two_columns_match_dense_oracle():
 
 def test_linear_solve_two_columns_singular():
     n = 8
-    A = full_stiffness(n, np.ones((n, n, n)), None)
+    A = full_stiffness(n, np.ones((3, n, n, n)), None)
     rhs = np.zeros((n**3, 2))
     rhs[0, 0], rhs[1, 0] = 1.0, -1.0  # compatible with the constant kernel
     rhs[0, 1] = 1.0  # not

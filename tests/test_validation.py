@@ -3,7 +3,8 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import eigvalsh
 
-from hcbloch.bloch import assemble_bloch
+from hcbloch.bloch import assemble_bloch, bloch_eigs
+from hcbloch.cell import solve_cell_problem
 from hcbloch.errors import CoefficientError, SingularSystemError
 from hcbloch.geometry import CellGeometry, build_geometry, classify_nodes
 from hcbloch.operators import full_stiffness, linear_solve
@@ -17,7 +18,7 @@ from hcbloch.validation import (
 from oracles import (
     composite_spectrum,
     dense_border,
-    eps_coefficient,
+    eps_links,
     fine_field,
     fine_forcing,
     fine_pairing,
@@ -67,6 +68,23 @@ def test_nonpositive_soft_coefficient_rejected(single_fiber):
         solve_eps(EpsProblem(grid=classify_nodes(geom, 8), K=2, k_index=(1, 0, 0)))
 
 
+@pytest.mark.parametrize("name, run", [
+    ("a0", lambda grid: bloch_eigs(assemble_bloch(grid, (0.0, 0.0, 0.0)), m_max=2)),
+    ("a1", lambda grid: solve_cell_problem(grid, 1)),
+])
+def test_infinite_coefficient_rejected(single_fiber, name, run):
+    """A sample of inf is refused, naming its coefficient, before it reaches a link,
+    where it would turn into NaN and a misleading singular factor: a0 = inf on the
+    plane y2 = 0 of the soft phase, a1 = inf on the plane y1 = 0.5 across the fiber."""
+    plane = {"a0": lambda y1, y2, y3: np.where(y2 == 0.0, np.inf, 1.0),
+             "a1": lambda y1, y2, y3: np.where(y1 == 0.5, np.inf, 1.0)}[name]
+    grid = classify_nodes(CellGeometry(fibers=single_fiber.fibers, **{name: plane}), 8)
+    with pytest.raises(CoefficientError, match=name):
+        run(grid)
+    with pytest.raises(CoefficientError, match=name):
+        CellGeometry(fibers=single_fiber.fibers, **{name: np.inf})
+
+
 def test_energy_identity(single_fiber):
     prob = EpsProblem(grid=classify_nodes(single_fiber, 8), K=2, k_index=(1, 0, 0))
     sol = solve_eps(prob)
@@ -85,11 +103,15 @@ def test_apriori_bounds(single_fiber):
 def test_eps_coefficient_layout(single_fiber):
     grid_cell = classify_nodes(single_fiber, 8)
     prob = EpsProblem(grid=grid_cell, K=2)
-    a = eps_coefficient(prob)
-    assert a.shape == (16, 16, 16)
-    # soft nodes carry eps^2 a0, stiff nodes a1, tiled per cell
-    cell = np.where(grid_cell.node_class == 0, 0.25, 1.0)
-    assert np.array_equal(a, np.tile(cell, (2, 2, 2)))
+    links = eps_links(prob)
+    assert links.shape == (3, 16, 16, 16)
+    # soft nodes carry eps^2 a0, stiff nodes a1, tiled per cell; a link gets
+    # the harmonic mean of its two ends
+    node = np.tile(np.where(grid_cell.node_class == 0, 0.25, 1.0), (2, 2, 2))
+    for d in range(3):
+        ends = node + np.roll(node, -1, axis=d)
+        expected = np.select([ends == 0.5, ends == 2.0], [0.25, 1.0], 2.0 * 0.25 / 1.25)
+        assert np.array_equal(links[d], expected)
 
 
 def test_floquet_factorization_vs_brute_force(fat_fiber):
@@ -99,9 +121,8 @@ def test_floquet_factorization_vs_brute_force(fat_fiber):
     p, K = 4, 2
     spec = composite_spectrum(fat_fiber, p, K)
     prob = EpsProblem(grid=classify_nodes(fat_fiber, p), K=K)
-    a_fine = eps_coefficient(prob)
     n_f = p * K
-    A = full_stiffness(n_f, a_fine, None)
+    A = full_stiffness(n_f, eps_links(prob), None)
     brute = eigvalsh(A.toarray() / (1.0 / n_f) ** 3)
     assert np.abs(np.sort(spec) - np.sort(brute)).max() < 1e-8
 
@@ -150,11 +171,9 @@ def test_mean_value_property_ratio(single_fiber):
 def dense_constrained_oracle(geom, grid, k_index, g):
     """Brute-force dense discretization of the homogenized cell system:
     explicit dense constraint basis, dense solve."""
-    from hcbloch.cell import solve_cell_problem
-
     n = grid.n
     h3 = grid.h**3
-    F = full_stiffness(n, grid.a0_field(), None).toarray()
+    F = full_stiffness(n, grid.limit_links(), None).toarray()
     dofs = np.flatnonzero(grid.matrix_mask.ravel())
     active = list(geom.active_axes)
     Z = dense_border(grid, dofs, active)
@@ -188,7 +207,7 @@ def test_homogenized_inactive_fibers_dirichlet(single_fiber):
     g[grid.stiff_mask] = 0.0
     theta = (np.pi, np.pi / 2, np.pi)
     hom = solve_homogenized(assemble_bloch(grid, theta), k_index=(0, 0, 0), g_cell=g)
-    full = full_stiffness(8, grid.a0_field(), theta)
+    full = full_stiffness(8, grid.limit_links(), theta)
     dofs = np.flatnonzero(grid.matrix_mask.ravel())
     sub = full[dofs][:, dofs] + grid.h**3 * sp.identity(dofs.size)
     from hcbloch.operators import linear_solve
@@ -288,10 +307,9 @@ def test_inclusion_homogenized_theta_independent(inclusion):
 
 def direct_solve_eps(prob):
     """Oracle: the eps-problem assembled and solved on the whole (K p)^3 torus grid."""
-    a_fine = eps_coefficient(prob)
     n = prob.n_fine
     h3 = (1.0 / n) ** 3
-    system = full_stiffness(n, a_fine, None) + h3 * sp.identity(n**3, format="csr")
+    system = full_stiffness(n, eps_links(prob), None) + h3 * sp.identity(n**3, format="csr")
     return linear_solve(system.tocsr(), h3 * fine_forcing(prob).ravel())
 
 
@@ -321,7 +339,7 @@ def test_bloch_reduction_matches_direct_solve(request, geom_name, p, K, k_index,
     sol = solve_eps(prob)
     assert np.linalg.norm(fine_field(sol) - u_ref) <= 1e-9 * np.linalg.norm(u_ref)
     n = prob.n_fine
-    fine_energy = np.real(np.vdot(u_ref, full_stiffness(n, np.ones((n, n, n)), None) @ u_ref))
+    fine_energy = np.real(np.vdot(u_ref, full_stiffness(n, np.ones((3, n, n, n)), None) @ u_ref))
     assert abs(sol.energy() - fine_energy) <= 1e-9 * fine_energy
     assert sol.energy_identity_defect() < 1e-9
 
@@ -359,10 +377,10 @@ def test_composite_spectrum_conjugate_blocks(fat_fiber):
     K^3 blocks solved (K = 4 has conjugate pairs; K = 2 has none)."""
     p, K = 4, 4
     grid = classify_nodes(fat_fiber, p)
-    coeff = np.where(grid.node_class == 0, grid.a0_field(), K**2 * grid.a1_field())
+    links = K**2 * grid.eps_links(K)
     step = 2.0 * np.pi / K
     blocks = [
-        eigvalsh(full_stiffness(p, coeff, tuple(v * step for v in z)).toarray() / grid.h**3)
+        eigvalsh(full_stiffness(p, links, tuple(v * step for v in z)).toarray() / grid.h**3)
         for z in np.ndindex(K, K, K)
     ]
     every = np.sort(np.concatenate(blocks))
