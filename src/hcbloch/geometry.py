@@ -1,4 +1,4 @@
-"""Unit-cell geometry: fibers, soft phase, coefficients, node classification.
+"""Unit-cell geometry: fibers, soft phase, coefficients and their link rules, node classification.
 
 The periodic unit cell is Q = (0,1)^3.  The stiff phase is a union of
 axis-aligned cylinders ("fibers"), at most one per coordinate axis, each
