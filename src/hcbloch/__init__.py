@@ -22,7 +22,7 @@ _EXPORTS = {
               "EmptyDomainError HcBlochError OverlapError ParseError PoleProximityError "
               "ResolutionError SingularSystemError ValidationError",
     "geometry": "CellGeometry FiberSpec Grid build_geometry classify_nodes",
-    "operators": "QuasiMomentum eigensolve linear_solve",
+    "operators": "eigensolve linear_solve",
     "validation": "EpsProblem TwoScaleReport convergence_report solve_eps solve_homogenized "
                   "two_scale_pairing",
 }

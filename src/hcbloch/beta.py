@@ -122,7 +122,7 @@ def solve_lifts(asm: BlochAssembly, bloch: BlochDecomposition,
     active = bloch.active
     if not active:
         raise EmptyActiveSetError(
-            f"no active fiber axis at theta={bloch.theta.theta}; spatial operator is the zero map"
+            f"no active fiber axis at theta={bloch.theta}; spatial operator is the zero map"
         )
     if asm.theta != bloch.theta:
         raise ValueError("Bloch decomposition was computed at a different theta")
@@ -142,7 +142,7 @@ def solve_lifts(asm: BlochAssembly, bloch: BlochDecomposition,
     mass_gram = 0.5 * (mass_gram + mass_gram.conj().T)
     fields = asm.border @ np.vstack([X, np.eye(len(active), dtype=X.dtype)])
 
-    beta = BetaMatrix(theta=asm.theta.theta, active=active,
+    beta = BetaMatrix(theta=asm.theta, active=active,
                       poles=np.asarray(bloch.eigenvalues, dtype=float),
                       coeffs=h3 * (X.T @ bloch.vectors.conj()), measures=asm.border_mass[dim:],
                       flux_gram=flux_gram, mass_gram=mass_gram)
@@ -282,8 +282,7 @@ def spatial_spectrum(
     stiff[:M, :M] = np.diag(beta.poles)
 
     roots: list[SpatialRoot] = []
-    theta_t = tuple(beta.theta)
-    zero_root = not any(theta_t)
+    zero_root = not any(beta.theta)
     for z in k_modes:
         z = tuple(int(v) for v in z)
         k = 2.0 * np.pi * np.asarray(z, dtype=float) / L
@@ -308,12 +307,12 @@ def spatial_spectrum(
         bad = np.flatnonzero(rise != inside)
         if bad.size:
             raise ConvergenceError(
-                f"uncertified spatial roots at theta={theta_t}, k={z}: lambda={lams[bad]}, "
+                f"uncertified spatial roots at theta={beta.theta}, k={z}: lambda={lams[bad]}, "
                 f"inertia rise {rise[bad]} for {inside[bad]} pencil eigenvalues"
             )
         for lam, res, a, b in zip(lams, residuals, lo, hi):
             bracket = (0.0, 0.0) if lam == 0.0 and exact_zero else (float(a), float(b))
-            roots.append(SpatialRoot(theta=theta_t, k_index=z, lam=float(lam),
+            roots.append(SpatialRoot(theta=beta.theta, k_index=z, lam=float(lam),
                                      residual=float(res), bracket=bracket))
     roots.sort(key=lambda r: (r.k_index, r.lam))
     return roots

@@ -25,11 +25,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import HcBlochError
-from .geometry import Grid
+from .geometry import Grid, quasi_momentum
 from .operators import (
-    QuasiMomentum,
     _fix_phases,
-    as_quasi_momentum,
     check_residuals,
     eigen_method,
     eigensolve,
@@ -68,7 +66,7 @@ class BlochAssembly:
     """
 
     grid: Grid = field(repr=False)
-    theta: QuasiMomentum
+    theta: tuple[float, float, float]
     full: sp.csr_matrix = field(repr=False)
     interior: sp.csr_matrix = field(repr=False)
     dofs: np.ndarray = field(repr=False)
@@ -104,7 +102,7 @@ class BlochAssembly:
 
     @cached_property
     def active(self) -> tuple[int, ...]:
-        return self.theta.active_set(self.grid.geometry.active_axes)
+        return self.grid.geometry.active_at(self.theta)
 
     @cached_property
     def border(self) -> sp.csr_matrix:
@@ -126,15 +124,15 @@ class BlochAssembly:
 
 
 def assemble_bloch(grid: Grid, theta) -> BlochAssembly:
-    qm = as_quasi_momentum(theta)
-    full = full_stiffness(grid.n, grid.limit_links(), qm)
+    theta = quasi_momentum(theta)
+    full = full_stiffness(grid.n, grid.limit_links(), theta)
     interior, dofs = restrict_to(full, grid.matrix_mask)
     mirrors = tuple((j, c) for j, c in enumerate(grid.mirrors)
-                    if c is not None and qm.theta[j] in (0.0, np.pi))
-    return BlochAssembly(grid, qm, full, interior, dofs, mirrors)
+                    if c is not None and theta[j] in (0.0, np.pi))
+    return BlochAssembly(grid, theta, full, interior, dofs, mirrors)
 
 
-def _sector_bases(n: int, dofs: np.ndarray, mirrors, qm: QuasiMomentum) -> list[sp.csc_matrix]:
+def _sector_bases(n: int, dofs: np.ndarray, mirrors, theta) -> list[sp.csc_matrix]:
     """Orthonormal bases of the sectors: mirror (j, c) maps k_j to (c - k_j) mod n,
     with the factor exp(i theta_j) = +-1 where c - k_j < 0 wraps.  Sector x (a
     bitmask over the mirrors) is the range of P_x = 2^-r sum_g chi_x(g) R_g, spanned
@@ -147,7 +145,7 @@ def _sector_bases(n: int, dofs: np.ndarray, mirrors, qm: QuasiMomentum) -> list[
         coords, sign = list(np.unravel_index(dofs, (n, n, n))), np.ones(dim)
         for b, (axis, c) in enumerate(mirrors):
             if g >> b & 1:
-                sign[(coords[axis] > c) & (qm.theta[axis] == np.pi)] *= -1
+                sign[(coords[axis] > c) & (theta[axis] == np.pi)] *= -1
                 coords[axis] = (c - coords[axis]) % n
         images.append(where[np.ravel_multi_index(coords, (n, n, n))])
         signs.append(sign)
@@ -182,7 +180,7 @@ class BlochDecomposition:
     where none was solved) and ``solved_at`` the theta whose solve gave it.
     """
 
-    theta: QuasiMomentum
+    theta: tuple[float, float, float]
     active: tuple[int, ...]
     eigenvalues: np.ndarray
     vectors: np.ndarray | None  # (dim, m_max), columns orthonormal in h^3 inner product
@@ -221,23 +219,23 @@ def bloch_eigs(asm: BlochAssembly, m_max: int = 10, tol: float = 1e-8,
                               residuals=check_residuals(asm.interior, h3, vals, vectors, tol))
 
 
-def solve_theta(grid: Grid, qm: QuasiMomentum, m_max: int = 10, tol: float = 1e-8,
+def solve_theta(grid: Grid, theta, m_max: int = 10, tol: float = 1e-8,
                 seed: int = 0, lift_tol: float | None = None) -> BlochDecomposition:
     """The sweep's step at one theta: assemble it, solve its Bloch modes and,
     with ``lift_tol`` set and a fiber axis active, its lifts (sharing the
     block factors), and keep the decomposition less its vectors.  The assembly,
     the factors, the vectors and the lifts on the grid die with the call."""
-    asm = assemble_bloch(grid, qm)
+    asm = assemble_bloch(grid, theta)
     dec = bloch_eigs(asm, m_max=m_max, tol=tol, seed=seed)
     beta = None
     if lift_tol is not None and dec.active:
         from .beta import solve_lifts  # beta imports this module
 
         beta, _ = solve_lifts(asm, dec, tol=lift_tol)
-    return replace(dec, vectors=None, beta=beta, solved_at=qm.theta)
+    return replace(dec, vectors=None, beta=beta, solved_at=dec.theta)
 
 
-def theta_grid(g: int) -> list[QuasiMomentum]:
+def theta_grid(g: int) -> list[tuple[float, float, float]]:
     """Uniform g^3 grid over [0, 2pi)^3, lexicographically ordered.
 
     Contains theta = 0 and, for g >= 2, every axis hyperplane
@@ -247,17 +245,18 @@ def theta_grid(g: int) -> list[QuasiMomentum]:
         raise ValueError("theta grid needs g >= 1")
     step = 2.0 * np.pi / g
     vals = [k * step for k in range(g)]
-    return [QuasiMomentum(t) for t in product(vals, repeat=3)]
+    return list(product(vals, repeat=3))
 
 
-def theta_sweep(grid: Grid, thetas: Sequence[QuasiMomentum], m_max: int = 10, tol: float = 1e-8,
+def theta_sweep(grid: Grid, thetas: Sequence, m_max: int = 10, tol: float = 1e-8,
                 seed: int = 0, threads: int = 1, lift_tol: float | None = None,
-                keep: Sequence[QuasiMomentum] | None = None) -> dict[tuple, BlochDecomposition]:
+                keep: Sequence | None = None) -> dict[tuple, BlochDecomposition]:
     """A record (a ``BlochDecomposition`` without vectors) at each of ``thetas``
     (e.g. ``theta_grid(g)``), or at each of them in ``keep``, from ``solve_theta``
     at the first theta of its orbit under ``grid.symmetries`` and complex
     conjugation (``_orbits``): the Bloch operators of an orbit are (anti)unitarily
-    equivalent, so ``_image`` maps that record to the rest of the orbit.
+    equivalent, so ``_image`` maps that record to the rest of the orbit.  A theta
+    outside [0, 2pi)^3, or one in ``keep`` but not in ``thetas``, raises ValueError.
 
     The solved thetas are independent, so with ``threads`` > 1 they are solved in
     min(threads, #solved) forked worker processes (ARPACK's loop and the
@@ -274,9 +273,13 @@ def theta_sweep(grid: Grid, thetas: Sequence[QuasiMomentum], m_max: int = 10, to
     Every worker has exited when this returns or raises.  Forking is
     safe only from a process that runs no other threads, as the CLI does.
     """
+    thetas = [quasi_momentum(t) for t in thetas]
+    keep = None if keep is None else [quasi_momentum(t) for t in keep]
+    if keep is not None and (missing := [t for t in keep if t not in thetas]):
+        raise ValueError(f"keep has thetas not in thetas: {missing}")
     # a0 and the symmetries, found once here, go to every worker with the grid
-    kept = [(qm, o) for qm, o in zip(thetas, _orbits(grid, thetas)) if keep is None or qm in keep]
-    solved = list({id(rep): rep for _, (rep, _) in kept}.values())
+    kept = [(t, o) for t, o in zip(thetas, _orbits(grid, thetas)) if keep is None or t in keep]
+    solved = list(dict.fromkeys(rep for _, (rep, _) in kept))
     step = partial(solve_theta, grid, m_max=m_max, tol=tol, seed=seed, lift_tol=lift_tol)
     attempt = partial(_attempt, step)
     workers = min(threads, len(solved))
@@ -290,15 +293,15 @@ def theta_sweep(grid: Grid, thetas: Sequence[QuasiMomentum], m_max: int = 10, to
             outcomes = list(pool.map(attempt, solved))
     else:
         outcomes = list(map(attempt, solved))
-    failures = [(qm.theta, out) for qm, out in zip(solved, outcomes) if isinstance(out, Exception)]
+    failures = [(t, out) for t, out in zip(solved, outcomes) if isinstance(out, Exception)]
     if failures:
         summary = "; ".join(f"theta={t}: {e}" for t, e in failures)
         kinds = {type(e) for _, e in failures}
         kind = kinds.pop() if len(kinds) == 1 else HcBlochError
         raise kind(f"theta sweep failed at {len(failures)} point(s): {summary}")
-    records = {id(qm): record for qm, record in zip(solved, outcomes)}
-    return dict(sorted({qm.theta: _image(grid, records[id(rep)], element, qm)
-                        for qm, (rep, element) in kept}.items()))
+    records = dict(zip(solved, outcomes))
+    return dict(sorted({t: _image(grid, records[rep], element, t)
+                        for t, (rep, element) in kept}.items()))
 
 
 def _permuted(perm, signs, values) -> np.ndarray:
@@ -308,27 +311,26 @@ def _permuted(perm, signs, values) -> np.ndarray:
     return out
 
 
-def _orbits(grid: Grid, thetas: Sequence[QuasiMomentum]) -> list[tuple[QuasiMomentum, tuple]]:
+def _orbits(grid: Grid, thetas: Sequence[tuple]) -> list[tuple[tuple, tuple]]:
     """Per theta, the first theta of its orbit in the list and an element (perm, signs,
     shift, conj) mapping that one to it.  (perm, signs) maps theta to theta' with
     theta'_perm[j] = signs[j] theta_j, conj then to -theta' (mod 2pi); an image
     within 1e-12 of a listed theta is that theta."""
-    listed, orbit = np.array([qm.theta for qm in thetas]).reshape(-1, 3), [None] * len(thetas)
-    for i, qm in enumerate(thetas):
+    listed, orbit = np.array(thetas).reshape(-1, 3), [None] * len(thetas)
+    for i, theta in enumerate(thetas):
         if orbit[i] is not None:
             continue
         for perm, signs, shift in grid.symmetries:
-            image = _permuted(perm, signs, qm.theta)
+            image = _permuted(perm, signs, theta)
             for conj in (False, True):
                 gap = (listed - (-image if conj else image) + np.pi) % (2.0 * np.pi) - np.pi
                 for j in np.flatnonzero(np.abs(gap).max(axis=1) <= 1e-12):
-                    orbit[j] = orbit[j] or (qm, (perm, signs, shift, conj))
+                    orbit[j] = orbit[j] or (theta, (perm, signs, shift, conj))
     return orbit
 
 
-def _image(grid: Grid, record: BlochDecomposition, element,
-           qm: QuasiMomentum) -> BlochDecomposition:
-    """The record at qm, the image of ``record.theta`` under ``element``: the same
+def _image(grid: Grid, record: BlochDecomposition, element, theta) -> BlochDecomposition:
+    """The record at theta, the image of ``record.theta`` under ``element``: the same
     eigenvalues, residuals, paths and ``solved_at``, and the coupling matrix mapped.
 
     The unitary of (perm, signs, shift) moves node k to k' + n m, k' in the cell
@@ -338,24 +340,24 @@ def _image(grid: Grid, record: BlochDecomposition, element,
     exp(-i theta'.m_i) times that of fiber perm(i), m_i the offset of any node of
     fiber i (theta' vanishes along the fiber).  ``conj`` conjugates all of it.
     """
-    if qm.theta == record.theta.theta:
+    if theta == record.theta:
         return record
     perm, signs, shift, conj = element
     beta = record.beta
     if beta is not None:
-        image = _permuted(perm, signs, record.theta.theta) % (2.0 * np.pi)
+        image = _permuted(perm, signs, record.theta) % (2.0 * np.pi)
         phases = []
         for axis in beta.active:
             k = np.unravel_index(np.argmax(grid.fiber_mask(axis)), grid.shape)
             offset = (_permuted(perm, signs, k) + shift) // grid.n
             phases.append(np.prod([wrap_phase(t) ** -int(m) for t, m in zip(image, offset)]))
-        beta = beta.mapped(qm.theta, [perm[i - 1] + 1 for i in beta.active], phases, conj)
-    return replace(record, theta=qm, active=qm.active_set(grid.geometry.active_axes), beta=beta)
+        beta = beta.mapped(theta, [perm[i - 1] + 1 for i in beta.active], phases, conj)
+    return replace(record, theta=theta, active=grid.geometry.active_at(theta), beta=beta)
 
 
-def _attempt(step, qm: QuasiMomentum):
-    """step(qm), or the HcBlochError it raised (the sweep aggregates it)."""
+def _attempt(step, theta):
+    """step(theta), or the HcBlochError it raised (the sweep aggregates it)."""
     try:
-        return step(qm)
+        return step(theta)
     except HcBlochError as exc:
         return exc

@@ -7,7 +7,7 @@ JSON error payload on stderr).
 
 The scipy-backed names the commands call (``_DEFERRED``) are imported on
 first access, and every subcommand but ``geom-check`` binds them all before
-it runs, so ``geom-check``, ``--help`` and config errors load no scipy.
+it runs, so ``geom-check``, ``--help``, config errors and a refused ``--theta`` load no scipy.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from . import _lazy
 from .config import SCHEMA_VERSION, RunConfig, parse_config, with_overrides
 from .errors import EmptyActiveSetError, HcBlochError, ValidationError
-from .geometry import build_geometry, classify_nodes
+from .geometry import build_geometry, classify_nodes, quasi_momentum
 
 __all__ = ["main", "run", "run_subcommand"]
 
@@ -32,8 +32,7 @@ __all__ = ["main", "run", "run_subcommand"]
 _DEFERRED = {
     "theta_grid": "bloch", "bloch_eigs": "bloch", "theta_sweep": "bloch", "axial_flux": "cell",
     "solve_cell_problem": "cell", "effective_tensor": "cell", "pure_bloch_bands": "beta",
-    "spatial_points": "beta", "convergence_report": "validation", "QuasiMomentum": "operators",
-    "as_quasi_momentum": "operators",
+    "spatial_points": "beta", "convergence_report": "validation",
 }
 __getattr__ = _lazy(globals(), _DEFERRED)
 
@@ -111,12 +110,12 @@ def _sweep(cfg: RunConfig, grid, theta=None, lift_tol=None):
             f"spectrum.m_max={cfg.m_max} exceeds the Bloch operator dimension {dim}"
         )
     # one theta is solved where the grid run solves it, so its numbers are the grid run's
-    keep = None if theta is None else [as_quasi_momentum(theta)]
+    keep = None if theta is None else [theta]
     sweep = theta_sweep(grid, theta_grid(cfg.theta_g) + (keep or []), m_max=cfg.m_max,
                         tol=cfg.tol_eigen, seed=cfg.seed, threads=cfg.threads,
                         lift_tol=lift_tol, keep=keep)
     # the summary's thetas: all of the sweep, and those solved (one per symmetry orbit)
-    counts = {"points": len(sweep), "solved": sum(r.solved_at == t for t, r in sweep.items())}
+    counts = {"points": len(sweep), "solved": len({r.solved_at for r in sweep.values()})}
     return sweep, counts
 
 
@@ -131,12 +130,11 @@ def cmd_bloch(cfg: RunConfig, geom, grid, theta) -> int:
 def cmd_beta(cfg: RunConfig, geom, grid, theta) -> int:
     if theta is None:
         raise ValidationError("beta needs --theta t1,t2,t3: the quasi-momentum of its matrix")
-    qm = as_quasi_momentum(theta)
-    sweep, _ = _sweep(cfg, grid, qm, lift_tol=cfg.tol_linear)
-    beta = sweep[qm.theta].beta
+    sweep, _ = _sweep(cfg, grid, theta, lift_tol=cfg.tol_linear)
+    beta = sweep[theta].beta
     if beta is None:
         raise EmptyActiveSetError(
-            f"no active fiber axis at theta={qm.theta}; spatial operator is the zero map"
+            f"no active fiber axis at theta={theta}; spatial operator is the zero map"
         )
     samples = np.linspace(0.0, _lambda_max(cfg, sweep), 400)
     samples = samples[beta.off_poles(samples, cfg.pole_guard)]
@@ -144,7 +142,7 @@ def cmd_beta(cfg: RunConfig, geom, grid, theta) -> int:
                           for part in ("re", "im"))]
     rows = [(float(lam), *(float(v) for z in mat.ravel() for v in (z.real, z.imag)))
             for lam, mat in zip(samples, beta(samples, pole_guard=cfg.pole_guard))]
-    _write_csv(cfg, geom, "beta.csv", header, rows, qm.theta, active_axes=list(beta.active))
+    _write_csv(cfg, geom, "beta.csv", header, rows, theta, active_axes=list(beta.active))
     return 0
 
 
@@ -186,12 +184,8 @@ def cmd_validate(cfg: RunConfig, geom, grid, theta) -> int:
 def _parse_theta(text: str | None):
     if text is None:
         return None
-    _import_numerics()  # QuasiMomentum checks the range
     try:
-        parts = tuple(float(v) for v in text.split(","))
-        if len(parts) != 3:
-            raise ValueError("needs three comma-separated values")
-        return QuasiMomentum(parts)
+        return quasi_momentum(text.split(","))
     except ValueError as exc:
         raise ValidationError(f"--theta {text!r}: {exc}") from None
 

@@ -10,6 +10,9 @@ contained in Q and the stiff phase is its complement.
 Cross-section convention: the fiber along axis i is constrained in the
 two complementary coordinates taken cyclically, i.e. axis 1 -> (y2, y3),
 axis 2 -> (y3, y1), axis 3 -> (y1, y2).
+
+A quasi-momentum theta is a checked float triple (``quasi_momentum``), and
+``CellGeometry.active_at`` gives its active set.
 """
 
 from __future__ import annotations
@@ -34,6 +37,14 @@ MATRIX = 0          # soft phase Q_0
 STIFF_COMPLEMENT = 4  # stiff phase of the compact_inclusion variant
 
 AXES = (1, 2, 3)
+
+
+def quasi_momentum(theta=None) -> tuple[float, float, float]:
+    """The quasi-momentum theta as three floats in [0, 2pi); None is theta = 0."""
+    t = (0.0, 0.0, 0.0) if theta is None else tuple(float(v) for v in theta)
+    if len(t) != 3 or not all(0.0 <= v < 2.0 * np.pi for v in t):  # NaN included
+        raise ValueError(f"theta needs three components in [0, 2pi), got {t}")
+    return t
 
 
 def transverse_axes(axis: int) -> tuple[int, int]:
@@ -141,6 +152,11 @@ class CellGeometry:
     def active_axes(self) -> tuple[int, ...]:
         """Sorted fiber axes (the index set of stiff cylinders)."""
         return tuple(sorted(self.fibers))
+
+    def active_at(self, theta) -> tuple[int, ...]:
+        """The active set I_theta: the fiber axes i with theta_i == 0.0, by exact binary
+        equality of the float."""
+        return tuple(i for i in self.active_axes if theta[i - 1] == 0.0)
 
     def coefficient_values(self, name: str, y1, y2, y3):
         """Coefficient ``name`` ("a0" or "a1") at broadcast coordinates."""

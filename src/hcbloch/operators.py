@@ -20,14 +20,13 @@ the nodes that carry it out of the mask.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
 from .errors import ConvergenceError, EmptyDomainError, SingularSystemError
+from .geometry import quasi_momentum
 
 # eigen_method: dense eigh is faster for dim <= max(DENSE_MIN_DIM, DENSE_DIM_PER_MODE
 # * m_max), as measured on Bloch sector blocks (BENCH_24_mirror_sectors.json).
@@ -37,39 +36,6 @@ DENSE_DIM_PER_MODE = 11
 # a sorting network for six values: each pair (i, j), i < j, is a compare-exchange
 _SORT6 = ((0, 5), (1, 3), (2, 4), (1, 2), (3, 4), (0, 3), (2, 5), (0, 1), (2, 3), (4, 5),
           (1, 2), (3, 4))
-
-
-@dataclass(frozen=True)
-class QuasiMomentum:
-    """Quasi-momentum theta in [0, 2pi)^3.
-
-    A fiber axis i is *active* when theta_i == 0.0, tested by exact
-    binary equality of the stored value.
-    """
-
-    theta: tuple[float, float, float]
-
-    def __post_init__(self):
-        t = tuple(float(v) for v in self.theta)
-        if not all(0.0 <= v < 2.0 * np.pi for v in t):  # NaN included
-            raise ValueError(f"theta components must lie in [0, 2pi), got {t}")
-        object.__setattr__(self, "theta", t)
-
-    def active_set(self, axes) -> tuple[int, ...]:
-        """Active fiber axes I_theta = {i in axes : theta_i == 0}."""
-        return tuple(i for i in sorted(axes) if self.theta[i - 1] == 0.0)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.theta == (0.0, 0.0, 0.0)
-
-
-def as_quasi_momentum(theta) -> QuasiMomentum:
-    if theta is None:
-        return QuasiMomentum((0.0, 0.0, 0.0))
-    if isinstance(theta, QuasiMomentum):
-        return theta
-    return QuasiMomentum(tuple(theta))
 
 
 def wrap_phase(t: float):
@@ -84,9 +50,8 @@ def full_stiffness(n: int, links: np.ndarray, theta=None) -> sp.csr_matrix:
     quasi-periodic phases exp(+/- i theta_d).  Each diagonal entry sums its node's six
     weights in ascending order, which every symmetry of the grid keeps, so a symmetry maps
     the form onto itself bit for bit whatever the weights."""
-    qm = as_quasi_momentum(theta)
     w = (1.0 / n) * np.asarray(links)
-    phase_vals = [wrap_phase(t) for t in qm.theta]
+    phase_vals = [wrap_phase(t) for t in quasi_momentum(theta)]
     dtype = np.complex128 if any(isinstance(p, complex) for p in phase_vals) else np.float64
 
     idx = np.arange(n**3, dtype=np.int64).reshape(n, n, n)

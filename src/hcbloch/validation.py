@@ -25,8 +25,8 @@ import scipy.sparse as sp
 from .beta import solve_lifts
 from .bloch import BlochAssembly, assemble_bloch, bloch_eigs
 from .cell import solve_cell_problem
-from .geometry import CellGeometry, Grid, classify_nodes
-from .operators import QuasiMomentum, as_quasi_momentum, full_stiffness, linear_solve
+from .geometry import CellGeometry, Grid, classify_nodes, quasi_momentum
+from .operators import full_stiffness, linear_solve
 
 __all__ = ["EpsProblem", "EpsSolution", "HomogenizedSolution", "TwoScaleReport", "solve_eps",
            "solve_homogenized", "two_scale_pairing", "convergence_report"]
@@ -68,9 +68,9 @@ class EpsProblem:
         return self.K * self.p
 
     @property
-    def theta(self) -> QuasiMomentum:
+    def theta(self) -> tuple[float, float, float]:
         """Theta = 2 pi z / K mod 2 pi; z = K/2 mod K gives exactly pi (a real operator)."""
-        return QuasiMomentum(tuple(2.0 * np.pi * ((int(z) % self.K) / self.K) for z in self.k_index))
+        return quasi_momentum(2.0 * np.pi * ((int(z) % self.K) / self.K) for z in self.k_index)
 
 
 def _axis_waves(k_index, n: int, m: int | None = None) -> list[np.ndarray]:
@@ -168,7 +168,7 @@ def two_scale_pairing(sol: EpsSolution, phi_axes, psi_cell: np.ndarray, theta) -
     c = np.arange(K)
     G = [
         np.exp(1j * (T - t) * c) @ np.conjugate(np.asarray(f).reshape(K, p))
-        for f, T, t in zip(phi_axes, sol.problem.theta.theta, as_quasi_momentum(theta).theta)
+        for f, T, t in zip(phi_axes, sol.problem.theta, quasi_momentum(theta))
     ]
     cell = np.conjugate(np.asarray(psi_cell).reshape((p, p, p))) * sol.u_cell
     return complex(np.einsum("ijk,i,j,k->", cell, *G) / (K * p) ** 3)
@@ -291,8 +291,8 @@ def convergence_report(
     Bloch-mode probe is solved with ``eigen_tol`` and ``seed``.
     """
     eps_K = sorted(int(K) for K in eps_K)
-    qm = as_quasi_momentum(theta)
-    if contrast == "off" and qm.is_zero:
+    theta = quasi_momentum(theta)
+    if contrast == "off" and not any(theta):
         raise ValueError(
             "the classical-homogenization control compares against zero limits "
             "and therefore needs theta != 0 probes"
@@ -300,7 +300,7 @@ def convergence_report(
     grid_cell = classify_nodes(geom, p)
     g = np.ones(grid_cell.shape)
 
-    asm = assemble_bloch(grid_cell, qm)
+    asm = assemble_bloch(grid_cell, theta)
     psi_battery = _psi_battery(asm, tol, eigen_tol, seed)
     failures: list[str] = []
 
@@ -333,7 +333,7 @@ def convergence_report(
         phi_ref = phi_builder(eps_K[-1] * p)
         phi_norm = float(np.sqrt(np.prod([np.mean(np.abs(f) ** 2) for f in phi_ref])))
         for psi_name, psi in psi_battery:
-            pairings = [two_scale_pairing(solutions[K], phi_builder(K * p), psi, qm) for K in eps_K]
+            pairings = [two_scale_pairing(solutions[K], phi_builder(K * p), psi, theta) for K in eps_K]
             # quasi-periodic probes of the classical control decay to zero
             limit = 0.0 + 0.0j if hom is None else hom.limit_pairing(phi_ref, psi)
             res = [abs(z - limit) for z in pairings]

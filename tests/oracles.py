@@ -13,8 +13,8 @@ from scipy.linalg import eigvalsh
 
 from hcbloch.beta import BetaMatrix, solve_lifts
 from hcbloch.bloch import BlochAssembly, BlochDecomposition
-from hcbloch.geometry import CellGeometry, Grid, classify_nodes
-from hcbloch.operators import as_quasi_momentum, eigensolve, full_stiffness, restrict_to
+from hcbloch.geometry import CellGeometry, Grid, classify_nodes, quasi_momentum
+from hcbloch.operators import eigensolve, full_stiffness, restrict_to
 from hcbloch.validation import EpsProblem, EpsSolution, _axis_waves, _outer
 
 
@@ -126,13 +126,13 @@ def fine_forcing(prob: EpsProblem) -> np.ndarray:
 
 def quasi_periodic_extension(psi_cell: np.ndarray, theta, K: int) -> np.ndarray:
     """Extend a cell field to the fine grid with per-cell phase factors."""
-    qm = as_quasi_momentum(theta)
+    theta = quasi_momentum(theta)
     p = psi_cell.shape[0]
     fine = _tile(np.asarray(psi_cell).reshape((p, p, p)), K)
-    if qm.is_zero:
+    if not any(theta):
         return fine
     cell_idx = np.arange(K * p) // p
-    return fine * _outer(*(np.exp(1j * t * cell_idx) for t in qm.theta))
+    return fine * _outer(*(np.exp(1j * t * cell_idx) for t in theta))
 
 
 def fine_field(sol: EpsSolution) -> np.ndarray:

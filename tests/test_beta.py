@@ -22,7 +22,6 @@ from hcbloch.bloch import (
 from hcbloch.cell import effective_tensor, solve_cell_problem
 from hcbloch.errors import ConvergenceError, EmptyActiveSetError, PoleProximityError
 from hcbloch.geometry import classify_nodes
-from hcbloch.operators import QuasiMomentum
 from hcbloch.validation import EpsProblem
 from oracles import dense_border, flux
 
@@ -305,7 +304,7 @@ def test_spatial_zero_map(single_fiber):
 
 def test_spatial_points_need_lifts_at_active_theta(single_fiber):
     grid = classify_nodes(single_fiber, 8)
-    record = solve_theta(grid, QuasiMomentum((0.0, np.pi, 0.0)), m_max=4)  # no lift_tol
+    record = solve_theta(grid, (0.0, np.pi, 0.0), m_max=4)  # no lift_tol
     a_hom = effective_tensor([solve_cell_problem(grid, 1)])
     with pytest.raises(ValueError, match="lift_tol"):
         spatial_points(record, a_hom, [(1, 0, 0)], 50.0)
@@ -322,9 +321,11 @@ def test_spatial_points_need_lifts_at_active_theta(single_fiber):
         (lambda grid, asm, dec: pure_bloch_bands({}, 1.0), "empty theta sweep"),
         (lambda grid, asm, dec: EpsProblem(grid, 0), "K >= 1"),
         (lambda grid, asm, dec: EpsProblem(grid, 4, contrast="on"), "unknown contrast"),
+        (lambda grid, asm, dec: theta_sweep(grid, theta_grid(2), keep=[(0.0, 1.0, 0.0)]),
+         r"not in thetas: \[\(0\.0, 1\.0, 0\.0\)\]"),
     ],
     ids=["lifts_other_theta", "lifts_sweep_record", "m_max_above_dim", "bands_empty_sweep",
-         "eps_K_zero", "eps_unknown_contrast"],
+         "eps_K_zero", "eps_unknown_contrast", "sweep_keep_unlisted"],
 )
 def test_library_guards_raise_value_error(lift_setup, call, match):
     _, grid, _, asm, dec, _ = lift_setup
@@ -365,7 +366,7 @@ def test_band_merging_and_gaps():
     # branch [3, 3] lies inside the band merged from the first two
     def dec(theta, vals):
         return BlochDecomposition(
-            theta=QuasiMomentum(theta),
+            theta=theta,
             active=(),
             eigenvalues=np.asarray(vals, dtype=float),
             vectors=None,

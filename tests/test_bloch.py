@@ -20,7 +20,6 @@ from hcbloch.bloch import assemble_bloch, bloch_eigs, solve_theta, theta_grid, t
 from hcbloch.cell import effective_tensor, solve_cell_problem
 from hcbloch.errors import ConvergenceError, HcBlochError, SingularSystemError
 from hcbloch.geometry import CellGeometry, build_geometry, classify_nodes
-from hcbloch.operators import QuasiMomentum
 from oracles import (
     adjacent_pairs,
     dense_bloch_eigenvalues,
@@ -108,12 +107,12 @@ def test_dirichlet_cube_continuum_limit():
 def test_theta_grid_contents():
     pts = theta_grid(4)
     assert len(pts) == 64
-    assert pts[0].theta == (0.0, 0.0, 0.0)
+    assert pts[0] == (0.0, 0.0, 0.0)
     step = np.pi / 2
-    has_axis_zero = any(
-        p.theta[0] == 0.0 and p.theta[1] != 0.0 and p.theta[2] != 0.0 for p in pts
+    on_a_plane = any(
+        p[0] == 0.0 and p[1] != 0.0 and p[2] != 0.0 for p in pts
     )
-    assert has_axis_zero
+    assert on_a_plane
     assert len(adjacent_pairs(4)) == 3 * 4 * 4 * 3  # 3 directions, 3 steps each line
 
 
@@ -143,7 +142,7 @@ def test_sweep_deterministic_and_parallel(single_fiber, two_fiber):
         assert list(sweep) == list(serial)
         for t, record in serial.items():
             other = sweep[t]
-            assert record.theta.theta == t
+            assert record.theta == t
             for name in ("theta", "active", "paths"):
                 assert getattr(other, name) == getattr(record, name), (t, name)
             for name in ("eigenvalues", "residuals"):
@@ -165,7 +164,7 @@ def test_sweep_record_keeps_the_arpack_fallback(single_fiber, sparse_eigensolver
     that theta: each block of the failing theta says "arpack-fallback", those
     of the other theta "arpack"."""
     grid = classify_nodes(single_fiber, 8)
-    real, complex_ = QuasiMomentum((0.0, 0.0, 0.0)), QuasiMomentum((0.0, 0.7, 1.1))
+    real, complex_ = (0.0, 0.0, 0.0), (0.0, 0.7, 1.1)
     eigsh = spla.eigsh
 
     def failing_on_complex(A, *args, **kwargs):
@@ -175,8 +174,8 @@ def test_sweep_record_keeps_the_arpack_fallback(single_fiber, sparse_eigensolver
 
     monkeypatch.setattr(spla, "eigsh", failing_on_complex)  # the forked workers inherit it
     sweep = theta_sweep(grid, [real, complex_], m_max=3, threads=2)
-    assert sweep[real.theta].paths == ("arpack",) * 8
-    assert sweep[complex_.theta].paths == ("arpack-fallback",) * 2
+    assert sweep[real].paths == ("arpack",) * 8
+    assert sweep[complex_].paths == ("arpack-fallback",) * 2
     assert multiprocessing.active_children() == []
 
 
@@ -184,7 +183,7 @@ def test_sweep_record_size_does_not_grow_with_n(two_fiber, sparse_eigensolver):
     """The pickled record of one theta, lifts included, is as large at n=12
     as at n=8: no array whose length is set by n crosses the process boundary.
     (Every block takes ARPACK, so the paths read alike at both n.)"""
-    theta = QuasiMomentum((0.0, np.pi, 0.0))
+    theta = (0.0, np.pi, 0.0)
     sizes = []
     for n in (8, 12):
         [record] = theta_sweep(classify_nodes(two_fiber, n), [theta], m_max=4,
@@ -204,7 +203,7 @@ def test_sweep_failures_aggregated(single_fiber, monkeypatch, threads):
     """A theta whose eigensolve fails is named in one ConvergenceError, in
     the serial loop and from a worker process alike, and no worker is left."""
     grid = classify_nodes(single_fiber, 8)
-    bad = theta_grid(2)[1].theta  # (0, 0, pi): solved, and mapped to (0, pi, 0)
+    bad = theta_grid(2)[1]  # (0, 0, pi): solved, and mapped to (0, pi, 0)
     target = assemble_bloch(grid, bad)
     eigensolve = hcbloch.bloch.eigensolve
 
@@ -294,7 +293,7 @@ def test_reduced_sweep_matches_direct_solves(name):
     assert len(solved) == {"double_porosity": 10}.get(name, 18)
     window = 0.95 * min(record.eigenvalues[-1] for record in sweep.values())
     for t, record in sweep.items():
-        direct = solve_theta(grid, QuasiMomentum(t), m_max=6, tol=1e-8, lift_tol=1e-10)
+        direct = solve_theta(grid, t, m_max=6, tol=1e-8, lift_tol=1e-10)
         assert record.theta == direct.theta and record.active == direct.active
         assert type(record) is hcbloch.bloch.BlochDecomposition and record.vectors is None
         assert record.solved_at in solved and (record.solved_at == t) == (t in solved)
@@ -324,7 +323,7 @@ def test_reduced_sweep_with_rounding_a0_matches_direct_solves(rounding_a0_fiber,
     sweep = theta_sweep(grid, theta_grid(2), m_max=4)
     assert sum(record.solved_at == t for t, record in sweep.items()) == 6
     for t, record in sweep.items():
-        direct = solve_theta(grid, QuasiMomentum(t), m_max=4)
+        direct = solve_theta(grid, t, m_max=4)
         scale = direct.eigenvalues.max()
         assert np.abs(record.eigenvalues - direct.eigenvalues).max() <= 1e-12 * scale, t
 
@@ -335,17 +334,17 @@ def test_image_of_every_group_element_matches_a_direct_solve():
     3 across the cell face, so its lift picks up exp(+-i pi/2) relative to
     fiber 1's; beta(lambda) sees that phase off the diagonal."""
     grid = classify_nodes(_shipped("two_fibers"), 8)
-    record = solve_theta(grid, QuasiMomentum((0.0, np.pi / 2, 0.0)), m_max=6, lift_tol=1e-10)
-    listed = {qm.theta: qm for qm in theta_grid(4)}
-    direct = {t: solve_theta(grid, listed[t], m_max=6, lift_tol=1e-10)
+    record = solve_theta(grid, (0.0, np.pi / 2, 0.0), m_max=6, lift_tol=1e-10)
+    direct = {t: solve_theta(grid, t, m_max=6, lift_tol=1e-10)
               for t in [(0.0, np.pi / 2, 0.0), (0.0, 3 * np.pi / 2, 0.0)]}
+    assert set(direct) <= set(theta_grid(4))
     elements = [(*s, conj) for s in grid.symmetries for conj in (False, True)]
     assert len(elements) == 32
     for perm, signs, shift, conj in elements:
         flipped = (signs[1] == -1) != conj
         image = direct[(0.0, 3 * np.pi / 2 if flipped else np.pi / 2, 0.0)]
         mapped = hcbloch.bloch._image(grid, record, (perm, signs, shift, conj), image.theta)
-        assert mapped.active == (1, 3) and mapped.solved_at == record.theta.theta
+        assert mapped.active == (1, 3) and mapped.solved_at == record.theta
         lam = np.linspace(0.0, 0.95 * image.eigenvalues[-1], 97)
         lam = lam[image.beta.off_poles(lam, 1e-3)]
         ref = image.beta(lam)
@@ -440,7 +439,7 @@ def _mirror_operator(asm, axis: int, c: int) -> sp.csr_matrix:
     coords = np.unravel_index(asm.dofs, (n, n, n))
     image = list(coords)
     image[axis] = (c - coords[axis]) % n
-    sign = np.where((coords[axis] > c) & (asm.theta.theta[axis] == np.pi), -1.0, 1.0)
+    sign = np.where((coords[axis] > c) & (asm.theta[axis] == np.pi), -1.0, 1.0)
     where = np.full(n**3, -1)
     where[asm.dofs] = np.arange(asm.dim)
     cols = where[np.ravel_multi_index(image, (n, n, n))]
@@ -457,11 +456,11 @@ def test_sectors_match_unsplit_oracle(name, n):
     factor of the whole operator."""
     grid = classify_nodes(_shipped(name), n)
     h3, m, dense = grid.h**3, 10, {}
-    for qm in theta_grid(4):
-        asm = assemble_bloch(grid, qm)
-        steps = tuple(round(t / (np.pi / 2)) for t in qm.theta)
+    for theta in theta_grid(4):
+        asm = assemble_bloch(grid, theta)
+        steps = tuple(round(t / (np.pi / 2)) for t in theta)
         conjugate = min(steps, tuple(-k % 4 for k in steps))  # -theta has the same eigenvalues
-        assert [j for j, _ in asm.mirrors] == [j for j in range(3) if qm.theta[j] in (0.0, np.pi)]
+        assert [j for j, _ in asm.mirrors] == [j for j in range(3) if theta[j] in (0.0, np.pi)]
         assert len(asm.blocks) == 2 ** len(asm.mirrors)
         for axis, c in asm.mirrors:
             R = _mirror_operator(asm, axis, c)

@@ -513,13 +513,19 @@ def test_cli_beta_needs_theta(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["bloch", "spectrum"])
-def test_cli_summary_counts_solved_thetas(tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "args, counts",
+    [(["bloch"], (8, 6)), (["spectrum"], (8, 6)),
+     (["bloch", "--theta", "3.141592653589793,0,0"], (1, 1))],
+    ids=["bloch", "spectrum", "bloch_theta_image"],
+)
+def test_cli_summary_counts_solved_thetas(tmp_path, capsys, args, counts):
     """two_fibers at g=2: 8 thetas, 6 solved (the glide maps (0, 0, pi) to
-    (pi, 0, 0) and (0, pi, pi) to (pi, pi, 0))."""
-    assert main([command, "--config", _two_fibers_n8_g2(tmp_path)]) == 0
+    (pi, 0, 0) and (0, pi, pi) to (pi, pi, 0)).  One --theta at an image is one
+    theta solved, its orbit's first."""
+    assert main([*args, "--config", _two_fibers_n8_g2(tmp_path)]) == 0
     summary = json.loads(capsys.readouterr().out.splitlines()[-1])
-    assert (summary["points"], summary["solved"]) == (8, 6)
+    assert (summary["points"], summary["solved"]) == counts
 
 
 def test_cli_unreadable_config_exit2(tmp_path, capsys):

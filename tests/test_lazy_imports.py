@@ -30,7 +30,7 @@ EXPORTED = {
     "RunConfig", "parse_config", "CoefficientError", "ContainmentError", "ConvergenceError",
     "EmptyActiveSetError", "EmptyDomainError", "HcBlochError", "OverlapError", "ParseError",
     "PoleProximityError", "ResolutionError", "SingularSystemError", "ValidationError",
-    "CellGeometry", "FiberSpec", "Grid", "build_geometry", "classify_nodes", "QuasiMomentum",
+    "CellGeometry", "FiberSpec", "Grid", "build_geometry", "classify_nodes",
     "eigensolve", "linear_solve", "EpsProblem", "TwoScaleReport", "convergence_report",
     "solve_eps", "solve_homogenized", "two_scale_pairing",
 }
@@ -51,8 +51,10 @@ def _scipy_loaded_after(code: str) -> bool:
         "import hcbloch.cli",
         "import hcbloch.cli\nassert hcbloch.cli.main(['geom-check', '--config', {config!r}]) == 0",
         "import hcbloch.cli\nassert hcbloch.cli.main(['spectrum', '--config', {invalid!r}]) == 2",
+        "import hcbloch.cli\n"
+        "assert hcbloch.cli.main(['bloch', '--config', {config!r}, '--theta', '7,0,0']) == 2",
     ],
-    ids=["import_package", "import_cli", "geom_check", "invalid_config"],
+    ids=["import_package", "import_cli", "geom_check", "invalid_config", "invalid_theta"],
 )
 def test_no_scipy_where_none_is_needed(tmp_path, code):
     invalid = tmp_path / "invalid.yml"

@@ -10,9 +10,8 @@ from scipy.linalg import eigh as dense_eigh
 from conftest import dirichlet_chain_lowest
 from hcbloch.errors import EmptyDomainError, SingularSystemError
 from hcbloch.config import parse_config
-from hcbloch.geometry import build_geometry, classify_nodes
+from hcbloch.geometry import build_geometry, classify_nodes, quasi_momentum
 from hcbloch.operators import (
-    QuasiMomentum,
     eigensolve,
     factorize,
     full_stiffness,
@@ -40,11 +39,16 @@ def soft_operator(grid, theta):
 
 
 def test_quasi_momentum_active_set():
-    qm = QuasiMomentum((0.0, 1.5, 0.0))
-    assert qm.active_set((1, 2, 3)) == (1, 3)
-    assert qm.active_set((2,)) == ()
-    with pytest.raises(ValueError):
-        QuasiMomentum((0.0, 7.0, 0.0))
+    theta = quasi_momentum((0.0, 1.5, 0.0))
+    assert theta == (0.0, 1.5, 0.0) and quasi_momentum() == (0.0, 0.0, 0.0)
+    three = build_geometry({"fibers": [{"axis": a, "rect": r} for a, r in (
+        (1, [0.1, 0.3, 0.1, 0.3]), (2, [0.4, 0.6, 0.4, 0.6]), (3, [0.7, 0.9, 0.7, 0.9]))]})
+    assert three.active_at(theta) == (1, 3)
+    one = build_geometry({"fibers": [{"axis": 2, "rect": [0.4, 0.6, 0.4, 0.6]}]})
+    assert one.active_at(theta) == ()
+    for bad in [(0.0, 7.0, 0.0), (0.0, float("nan"), 0.0), (0.0, 0.0)]:
+        with pytest.raises(ValueError):
+            quasi_momentum(bad)
 
 
 def test_periodic_constant_kernel_exact():

@@ -346,7 +346,7 @@ def test_bloch_reduction_matches_direct_solve(request, geom_name, p, K, k_index,
 
 def test_bloch_quasi_momentum_wraps_onto_real_pi(single_fiber):
     sol = solve_eps(EpsProblem(grid=classify_nodes(single_fiber, 8), K=2, k_index=(3, 0, 0)))
-    assert sol.problem.theta.theta == (np.pi, 0.0, 0.0)
+    assert sol.problem.theta == (np.pi, 0.0, 0.0)
     assert not np.iscomplexobj(sol.stiffness.data)
 
 
