@@ -131,7 +131,8 @@ def cmd_beta(cfg: RunConfig, geom, grid, theta) -> int:
     if theta is None:
         raise ValidationError("beta needs --theta t1,t2,t3: the quasi-momentum of its matrix")
     sweep, _ = _sweep(cfg, grid, theta, lift_tol=cfg.tol_linear)
-    beta = sweep[theta].beta
+    [(theta, record)] = sweep.items()  # theta as the sweep checked it
+    beta = record.beta
     if beta is None:
         raise EmptyActiveSetError(
             f"no active fiber axis at theta={theta}; spatial operator is the zero map"
