@@ -207,13 +207,10 @@ def bloch_eigs(asm: BlochAssembly, m_max: int = 10, tol: float = 1e-8,
         lu = asm.lu(s) if eigen_method(B.shape[0], k) == "sparse" else None
         solved.append(eigensolve(B, h3, m_max=k, tol=tol, seed=seed, factor=lu))
     vals, ws, _, paths = zip(*solved)
+    modes = [(Q, w[:, j]) for Q, w in zip(asm.sectors, ws) for j in range(w.shape[1])]
     keep = np.argsort(np.concatenate(vals), kind="stable")[:m_max]
-    block = np.concatenate([np.full(w.shape[1], s) for s, w in enumerate(ws)])[keep]
-    column = np.concatenate([np.arange(w.shape[1]) for w in ws])[keep]
-    vectors = np.empty((asm.dim, m_max), dtype=np.result_type(*ws))
-    for s, (Q, w) in enumerate(zip(asm.sectors, ws)):
-        vectors[:, block == s] = Q @ w[:, column[block == s]]
-    vals, vectors = np.concatenate(vals)[keep], _fix_phases(vectors)
+    vals = np.concatenate(vals)[keep]
+    vectors = _fix_phases(np.column_stack([Q @ v for Q, v in (modes[i] for i in keep)]))
     return BlochDecomposition(theta=asm.theta, active=asm.active, eigenvalues=vals,
                               vectors=vectors, paths=paths,
                               residuals=check_residuals(asm.interior, h3, vals, vectors, tol))
@@ -314,17 +311,18 @@ def _permuted(perm, signs, values) -> np.ndarray:
 def _orbits(grid: Grid, thetas: Sequence[tuple]) -> list[tuple[tuple, tuple]]:
     """Per theta, the first theta of its orbit in the list and an element (perm, signs,
     shift, conj) mapping that one to it.  (perm, signs) maps theta to theta' with
-    theta'_perm[j] = signs[j] theta_j, conj then to -theta' (mod 2pi); an image
-    within 1e-12 of a listed theta is that theta."""
+    theta'_perm[j] = signs[j] theta_j, conj then to -theta' (mod 2pi); an image within
+    1e-12 of a listed theta and 0.0 in the same components (``active_at``) is that theta."""
     listed, orbit = np.array(thetas).reshape(-1, 3), [None] * len(thetas)
     for i, theta in enumerate(thetas):
         if orbit[i] is not None:
             continue
         for perm, signs, shift in grid.symmetries:
             image = _permuted(perm, signs, theta)
-            for conj in (False, True):
-                gap = (listed - (-image if conj else image) + np.pi) % (2.0 * np.pi) - np.pi
-                for j in np.flatnonzero(np.abs(gap).max(axis=1) <= 1e-12):
+            for conj, t in ((False, image), (True, -image)):
+                gap = (listed - t + np.pi) % (2.0 * np.pi) - np.pi
+                same = (np.abs(gap).max(axis=1) <= 1e-12) & ((listed == 0.0) == (t == 0.0)).all(1)
+                for j in np.flatnonzero(same):
                     orbit[j] = orbit[j] or (theta, (perm, signs, shift, conj))
     return orbit
 

@@ -83,7 +83,7 @@ def solve_cell_problem(grid: Grid, axis: int, tol: float = 1e-10) -> CellSolutio
             )
         residual = float(res_norm / rhs_norm)
     corrector = np.zeros((n, n, n))
-    corrector.ravel()[dofs] = corrector_vals - corrector_vals.mean()
+    corrector.ravel()[dofs] = corrector_vals
     return CellSolution(
         axis=axis,
         corrector=corrector,

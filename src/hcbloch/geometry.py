@@ -40,8 +40,8 @@ AXES = (1, 2, 3)
 
 
 def quasi_momentum(theta=None) -> tuple[float, float, float]:
-    """The quasi-momentum theta as three floats in [0, 2pi); None is theta = 0."""
-    t = (0.0, 0.0, 0.0) if theta is None else tuple(float(v) for v in theta)
+    """The quasi-momentum theta as three floats in [0, 2pi), -0.0 made 0.0; None is 0."""
+    t = (0.0, 0.0, 0.0) if theta is None else tuple(float(v) + 0.0 for v in theta)
     if len(t) != 3 or not all(0.0 <= v < 2.0 * np.pi for v in t):  # NaN included
         raise ValueError(f"theta needs three components in [0, 2pi), got {t}")
     return t

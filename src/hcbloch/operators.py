@@ -33,10 +33,6 @@ from .geometry import quasi_momentum
 DENSE_MIN_DIM = 240
 DENSE_DIM_PER_MODE = 11
 
-# a sorting network for six values: each pair (i, j), i < j, is a compare-exchange
-_SORT6 = ((0, 5), (1, 3), (2, 4), (1, 2), (3, 4), (0, 3), (2, 5), (0, 1), (2, 3), (4, 5),
-          (1, 2), (3, 4))
-
 
 def wrap_phase(t: float):
     """exp(i t), exactly real at t = 0 and t = pi: an operator there stays real, which
@@ -65,14 +61,12 @@ def full_stiffness(n: int, links: np.ndarray, theta=None) -> sp.csr_matrix:
         cols += [q_flat, idx.ravel()]
         data += [off, np.conjugate(off)]
 
-    # each node's three outgoing and three incoming weights, sorted by a network
-    # of compare-exchanges, then summed from the smallest
-    six = [w[d].ravel() for d in range(3)] + [np.roll(w[d], 1, axis=d).ravel() for d in range(3)]
-    for i, j in _SORT6:
-        six[i], six[j] = np.minimum(six[i], six[j]), np.maximum(six[i], six[j])
+    # each node's three outgoing and three incoming weights, summed from the smallest
+    six = np.sort([w[d].ravel() for d in range(3)]
+                  + [np.roll(w[d], 1, axis=d).ravel() for d in range(3)], axis=0)
     rows.append(idx.ravel())
     cols.append(idx.ravel())
-    data.append((six[0] + six[1] + six[2] + six[3] + six[4] + six[5]).astype(dtype))
+    data.append(six.sum(axis=0).astype(dtype))
     return sp.coo_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n**3, n**3),
@@ -88,8 +82,7 @@ def restrict_to(full: sp.csr_matrix, domain_mask: np.ndarray):
     dofs = np.flatnonzero(np.asarray(domain_mask).ravel())
     if dofs.size == 0:
         raise EmptyDomainError("domain node set is empty")
-    sub = full[dofs][:, dofs].tocsr()
-    return sub, dofs
+    return full[dofs][:, dofs].tocsr(), dofs
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -123,17 +116,6 @@ def factorize(A: sp.spmatrix) -> spla.SuperLU:
         return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1)
     except RuntimeError as exc:
         raise SingularSystemError(str(exc)) from exc
-
-
-def _solve(lu: spla.SuperLU, dtype, rhs: np.ndarray) -> np.ndarray:
-    """A^-1 rhs from the factor lu of a matrix A of the given dtype.
-
-    A real factor solves the real and imaginary parts of a complex rhs
-    apart; a complex factor solves any rhs directly.
-    """
-    if np.iscomplexobj(rhs) and not np.issubdtype(dtype, np.complexfloating):
-        return lu.solve(rhs.real) + 1j * lu.solve(rhs.imag)
-    return lu.solve(rhs)
 
 
 def eigen_method(dim: int, m_max: int) -> str:
@@ -180,9 +162,7 @@ def eigensolve(
     B = (A * s) * s
 
     path = "dense" if eigen_method(dim, m_max) == "dense" else "arpack"
-    if path == "dense":
-        vals, w = eigh(B.toarray(), subset_by_index=(0, m_max - 1))
-    else:
+    if path == "arpack":
         lu = factor if factor is not None else factorize(A)
         # B = A / mass, so B^-1 x = mass A^-1 x
         OPinv = spla.LinearOperator(B.shape, matvec=lambda x: mass * lu.solve(x), dtype=B.dtype)
@@ -190,14 +170,14 @@ def eigensolve(
         try:
             vals, w = spla.eigsh(B, k=m_max, sigma=0.0, which="LM", v0=v0, tol=0, OPinv=OPinv)
         except (spla.ArpackNoConvergence, RuntimeError) as exc:
-            if dim <= 4000:
-                import logging
-                logging.getLogger("hcbloch").warning(
-                    "ARPACK failed at dim %d (%s); falling back to dense eigh", dim, exc)
-                vals, w = eigh(B.toarray(), subset_by_index=(0, m_max - 1))
-                path = "arpack-fallback"
-            else:
+            if dim > 4000:
                 raise ConvergenceError(f"eigensolver failed: {exc}") from exc
+            import logging
+            logging.getLogger("hcbloch").warning(
+                "ARPACK failed at dim %d (%s); falling back to dense eigh", dim, exc)
+            path = "arpack-fallback"
+    if path != "arpack":
+        vals, w = eigh(B.toarray(), subset_by_index=(0, m_max - 1))
 
     order = np.argsort(vals)
     vals = np.real(vals[order])
@@ -233,7 +213,11 @@ def linear_solve(
     if not np.any(rhs_norm):
         return np.zeros_like(rhs)
 
-    x = _solve(factor if factor is not None else factorize(A), A.dtype, rhs)
+    lu = factor if factor is not None else factorize(A)
+    if np.iscomplexobj(rhs) and not np.iscomplexobj(A):  # a real factor solves re and im apart
+        x = lu.solve(rhs.real) + 1j * lu.solve(rhs.imag)
+    else:
+        x = lu.solve(rhs)
     residual = np.linalg.norm(A @ x - rhs, axis=0)
     bad = residual > tol * rhs_norm
     if np.any(bad):

@@ -352,6 +352,18 @@ def test_image_of_every_group_element_matches_a_direct_solve():
         assert np.abs(ref[:, 0, 1].imag).max() > 0.1 * np.abs(ref).max()  # the phase shows
 
 
+def test_near_zero_theta_is_not_joined_to_a_zero_one():
+    """(0, 0, 1e-13) lies within 1e-12 of (0, 0, 0) on two_fibers, but only fiber 1 is
+    active there: the sweep solves it as its own orbit, and the record and its coupling
+    matrix agree on the active set."""
+    grid = classify_nodes(_shipped("two_fibers"), 8)
+    theta = (0.0, 0.0, 1e-13)
+    [record] = theta_sweep(grid, theta_grid(2) + [theta], m_max=4, lift_tol=1e-10,
+                           keep=[theta]).values()
+    assert record.solved_at == theta
+    assert record.active == record.beta.active == (1,)
+
+
 def test_off_centre_fiber_sweep_solves_every_g2_theta():
     """With fiber 3 moved along y2 no axis swap is left, and at g=2 conjugation
     and the mirrors map every theta to itself: all 8 are solved."""

@@ -299,17 +299,17 @@ def test_cli_bloch_threads_bitwise_identical(tmp_path):
     assert b1.split(b"\n", 1)[1] == b2.split(b"\n", 1)[1]
 
 
-def _two_fibers_n8_g2(tmp_path):
-    text = (ROOT / "configs" / "two_fibers.yml").read_text()
+def _shipped_n8_g2(tmp_path, name):
+    text = (ROOT / "configs" / f"{name}.yml").read_text()
     text = text.replace("n: 16", "n: 8").replace("g: 4", "g: 2")
-    path = tmp_path / "two_fibers.yml"
+    path = tmp_path / f"{name}.yml"
     path.write_text(text.replace("dir: out", f"dir: {tmp_path / 'out'}"))
     return str(path)
 
 
 def test_cli_bloch_single_theta_rows_match_grid_rows(tmp_path):
     """`bloch --theta t` writes exactly the rows the grid run writes at t."""
-    config = _two_fibers_n8_g2(tmp_path)
+    config = _shipped_n8_g2(tmp_path, "two_fibers")
     bands = tmp_path / "out" / "bands.csv"
     assert main(["bloch", "--config", config]) == 0
     grid_rows = bands.read_text().splitlines()[2:]
@@ -331,7 +331,7 @@ def test_cli_single_theta_failure_names_the_theta(tmp_path, capsys, monkeypatch,
         raise ConvergenceError("eigenpair 0 residual above tolerance")
 
     monkeypatch.setattr(hcbloch.bloch, "eigensolve", failing)
-    config = _two_fibers_n8_g2(tmp_path)
+    config = _shipped_n8_g2(tmp_path, "two_fibers")
     assert main([command, "--config", config, "--theta", "0,3.141592653589793,0"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConvergenceError"
@@ -348,7 +348,7 @@ def test_cli_sweep_program_fault_propagates(tmp_path, monkeypatch):
         raise TypeError("unexpected argument")
 
     monkeypatch.setattr(hcbloch.bloch, "eigensolve", faulty)
-    config = _two_fibers_n8_g2(tmp_path)
+    config = _shipped_n8_g2(tmp_path, "two_fibers")
     with pytest.raises(TypeError, match="unexpected argument"):
         main(["bloch", "--config", config, "--theta", "0,0,0", "--threads", "1"])
 
@@ -393,6 +393,34 @@ def test_cli_beta_inactive_theta_is_an_error(tmp_path, capsys):
     path.write_text(cfg_text)
     assert main(["beta", "--config", str(path), "--theta", "1,0,0"]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "EmptyActiveSetError"
+
+
+@pytest.mark.parametrize(
+    "name, theta, rc, active",
+    [("two_fibers", "0,0,1e-13", 0, [1]),
+     ("single_fiber", "1e-13,3.141592653589793,0", 2, None)],
+    ids=["two_fibers", "single_fiber"],
+)
+def test_cli_beta_near_zero_theta_keeps_its_active_set(tmp_path, capsys, name, theta, rc, active):
+    """A component 1e-13 is not 0: it takes its axis out of the active set, although
+    the theta lies within 1e-12 of a grid theta with that component 0."""
+    assert main(["beta", "--config", _shipped_n8_g2(tmp_path, name), "--theta", theta]) == rc
+    out, err = capsys.readouterr()
+    if active is None:
+        assert json.loads(err)["error"] == "EmptyActiveSetError"
+    else:
+        assert json.loads(out.splitlines()[-1])["active_axes"] == active
+
+
+@pytest.mark.parametrize("command, name", [("bloch", "bands.csv"), ("beta", "beta.csv")])
+def test_cli_negative_zero_theta_is_zero(tmp_path, command, name):
+    """`--theta=-0,1,0` is theta = (0, 1, 0): it writes the same file."""
+    config = _shipped_n8_g2(tmp_path, "two_fibers")
+    written = []
+    for theta in ("-0,1,0", "0,1,0"):
+        assert main([command, "--config", config, f"--theta={theta}"]) == 0
+        written.append((tmp_path / "out" / name).read_bytes())
+    assert written[0] == written[1]
 
 
 def test_cli_spectrum_inclusion_point_bands(tmp_path):
@@ -506,7 +534,7 @@ def test_run_subcommand_writes_to_the_config_dir(tmp_path):
 
 def test_cli_beta_needs_theta(tmp_path, capsys):
     """`beta` without --theta is an error, not a silent theta = 0."""
-    config = _two_fibers_n8_g2(tmp_path)
+    config = _shipped_n8_g2(tmp_path, "two_fibers")
     assert main(["beta", "--config", config]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValidationError" and "--theta" in err["message"]
@@ -523,7 +551,7 @@ def test_cli_summary_counts_solved_thetas(tmp_path, capsys, args, counts):
     """two_fibers at g=2: 8 thetas, 6 solved (the glide maps (0, 0, pi) to
     (pi, 0, 0) and (0, pi, pi) to (pi, pi, 0)).  One --theta at an image is one
     theta solved, its orbit's first."""
-    assert main([*args, "--config", _two_fibers_n8_g2(tmp_path)]) == 0
+    assert main([*args, "--config", _shipped_n8_g2(tmp_path, "two_fibers")]) == 0
     summary = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert (summary["points"], summary["solved"]) == counts
 

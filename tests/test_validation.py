@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,7 +9,7 @@ from hcbloch.bloch import assemble_bloch, bloch_eigs
 from hcbloch.cell import solve_cell_problem
 from hcbloch.errors import CoefficientError, SingularSystemError
 from hcbloch.geometry import CellGeometry, build_geometry, classify_nodes
-from hcbloch.operators import full_stiffness, linear_solve
+from hcbloch.operators import factorize, full_stiffness, linear_solve
 from hcbloch.validation import (
     EpsProblem,
     convergence_report,
@@ -305,12 +307,29 @@ def test_inclusion_homogenized_theta_independent(inclusion):
     assert np.abs(h0.w_full - h1.w_full).max() < 1e-12
 
 
-def direct_solve_eps(prob):
-    """Oracle: the eps-problem assembled and solved on the whole (K p)^3 torus grid."""
+@pytest.fixture(scope="module")
+def torus_factor():
+    """factor(key, system): one ``factorize(system)`` per key, the last one kept, so the
+    cases that share a torus operator, run one after another, factor it once."""
+    last = {}
+
+    def factor(key, system):
+        if key not in last:
+            last.clear()
+            last[key] = factorize(system)
+        return last[key]
+
+    return factor
+
+
+def direct_solve_eps(prob, factor):
+    """Oracle: the eps-problem assembled and solved on the whole (K p)^3 torus grid
+    with the factor ``factor(system)``; ``linear_solve`` checks the residual."""
     n = prob.n_fine
     h3 = (1.0 / n) ** 3
     system = full_stiffness(n, eps_links(prob), None) + h3 * sp.identity(n**3, format="csr")
-    return linear_solve(system.tocsr(), h3 * fine_forcing(prob).ravel())
+    system = system.tocsr()
+    return linear_solve(system, h3 * fine_forcing(prob).ravel(), factor=factor(system))
 
 
 def _outer(f1, f2, f3):
@@ -326,16 +345,18 @@ def _outer(f1, f2, f3):
         ("single_fiber", 8, 2, (3, 0, 0), False, "double_porosity"),
     ],
 )
-def test_bloch_reduction_matches_direct_solve(request, geom_name, p, K, k_index, complex_g, contrast):
+def test_bloch_reduction_matches_direct_solve(request, torus_factor, geom_name, p, K, k_index,
+                                              complex_g, contrast):
     """One quasi-periodic cell solve gives the fine-grid solution, and its
-    cell energy is the fine-grid stiffness form."""
+    cell energy is the fine-grid stiffness form.  The torus operator depends on
+    (geometry, p, K, contrast) only, so cases that share those share its factor."""
     g = None
     if complex_g:
         rng = np.random.default_rng(5)
         g = rng.standard_normal((p, p, p)) + 1j * rng.standard_normal((p, p, p))
     geom = request.getfixturevalue(geom_name)
     prob = EpsProblem(grid=classify_nodes(geom, p), K=K, k_index=k_index, g_cell=g, contrast=contrast)
-    u_ref = direct_solve_eps(prob)
+    u_ref = direct_solve_eps(prob, partial(torus_factor, (geom_name, p, K, contrast)))
     sol = solve_eps(prob)
     assert np.linalg.norm(fine_field(sol) - u_ref) <= 1e-9 * np.linalg.norm(u_ref)
     n = prob.n_fine
